@@ -18,18 +18,31 @@ from .series import EtaQuotient, eisenstein_e6
 from .catalog import GROUPS, MAIN_GROUPS, get_group
 
 
-def _parse_primes(text: str) -> list[int]:
-    """'5..23,73' -> primes in [5,23] plus 73."""
+class InputRefused(ValueError):
+    """Input the command cannot act on; reported on one line, exit code 2."""
+
+
+def _parse_primes(text: str, limit: int | None = None) -> list[int]:
+    """'5..23,73' -> primes in [5,23] plus 73.  Malformed parts, non-primes,
+    bounds above ``limit`` and an empty selection are refused."""
     out = []
     for part in text.split(","):
-        if ".." in part:
-            a, b = part.split("..")
-            out.extend(p for p in catalog.primes_upto(int(b)) if p >= int(a))
+        lo, dots, hi = part.partition("..")
+        try:
+            bounds = (int(lo), int(hi)) if dots else (int(part),)
+        except ValueError:
+            raise InputRefused(f"{part!r} is neither a prime nor a range a..b") from None
+        if limit is not None and max(bounds) > limit:
+            raise InputRefused(f"{max(bounds)} is above the prime limit {limit}")
+        if dots:
+            out.extend(p for p in catalog.primes_upto(max(bounds[1], 1)) if p >= bounds[0])
         else:
-            n = int(part)
+            n = bounds[0]
             if n < 2 or any(n % d == 0 for d in range(2, int(n ** 0.5) + 1)):
-                raise SystemExit(f"error: {n} is not prime")
+                raise InputRefused(f"{n} is not prime")
             out.append(n)
+    if not out:
+        raise InputRefused(f"{text!r} selects no primes")
     return sorted(set(out))
 
 
@@ -73,11 +86,11 @@ def cmd_expand(args, cfg: RunConfig) -> int:
 
 
 def cmd_traces(args, cfg: RunConfig) -> int:
-    primes = _parse_primes(args.primes)
+    primes = _parse_primes(args.primes, limit=traces.PRIME_LIMIT)
     groups = [GROUPS[n] for n in MAIN_GROUPS] if args.group in (None, "all") \
         else [get_group(args.group)]
     try:
-        rows = traces.trace_rows(groups, primes, thread_count=cfg.thread_count)
+        rows = traces.trace_rows(groups, primes)
     except traces.BadPrimeError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
@@ -237,7 +250,6 @@ def cmd_isogeny(args, cfg: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="noncong")
     ap.add_argument("--format", choices=("human", "csv", "json"), default="human")
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--modpoly", default=None, help="modular polynomial data file")
     ap.add_argument("--order", type=int, default=None,
                     help="series order override (default 501)")
@@ -296,15 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(output_format=args.format, thread_count=args.threads,
-                    modular_poly_path=args.modpoly)
+    cfg = RunConfig(output_format=args.format, modular_poly_path=args.modpoly)
     if getattr(args, "order", None) and args.command != "expand":
         cfg.series_order = args.order
     if getattr(args, "pn_bound", None):
         cfg.pn_bound = args.pn_bound
         cfg.series_order = max(cfg.series_order, cfg.pn_bound + 1)
     cfg.validate()
-    return args.fn(args, cfg)
+    try:
+        return args.fn(args, cfg)
+    except InputRefused as e:
+        print(f"refused: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

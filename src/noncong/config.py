@@ -15,7 +15,6 @@ class RunConfig:
     pn_bound: int = 500              # ratio tests run over pn <= pn_bound
     output_format: str = "human"     # human | csv | json
     modular_poly_path: str | None = None
-    thread_count: int | None = None
 
     def validate(self) -> "RunConfig":
         if self.pn_bound > self.series_order - 1:
@@ -24,6 +23,4 @@ class RunConfig:
                 f"{self.series_order - 1}")
         if self.output_format not in ("human", "csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.thread_count is not None and self.thread_count < 1:
-            raise ValueError("thread_count must be positive")
         return self

@@ -5,10 +5,15 @@ q + 1 - #E for a smooth fiber, +1 / -1 / 0 for split multiplicative /
 nonsplit multiplicative / additive fibers, with the singular type decided
 by whether -2AB is zero, a nonzero square, or a nonsquare.
 
-Point counts use the quadratic-character sum #E = q + 1 + sum chi(x^3+Ax+B),
-vectorized with a precomputed character table per field; all twelve cover
-parameterizations of one base family at one q share a single fiber-trace
-table, so the q^2 work is done once per (level, q).
+Point counts use the quadratic-character sum #E = q + 1 + sum chi(x^3+Ax+B).
+The scalar path (``local_trace``, ``count_points_short``) evaluates that sum
+directly and serves as the reference.  ``fiber_trace_table`` obtains every
+fiber of one base family at once in O(q log q): writing A = u^2 * A_rep with
+A_rep in {0, 1, a nonsquare}, the fiber (A, B) is the quadratic twist by u
+of (A_rep, B/u^3), and the three sums S_rep(B) = sum_x chi(x^3 + A_rep x + B)
+over all B are cross-correlations on the additive group of F_q, done by FFT.
+All twelve cover parameterizations of one base family at one q share that
+table.
 """
 
 from __future__ import annotations
@@ -44,15 +49,35 @@ class PrimeField:
         roots = (np.arange(1, p, dtype=np.int64) ** 2) % p
         sq[roots] = 1
         self.chi_table = sq
+        self.shape = (p,)
         self._inv = None
 
     def inv_table(self) -> np.ndarray:
+        """x^-1 for every element (0 -> 0), by Fermat: x^(p-2) over the
+        whole array with square-and-multiply."""
         if self._inv is None:
-            inv = np.zeros(self.p, dtype=np.int64)
-            for x in range(1, self.p):
-                inv[x] = pow(x, -1, self.p)
+            p = self.p
+            base = np.arange(p, dtype=np.int64)
+            inv = np.ones(p, dtype=np.int64)
+            e = p - 2
+            while e:
+                if e & 1:
+                    inv = inv * base % p
+                base = base * base % p
+                e >>= 1
             self._inv = inv
         return self._inv
+
+    # vector interface (arrays of element indices)
+    def mul_vec(self, x, y):
+        return x * y % self.p
+
+    def add_vec(self, x, y):
+        return (x + y) % self.p
+
+    def constant(self, c: int) -> int:
+        """Index of the image of the integer c."""
+        return c % self.p
 
     # scalar interface (elements are ints)
     def chi(self, u: int) -> int:
@@ -92,7 +117,29 @@ class QuadExtField:
         b = np.tile(np.arange(p, dtype=np.int64), p)
         norm = (a * a - self.nu * b * b) % p
         self.chi_table = base.chi_table[norm]           # chi_q = chi_p o Norm
-        self._a, self._b = a, b
+        self._a, self._b, self._norm = a, b, norm
+        self.shape = (p, p)     # the additive group, index a*p + b <-> [a, b]
+
+    def inv_table(self) -> np.ndarray:
+        """u^-1 = conj(u) / Norm(u) for every element (0 -> 0)."""
+        p = self.p
+        ninv = self.base.inv_table()[self._norm]
+        return self._a * ninv % p * p + (-self._b) * ninv % p
+
+    # vector interface (arrays of element indices)
+    def mul_vec(self, x, y):
+        p = self.p
+        a, b = np.divmod(x, p)
+        c, d = np.divmod(y, p)
+        return (a * c + self.nu * b * d) % p * p + (a * d + b * c) % p
+
+    def add_vec(self, x, y):
+        p = self.p
+        return (x // p + y // p) % p * p + (x + y) % p
+
+    def constant(self, c: int) -> int:
+        """Index of the image of the integer c (the subfield F_p sits at a*p)."""
+        return c % self.p * self.p
 
     # scalar interface (elements are (a, b) pairs)
     def chi(self, u) -> int:
@@ -281,89 +328,86 @@ def _infinity_model(level: str) -> tuple[int, int]:
     return Astar, Bstar
 
 
-@lru_cache(maxsize=None)
+# Largest prime the CLI accepts for traces: building the F_{p^2} fiber-trace
+# table takes about 9 s and 740 MiB at p = 2003.
+PRIME_LIMIT = 2003
+
+
+# room for the four tables of one prime (E8 and E6, over F_p and F_{p^2}) twice
+@lru_cache(maxsize=8)
 def fiber_trace_table(level: str, p: int, squared: bool,
                       nonresidue: int | None = None):
     """Local trace of the level family at every parameter value of F_q (a
-    read-only int64 array indexed by element), plus the trace at the
-    parameter point at infinity."""
+    read-only int32 array indexed by element), plus the trace at the
+    parameter point at infinity.
+
+    Smooth fibers: for A = u^2 * rep, sum_x chi(x^3 + Ax + B) equals
+    chi(u) * S_rep(B / u^3) with S_rep(b) = sum_v N_rep(v) chi(v + b) and
+    N_rep(v) = #{x : x^3 + rep x = v}; each S_rep is one FFT correlation
+    over the additive group.  Singular fibers take chi(-2AB).
+    """
+    from numpy import fft      # numpy.fft is not loaded by ``import numpy``
     field = field_for(p, squared, nonresidue)
+    q, shape = field.q, field.shape
+    mul, chi, const = field.mul_vec, field.chi_table, field.constant
     Acoef, Bcoef = _level_poly_coeffs(level)
-    q = field.q
-    if isinstance(field, PrimeField):
-        s = np.arange(q, dtype=np.int64)
-        As = _poly_eval_vec_prime(Acoef, s, p)
-        Bs = _poly_eval_vec_prime(Bcoef, s, p)
-        disc = (4 * As * As % p * As + 27 * Bs * Bs) % p
-        x = np.arange(q, dtype=np.int64)
-        x3 = x * x % p * x % p
-        tau = np.empty(q, dtype=np.int64)
-        chunk = max(1, 4_000_000 // q)
-        for lo in range(0, q, chunk):
-            hi = min(lo + chunk, q)
-            f = (x3[None, :] + As[lo:hi, None] * x[None, :] + Bs[lo:hi, None]) % p
-            tau[lo:hi] = -field.chi_table[f].sum(axis=1)
-        sing = disc == 0
-        m = (-2 * As * Bs) % p
-        tau[sing] = field.chi_table[m[sing]]
-    else:
-        nu = field.nu
-        a0, a1 = field._a, field._b
-        A0, A1 = _poly_eval_vec_ext(Acoef, a0, a1, p, nu)
-        B0, B1 = _poly_eval_vec_ext(Bcoef, a0, a1, p, nu)
-        c0, c1 = _vec_mul(A0, A1, A0, A1, p, nu)
-        c0, c1 = _vec_mul(c0, c1, A0, A1, p, nu)          # A^3
-        d0, d1 = _vec_mul(B0, B1, B0, B1, p, nu)          # B^2
-        disc0 = (4 * c0 + 27 * d0) % p
-        disc1 = (4 * c1 + 27 * d1) % p
-        x0, x1 = field._a, field._b
-        s0 = (x0 * x0 + nu * x1 * x1) % p
-        s1 = (2 * x0 * x1) % p
-        x30 = (s0 * x0 + nu * s1 * x1) % p
-        x31 = (s0 * x1 + s1 * x0) % p
-        tau = np.empty(q, dtype=np.int64)
-        chunk = max(1, 4_000_000 // q)
-        for lo in range(0, q, chunk):
-            hi = min(lo + chunk, q)
-            f0 = (x30[None, :]
-                  + A0[lo:hi, None] * x0[None, :] + nu * A1[lo:hi, None] * x1[None, :]
-                  + B0[lo:hi, None]) % p
-            f1 = (x31[None, :]
-                  + A0[lo:hi, None] * x1[None, :] + A1[lo:hi, None] * x0[None, :]
-                  + B1[lo:hi, None]) % p
-            tau[lo:hi] = -field.chi_table[f0 * p + f1].sum(axis=1)
-        sing = (disc0 == 0) & (disc1 == 0)
-        m0, m1 = _vec_mul(A0, A1, B0, B1, p, nu)
-        m0 = (-2 * m0) % p
-        m1 = (-2 * m1) % p
-        tau[sing] = field.chi_table[(m0 * p + m1)[sing]]
+    s = np.arange(q, dtype=np.int64)
+    A = _poly_eval_vec(field, Acoef, s)
+    B = _poly_eval_vec(field, Bcoef, s)
+
+    reps = np.array([0, const(1), np.argmax(chi == -1)], dtype=np.int64)
+    x3 = mul(mul(s, s), s)
+    chi_hat = fft.rfftn(chi.reshape(shape).astype(np.float64))
+    S = np.empty((3, q), dtype=np.int64)
+    for k, rep in enumerate(reps):
+        N = np.bincount(field.add_vec(x3, mul(s, rep)), minlength=q)
+        corr = fft.irfftn(np.conj(fft.rfftn(N.reshape(shape))) * chi_hat,
+                          s=shape, axes=range(len(shape)))
+        S[k] = _exact_integers(corr.ravel())
+
+    inv = field.inv_table()
+    code = chi[A] % 3                       # 0: A = 0, 1: square, 2: nonsquare
+    u = _sqrt_table(field)[mul(A, inv[reps[code]])]
+    u[code == 0] = const(1)
+    Bt = mul(B, inv[mul(mul(u, u), u)])
+    tau = -chi[u] * S[code, Bt]
+
+    disc = field.add_vec(mul(mul(mul(A, A), A), const(4)), mul(mul(B, B), const(27)))
+    sing = disc == 0
+    if np.any(tau[~sing] ** 2 > 4 * q):
+        raise AssertionError(f"Hasse bound violated in the {level} table over F_{q}")
+    tau[sing] = chi[mul(mul(A, B), const(-2))[sing]]
+    tau = tau.astype(np.int32)              # |tau| <= 2 sqrt(q) by Hasse
+
     Astar, Bstar = _infinity_model(level)
-    if isinstance(field, PrimeField):
-        tau_inf = field.chi((-2 * Astar * Bstar) % p)
-    else:
-        tau_inf = field.chi(((-2 * Astar * Bstar) % p, 0))
+    tau_inf = chi[const(-2 * Astar * Bstar)]
     tau.flags.writeable = False
     return tau, int(tau_inf)
 
 
-def _poly_eval_vec_prime(coeffs, x, p):
+def _exact_integers(values: np.ndarray) -> np.ndarray:
+    """Round FFT output whose exact values are integers, refusing it when
+    any entry lies 0.25 or more from the nearest integer."""
+    rounded = np.rint(values)
+    margin = float(np.max(np.abs(values - rounded)))
+    if not margin < 0.25:
+        raise AssertionError(f"FFT rounding margin {margin:.3g} reached 0.25")
+    return rounded.astype(np.int64)
+
+
+def _sqrt_table(field) -> np.ndarray:
+    """A square root of every square of F_q (entries at nonsquares are 0)."""
+    x = np.arange(field.q, dtype=np.int64)
+    root = np.zeros(field.q, dtype=np.int64)
+    root[field.mul_vec(x, x)] = x
+    return root
+
+
+def _poly_eval_vec(field, coeffs, x):
     acc = np.zeros_like(x)
     for c in reversed(coeffs):
-        acc = (acc * x + c % p) % p
+        acc = field.add_vec(field.mul_vec(acc, x), field.constant(c))
     return acc
-
-
-def _vec_mul(a0, a1, b0, b1, p, nu):
-    return (a0 * b0 + nu * a1 * b1) % p, (a0 * b1 + a1 * b0) % p
-
-
-def _poly_eval_vec_ext(coeffs, x0, x1, p, nu):
-    acc0 = np.zeros_like(x0)
-    acc1 = np.zeros_like(x1)
-    for c in reversed(coeffs):
-        acc0, acc1 = _vec_mul(acc0, acc1, x0, x1, p, nu)
-        acc0 = (acc0 + c % p) % p
-    return acc0, acc1
 
 
 # ---------------------------------------------------------------------------
@@ -382,30 +426,14 @@ def _bucket_indices(family: SurfaceFamily, field) -> tuple[np.ndarray, int]:
     to infinity is folded in via the returned inf count."""
     num, den, _ = family._int_data()
     p = field.p
-    if isinstance(field, PrimeField):
-        r = np.arange(field.q, dtype=np.int64)
-        nv = _poly_eval_vec_prime(num, r, p)
-        dv = _poly_eval_vec_prime(den, r, p)
-        zero_den = dv == 0
-        if np.any(nv[zero_den] == 0):
-            raise BadPrimeError(f"{family.label}: map degenerates mod {p}")
-        inv = field.inv_table()[dv % p]
-        s = nv * inv % p
-        idx = np.where(zero_den, -1, s)
-    else:
-        nu = field.nu
-        r0, r1 = field._a, field._b
-        n0, n1 = _poly_eval_vec_ext(num, r0, r1, p, nu)
-        d0, d1 = _poly_eval_vec_ext(den, r0, r1, p, nu)
-        zero_den = (d0 == 0) & (d1 == 0)
-        if np.any((n0[zero_den] == 0) & (n1[zero_den] == 0)):
-            raise BadPrimeError(f"{family.label}: map degenerates mod {p}")
-        norm = (d0 * d0 - nu * d1 * d1) % p
-        ninv = field.base.inv_table()[norm]
-        i0 = d0 * ninv % p
-        i1 = (-d1) * ninv % p
-        s0, s1 = _vec_mul(n0, n1, i0, i1, p, nu)
-        idx = np.where(zero_den, -1, s0 * p + s1)
+    r = np.arange(field.q, dtype=np.int64)
+    nv = _poly_eval_vec(field, num, r)
+    dv = _poly_eval_vec(field, den, r)
+    zero_den = dv == 0
+    if np.any(nv[zero_den] == 0):
+        raise BadPrimeError(f"{family.label}: map degenerates mod {p}")
+    s = field.mul_vec(nv, field.inv_table()[dv])
+    idx = np.where(zero_den, -1, s)
     # the point r = infinity maps by leading coefficients
     dn = _degree_mod(num, p)
     dd = _degree_mod(den, p)
@@ -416,8 +444,7 @@ def _bucket_indices(family: SurfaceFamily, field) -> tuple[np.ndarray, int]:
     elif dn < dd:
         inf_image = 0  # the zero element has index 0 in both fields
     else:
-        lead = num[dn] * pow(den[dd], -1, p) % p
-        inf_image = lead if isinstance(field, PrimeField) else lead * p
+        inf_image = field.constant(num[dn] * pow(den[dd], -1, p))
     return idx, inf_image
 
 
@@ -504,35 +531,19 @@ def trace_fingerprint_equal(fam_a: SurfaceFamily, fam_b: SurfaceFamily,
 TABLE8_PRIMES = (5, 7, 11, 13, 17, 19, 23, 73)
 
 
-def trace_rows(groups, primes=TABLE8_PRIMES, thread_count: int | None = None):
+def trace_rows(groups, primes=TABLE8_PRIMES):
     """Rows (group, parameterization, p, tr_p, tr_p2) for the requested
     groups, in catalog order, primes ascending.
 
-    The heavy work is one fiber-trace table per (level, q); with a thread
-    count those tables are computed concurrently (the numpy kernels release
-    the GIL), each exactly once, and the per-family bucket sums stay serial
-    so the output order is deterministic.
+    The traces are computed prime by prime: the (at most four) fiber-trace
+    tables of one prime are built once and stay in the bounded table cache
+    while every family reads them.
     """
-    jobs = []
-    table_keys = []
-    seen = set()
-    for g in groups:
-        for fam in surface_families(g):
-            for p in primes:
-                jobs.append((g.name, fam, p))
-                for squared in (False, True):
-                    key = (fam.level, p, squared)
-                    if key not in seen:
-                        seen.add(key)
-                        table_keys.append(key)
-    if thread_count and thread_count > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=thread_count) as ex:
-            list(ex.map(lambda k: fiber_trace_table(*k), table_keys))
-    rows = []
-    for name, fam, p in jobs:
-        rows.append((name, fam.label, p, *trace_pair(fam, p)))
-    return rows
+    families = [(g.name, fam) for g in groups for fam in surface_families(g)]
+    pairs = {(i, p): trace_pair(fam, p)
+             for p in primes for i, (_, fam) in enumerate(families)}
+    return [(name, fam.label, p, *pairs[i, p])
+            for i, (name, fam) in enumerate(families) for p in primes]
 
 
 def rows_to_csv(rows) -> str:

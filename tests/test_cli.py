@@ -47,6 +47,17 @@ def test_traces_bad_prime_refused(capsys):
     assert "refused" in err
 
 
+@pytest.mark.parametrize("primes,message", [
+    ("5..x", "'5..x' is neither a prime nor a range a..b"),
+    ("4", "4 is not prime"),
+    ("5..23,1000000007", "1000000007 is above the prime limit 2003"),
+])
+def test_traces_bad_prime_input_refused(capsys, primes, message):
+    rc, out, err = run(capsys, "traces", "--all", "--primes", primes)
+    assert rc == 2 and out == ""
+    assert err == f"refused: {message}\n"
+
+
 def test_expand_group_form(capsys):
     rc, out, _ = run(capsys, "expand", "gamma_24.6.1^6", "h1", "--order", "8")
     assert rc == 0
@@ -155,8 +166,6 @@ def test_run_config_validation():
         RunConfig(series_order=100, pn_bound=500).validate()
     with pytest.raises(ValueError, match="output format"):
         RunConfig(output_format="xml").validate()
-    with pytest.raises(ValueError, match="thread_count"):
-        RunConfig(thread_count=0).validate()
 
 
 def test_expand_csv_serialization_format(capsys):
@@ -166,13 +175,6 @@ def test_expand_csv_serialization_format(capsys):
     lines = out.splitlines()
     assert lines[0] == "1/3\t1/1"
     assert lines[1] == "7/3\t-16/3"
-
-
-def test_traces_with_threads(capsys):
-    rc, out, _ = run(capsys, "--format", "csv", "--threads", "2", "traces",
-                     "gamma_18.6.3^3.1^3", "--primes", "5..13")
-    assert rc == 0
-    assert "gamma_18.6.3^3.1^3,E6(9r^3),7,22,46" in out
 
 
 def test_aswd_strict_flags_underived_rows(capsys):

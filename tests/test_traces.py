@@ -5,11 +5,13 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noncong.catalog import GROUPS, MAIN_GROUPS, get_group
-from noncong.traces import (BadPrimeError, PrimeField, QuadExtField,
-                            TABLE8_PRIMES,
+from noncong.surfaces import beauville_short
+from noncong.traces import (BadPrimeError, FIBER_VALUE, PrimeField,
+                            QuadExtField, TABLE8_PRIMES, _exact_integers,
                             classify_singular_fiber, count_points_short,
                             fiber_trace_table, frobenius_trace, local_trace,
                             quadratic_character, surface_families, trace_pair,
@@ -295,3 +297,83 @@ def test_fiber_table_infinity_values():
         assert tau_inf == 1
         _, tau_inf6 = fiber_trace_table("E6", p, False)
         assert tau_inf6 == PrimeField(p).chi((-3) % p)
+
+
+# --- the FFT fiber-trace kernel against the scalar oracle ----------------------------
+
+def scalar_fiber_traces(level, field, indices):
+    """Local traces at the parameters with the given element indices, from
+    the scalar point count or the singular-fiber classification of
+    y^2 = x^3 + A(s) x + B(s)."""
+    sw = beauville_short(level)
+    Acoef = [int(c) for c in sw.A.num]
+    Bcoef = [int(c) for c in sw.B.num]
+    return [scalar_fiber_trace(field, Acoef, Bcoef, element(field, i)) for i in indices]
+
+
+def scalar_fiber_trace(field, Acoef, Bcoef, s):
+    A = field.poly_eval_scalar(Acoef, s)
+    B = field.poly_eval_scalar(Bcoef, s)
+    try:
+        return field.q + 1 - count_points_short(field, A, B)
+    except ValueError:
+        return FIBER_VALUE[classify_singular_fiber(field, A, B)]
+
+
+def element(field, i):
+    return i if isinstance(field, PrimeField) else divmod(i, field.p)
+
+
+@pytest.mark.parametrize("level", ["E8", "E6"])
+@pytest.mark.parametrize("p,squared,nonresidue", [
+    (5, False, None), (7, False, None), (11, False, None), (13, False, None),
+    (5, True, None), (7, True, None), (11, True, None), (13, True, None),
+    (13, True, 5),
+])
+def test_fiber_table_matches_scalar_oracle(level, p, squared, nonresidue):
+    field = QuadExtField(p, nonresidue) if squared else PrimeField(p)
+    tau, _ = fiber_trace_table(level, p, squared, nonresidue)
+    assert tau.dtype == np.int32 and len(tau) == field.q
+    assert tau.tolist() == scalar_fiber_traces(level, field, range(field.q))
+
+
+@pytest.mark.parametrize("level", ["E8", "E6"])
+@pytest.mark.parametrize("p,squared", [(151, True), (211, True), (997, False)])
+def test_fiber_table_sampled_at_large_q(level, p, squared):
+    field = QuadExtField(p) if squared else PrimeField(p)
+    tau, _ = fiber_trace_table(level, p, squared)
+    sample = random.Random(p).sample(range(field.q), 200)
+    assert tau[sample].tolist() == scalar_fiber_traces(level, field, sample)
+
+
+def test_fft_rounding_guard_refuses_perturbed_correlation():
+    rng = np.random.default_rng(5)
+    exact = rng.integers(-50, 50, size=101)
+    noisy = exact + rng.uniform(-0.2, 0.2, size=101)
+    assert _exact_integers(noisy).tolist() == exact.tolist()
+    noisy[17] += 0.3
+    with pytest.raises(AssertionError, match="rounding margin"):
+        _exact_integers(noisy)
+
+
+def test_hasse_guard_refuses_corrupted_table(monkeypatch):
+    import noncong.traces as traces
+    exact = traces._exact_integers
+    monkeypatch.setattr(traces, "_exact_integers", lambda values: exact(values) + 7)
+    fiber_trace_table.cache_clear()
+    with pytest.raises(AssertionError, match="Hasse bound"):
+        fiber_trace_table("E8", 11, False)
+
+
+def test_fiber_tables_built_once_per_key():
+    groups = [GROUPS[n] for n in MAIN_GROUPS]
+    primes = (5, 7, 11, 13, 17, 19, 23)
+    fiber_trace_table.cache_clear()
+    trace_rows(groups, primes)
+    assert fiber_trace_table.cache_info().misses == 2 * 2 * len(primes)
+    fiber_trace_table.cache_clear()
+    families = [fam for g in groups for fam in surface_families(g)]
+    for p in primes:                       # prime outer, families inner
+        for fam in families:
+            frobenius_trace(fam, p)
+    assert fiber_trace_table.cache_info().misses == 2 * len(primes)
