@@ -28,6 +28,5 @@ from .congruence import (ResidueModP2, reduce_mod_p2, padic_valuation,
                          sqrt_mod_p2, cbrt_mod_p2, sixth_roots_mod_p2,
                          primitive_cube_roots_mod_p2, aswd_three_term_check,
                          detect_basis, CongruenceReport)
-from .config import RunConfig
 
 __version__ = "0.1.0"

@@ -3,6 +3,12 @@ subgroups (plus the conjugate B-variant), and the four associated weight-3
 congruence newforms, together with the group-theoretic operations: the
 dimension formula, cusp regularity, the cusp-width noncongruence test, the
 cube-root basis construction, newform coefficient access and Hecke checks.
+
+The basis coefficients come two ways: exactly (``basis_q_expansions``,
+``coefficient_sequence``), and mod m (``coefficient_residues``) from the eta
+factors' integer coefficients and a Newton cube root, for the mod-p^2
+congruence tests.  The exact path is the reference the residues are tested
+against.
 """
 
 from __future__ import annotations
@@ -10,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .series import EtaQuotient, PuiseuxSeries, eisenstein_e6
+from .series import (EtaQuotient, PuiseuxSeries, cube_root_mod, eisenstein_e6,
+                     eta_product_mod)
 from .surfaces import RationalFunction, rf, T, ISOGENY_BY_INVOLUTION
 
 # ---------------------------------------------------------------------------
@@ -461,6 +469,51 @@ def coefficient_sequence(group: GroupRecord, which: str, bound: int = 500) -> di
     h1, h2 = basis_q_expansions(group, bound + 1)
     series, unit = (h1, group.h1_unit) if which == "a" else (h2, group.h2_unit)
     return {n: series.coefficient(n * unit) for n in range(1, bound + 1)}
+
+
+# the same printed sequences mod m, from the eta product's integer coefficients
+#
+# A basis form is q^(s/72) P(q)^(1/3) with s = prefactor24 and P the product of
+# the (1 - q^(k n))^e; P is a series in x = q^g for g the gcd of the scales k.
+# The printed a_n sits at q^(n unit/mu), i.e. at x^j with
+# 72 mu g j = 72 n unit - s mu; any other n has a_n = 0 by construction.
+
+
+def _lattice(group: GroupRecord, which: str):
+    """(eta quotient, g, 72 unit, s mu, 72 mu g) for one basis form."""
+    eq, unit = (group.h1, group.h1_unit) if which == "a" else (group.h2, group.h2_unit)
+    g = gcd(*(k for k, _ in eq.factors))
+    return eq, g, 72 * unit, eq.prefactor24 * group.mu, 72 * group.mu * g
+
+
+def lattice_indices(group: GroupRecord, which: str, bound: int) -> list[int | None]:
+    """[j_1, ..., j_bound] with a_n = [x^(j_n)] P(x)^(1/3); None where a_n is
+    zero by construction."""
+    _, _, step, shift, den = _lattice(group, which)
+    out = []
+    for n in range(1, bound + 1):
+        j, r = divmod(step * n - shift, den)
+        out.append(j if j >= 0 and not r else None)
+    return out
+
+
+def residue_length(group: GroupRecord, which: str, bound: int) -> int:
+    """Number of coefficients of P(x)^(1/3) behind a_1..a_bound."""
+    _, _, step, shift, den = _lattice(group, which)
+    return max((step * bound - shift) // den + 1, 0)
+
+
+def coefficient_residues(group: GroupRecord, which: str, bound: int,
+                         m: int) -> dict[int, int]:
+    """{n: a_n mod m} for n = 1..bound, for m prime to 3, without the exact
+    series: the eta factors reduced mod m, multiplied in int64, and the cube
+    root taken by Newton iteration (``cube_root_mod``)."""
+    eq, g, *_ = _lattice(group, which)
+    length = max(residue_length(group, which, bound), 1)
+    u = eta_product_mod([(k // g, e) for k, e in eq.factors], length, m)
+    h = cube_root_mod(u, m).tolist()
+    return {n: 0 if j is None else h[j]
+            for n, j in enumerate(lattice_indices(group, which, bound), 1)}
 
 
 # radicand builders for the cube-root construction, from parent-level data

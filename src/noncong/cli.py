@@ -2,8 +2,9 @@
 noncongruence / isogeny.
 
 All numeric output is exact: rationals as num/den, residues as decimal
-integers.  Exit code 0 means every requested check passed; failures are
-listed one per line on stderr.
+integers.  Exit code 0 means every requested check passed and 1 that a check
+failed (failures listed one per line on stderr); input the program cannot act
+on is refused with one `refused: ...` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -13,13 +14,19 @@ import json
 import sys
 
 from . import catalog, congruence, surfaces, traces
-from .config import RunConfig
-from .series import EtaQuotient, eisenstein_e6
+from .series import EtaQuotient, eisenstein_e6, int64_fits
 from .catalog import GROUPS, MAIN_GROUPS, get_group
 
 
 class InputRefused(ValueError):
     """Input the command cannot act on; reported on one line, exit code 2."""
+
+
+def _group(name: str):
+    try:
+        return get_group(name)
+    except KeyError as e:
+        raise InputRefused(e.args[0]) from None
 
 
 def _parse_primes(text: str, limit: int | None = None) -> list[int]:
@@ -61,42 +68,44 @@ def _print_series(series, fmt: str, limit: int | None = None):
     print(" + ".join(parts) if parts else "0")
 
 
-def cmd_expand(args, cfg: RunConfig) -> int:
+def cmd_expand(args) -> int:
     order = args.order
+    if order < 1:
+        raise InputRefused(f"--order {order} is not a positive integer")
     if args.identifier == "E6":
-        _print_series(eisenstein_e6(order), cfg.output_format)
+        _print_series(eisenstein_e6(order), args.format)
         return 0
     if args.identifier == "eta":
-        if not args.form:
-            raise SystemExit("error: expand eta needs a quotient spec like '1:4,2:-6,4:20'")
-        eq = EtaQuotient.parse(args.form)
-        s = eq.root_expansion(args.root, order + 2) if args.root > 1 else eq.expansion(order + 2)
-        _print_series(s.truncate(min(s.trunc, (order + 1) * s.mu)), cfg.output_format)
+        spec = args.form or ""
+        try:
+            eq = EtaQuotient.parse(spec)
+            s = eq.root_expansion(args.root, order + 2) if args.root > 1 \
+                else eq.expansion(order + 2)
+        except ValueError as e:
+            raise InputRefused(f"eta quotient {spec!r}: {e}") from None
+        _print_series(s.truncate(min(s.trunc, (order + 1) * s.mu)), args.format)
         return 0
-    try:
-        g = get_group(args.identifier)
-    except KeyError as e:
-        raise SystemExit(f"error: {e}")
+    g = _group(args.identifier)
     which = args.form or "h1"
     if which not in ("h1", "h2"):
-        raise SystemExit("error: form must be h1 or h2")
+        raise InputRefused(f"form {which!r} is neither h1 nor h2")
     h1, h2 = catalog.basis_q_expansions(g, order + 1)
-    _print_series((h1 if which == "h1" else h2), cfg.output_format, limit=order)
+    _print_series((h1 if which == "h1" else h2), args.format, limit=order)
     return 0
 
 
-def cmd_traces(args, cfg: RunConfig) -> int:
+def cmd_traces(args) -> int:
     primes = _parse_primes(args.primes, limit=traces.PRIME_LIMIT)
     groups = [GROUPS[n] for n in MAIN_GROUPS] if args.group in (None, "all") \
-        else [get_group(args.group)]
+        else [_group(args.group)]
     try:
         rows = traces.trace_rows(groups, primes)
     except traces.BadPrimeError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         sys.stdout.write(traces.rows_to_csv(rows))
-    elif cfg.output_format == "json":
+    elif args.format == "json":
         print(json.dumps([dict(group=g, parameterization=l, p=p, tr_p=a, tr_p2=b)
                           for g, l, p, a, b in rows]))
     else:
@@ -116,15 +125,25 @@ def _diff_golden_traces(rows, path: str) -> int:
     return 1
 
 
-def cmd_aswd(args, cfg: RunConfig) -> int:
-    g = get_group(args.group)
-    primes = [p for p in catalog.primes_upto(args.pmax) if p >= 5]
-    reports = [congruence.detect_basis(g, p, bound=cfg.pn_bound,
+def cmd_aswd(args) -> int:
+    g = _group(args.group)
+    pmax, bound = args.pmax, args.pn_bound
+    if pmax < 5:
+        raise InputRefused(f"--pmax {pmax} selects no prime p >= 5")
+    if bound < pmax:
+        raise InputRefused(f"--pn-bound {bound} is below --pmax {pmax}: "
+                           "each p needs n*p <= pn-bound for n = 1 at least")
+    length = max(catalog.residue_length(g, which, bound) for which in "ab")
+    if not int64_fits(length, max(pmax * pmax, congruence.AUX_PRIME)):
+        raise InputRefused(f"--pn-bound {bound} with --pmax {pmax} overflows "
+                           "the int64 series products mod p^2")
+    primes = [p for p in catalog.primes_upto(pmax) if p >= 5]
+    reports = [congruence.detect_basis(g, p, bound=bound,
                                        three_term_n_bound=args.three_term)
                for p in primes]
-    if cfg.output_format == "json":
+    if args.format == "json":
         print("[" + ",".join(r.to_json() for r in reports) + "]")
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         sys.stdout.write(_aswd_csv(reports))
     else:
         for r in reports:
@@ -197,14 +216,14 @@ def _diff_golden_aswd(reports, path: str) -> int:
     return 0
 
 
-def cmd_catalog(args, cfg: RunConfig) -> int:
+def cmd_catalog(args) -> int:
     sys.stdout.write(catalog.export_text())
     return 0
 
 
-def cmd_dim(args, cfg: RunConfig) -> int:
+def cmd_dim(args) -> int:
     names = MAIN_GROUPS + tuple(n for n in GROUPS if n.endswith("B")) \
-        if args.group in (None, "all") else (get_group(args.group).name,)
+        if args.group in (None, "all") else (_group(args.group).name,)
     for name in names:
         g = GROUPS[name]
         u, ui = catalog.derived_cusp_counts(g)
@@ -213,8 +232,8 @@ def cmd_dim(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_noncongruence(args, cfg: RunConfig) -> int:
-    names = tuple(GROUPS) if args.group in (None, "all") else (get_group(args.group).name,)
+def cmd_noncongruence(args) -> int:
+    names = tuple(GROUPS) if args.group in (None, "all") else (_group(args.group).name,)
     rc = 0
     for name in names:
         verdict = catalog.noncongruence_test(GROUPS[name].cusp_widths)
@@ -224,22 +243,22 @@ def cmd_noncongruence(args, cfg: RunConfig) -> int:
     return rc
 
 
-def cmd_isogeny(args, cfg: RunConfig) -> int:
+def cmd_isogeny(args) -> int:
     if args.pair:
         rel = surfaces.INTER_FAMILY_RELATIONS[args.pair]
     elif args.self_group is None:
-        raise SystemExit("error: give --pair or --self")
+        raise InputRefused("give --pair or --self")
     else:
-        g = get_group(args.self_group)
-        data = g.isogeny_data()
-        if data is None:
-            raise SystemExit(f"error: {g.name} carries no involution data")
-        rel = data
-    primes = _parse_primes(args.primes) if args.primes else (101, 103)
+        g = _group(args.self_group)
+        rel = g.isogeny_data()
+        if rel is None:
+            raise InputRefused(f"{g.name} carries no involution data")
+    primes = _parse_primes(args.primes, limit=traces.PRIME_LIMIT) \
+        if args.primes else (101, 103)
     try:
         ok = surfaces.isogeny_relation_check(
             rel, mode=args.mode, primes=primes, samples=args.samples,
-            modpoly_path=cfg.modular_poly_path)
+            modpoly_path=args.modpoly)
     except surfaces.MissingPolynomialData as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -251,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="noncong")
     ap.add_argument("--format", choices=("human", "csv", "json"), default="human")
     ap.add_argument("--modpoly", default=None, help="modular polynomial data file")
-    ap.add_argument("--order", type=int, default=None,
-                    help="series order override (default 501)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="q-expansions of catalog forms and eta quotients")
@@ -273,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aswd", help="mod p^2 congruence reports for one group")
     p.add_argument("group")
     p.add_argument("--pmax", type=int, default=47)
-    p.add_argument("--pn-bound", dest="pn_bound", type=int, default=None,
+    p.add_argument("--pn-bound", dest="pn_bound", type=int, default=500,
                    help="ratio tests run over pn <= this bound (default 500)")
     p.add_argument("--golden", default=None)
     p.add_argument("--three-term", dest="three_term", type=int, default=None,
@@ -308,15 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(output_format=args.format, modular_poly_path=args.modpoly)
-    if getattr(args, "order", None) and args.command != "expand":
-        cfg.series_order = args.order
-    if getattr(args, "pn_bound", None):
-        cfg.pn_bound = args.pn_bound
-        cfg.series_order = max(cfg.series_order, cfg.pn_bound + 1)
-    cfg.validate()
     try:
-        return args.fn(args, cfg)
+        return args.fn(args)
     except InputRefused as e:
         print(f"refused: {e}", file=sys.stderr)
         return 2

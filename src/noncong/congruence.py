@@ -6,6 +6,12 @@ bound; a constant pair pins down the basis kind and, for the cross case,
 alpha^2 and A_p^2.  Detected constants are matched against the catalog
 newform coefficients up to a sixth root of unity, dropping to modulus p when
 a common factor of p must be cancelled first.
+
+``detect_basis`` works on the basis coefficients mod p^2 only
+(``catalog.coefficient_residues``); no exact series is built.  The one
+question residues cannot settle alone -- whether every tested numerator is
+exactly zero -- is answered by a second residue mod AUX_PRIME, by the lattice
+of exponents the form can carry, and only then by the exact sequence.
 """
 
 from __future__ import annotations
@@ -14,9 +20,15 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .catalog import (BiquadraticNumber, GroupRecord, NEWFORMS,
-                      character_value, coefficient_sequence, newform_an)
+from .catalog import (GROUPS, BiquadraticNumber, GroupRecord, NEWFORMS,
+                      character_value, coefficient_residues,
+                      coefficient_sequence, lattice_indices, newform_an)
+
+
+# a second modulus for deciding whether a coefficient is exactly zero
+AUX_PRIME = 1000003
 
 
 class InsufficientDataError(ValueError):
@@ -181,57 +193,88 @@ def primitive_cube_roots_mod_p2(p: int) -> list[ResidueModP2]:
 # ratio tests
 
 
-def _test_indices(seq: dict[int, Fraction], denom_seq: dict[int, Fraction],
-                  p: int, bound: int) -> list[int]:
-    out = []
-    for n in sorted(denom_seq):
-        if n % p == 0 or n * p > bound or n * p not in seq:
-            continue
-        if padic_valuation(denom_seq[n], p) != 0:
-            continue
-        out.append(n)
-    return out
+def _test_indices(num: dict[int, int], den: dict[int, int], p: int,
+                  bound: int) -> list[int]:
+    """n prime to p with np <= bound, a numerator at np and a unit den_n."""
+    return [n for n in sorted(den)
+            if n % p and n * p <= bound and n * p in num and den[n] % p]
 
 
-def _constancy(numerators, denominators, p: int, bound: int):
-    """(constant or None, live): the constant of num_{np}/den_n mod p^2 over
-    the test set.  `live` is False when every tested numerator is exactly the
-    rational zero -- a support artifact carrying no congruence information."""
-    test = _test_indices(numerators, denominators, p, bound)
+def _constancy(num: dict[int, int], den: dict[int, int], p: int, bound: int):
+    """(constant or None, tested numerator indices): the constant of
+    num_{np}/den_n mod p^2 over the test set, for sequences of residues
+    mod p^2.  An empty test set is an error, never a vacuous success."""
+    test = _test_indices(num, den, p, bound)
     if not test:
         raise InsufficientDataError(
             f"insufficient data: no usable ratio indices for p={p}")
-    vals = set()
-    live = False
+    m = p * p
+    const = None
     for n in test:
-        if numerators[n * p] != 0:
-            live = True
-        vals.add((reduce_mod_p2(numerators[n * p], p)
-                  / reduce_mod_p2(denominators[n], p)).value)
-        if len(vals) > 1:
-            return None, live
-    return ResidueModP2(p, vals.pop()), live
+        v = num[n * p] * pow(den[n], -1, m) % m
+        if const is None:
+            const = v
+        elif v != const:
+            return None, None
+    return ResidueModP2(p, const), [n * p for n in test]
+
+
+def _reduced(seq: dict[int, Fraction], p: int) -> dict[int, int]:
+    return {n: reduce_mod_p2(x, p).value for n, x in seq.items()}
 
 
 def ratio_constancy(seq: dict[int, Fraction], p: int, bound: int):
     """The constant a_{np}/a_n mod p^2 over the unit test set, or None.
 
-    All-zero numerators report the constant 0.  An empty test set is an
-    error, never a vacuous success.
+    All-zero numerators report the constant 0.  Every entry of ``seq`` must
+    be p-integral.
     """
-    return _constancy(seq, seq, p, bound)[0]
+    r = _reduced(seq, p)
+    return _constancy(r, r, p, bound)[0]
 
 
 def cross_ratio_constancy(aseq: dict[int, Fraction], bseq: dict[int, Fraction],
                           p: int, bound: int):
     """(a_{np}/b_n, b_{np}/a_n) when both are constant mod p^2, else None."""
-    c1, _ = _constancy(aseq, bseq, p, bound)
+    ra, rb = _reduced(aseq, p), _reduced(bseq, p)
+    c1 = _constancy(ra, rb, p, bound)[0]
     if c1 is None:
         return None
-    c2, _ = _constancy(bseq, aseq, p, bound)
+    c2 = _constancy(rb, ra, p, bound)[0]
     if c2 is None:
         return None
     return c1, c2
+
+
+@lru_cache(maxsize=None)
+def _aux_residues(name: str, which: str, bound: int) -> dict[int, int]:
+    return coefficient_residues(GROUPS[name], which, bound, AUX_PRIME)
+
+
+class _BasisForm:
+    """One basis form's printed coefficients mod p^2, with a sound test of
+    whether coefficients vanish over Q."""
+
+    def __init__(self, group: GroupRecord, which: str, p: int, bound: int):
+        self.group, self.which, self.bound = group, which, bound
+        self.values = coefficient_residues(group, which, bound, p * p)
+
+    def any_nonzero(self, indices: list[int]) -> bool:
+        """Whether a_n != 0 for some n in indices.  A nonzero residue mod p^2
+        or mod AUX_PRIME proves it; an index off the lattice of the form's
+        exponents is zero by construction; anything else is read from the
+        exact sequence."""
+        if any(self.values[n] for n in indices):
+            return True
+        aux = _aux_residues(self.group.name, self.which, self.bound)
+        if any(aux[n] for n in indices):
+            return True
+        lattice = lattice_indices(self.group, self.which, self.bound)
+        open_ = [n for n in indices if lattice[n - 1] is not None]
+        if not open_:
+            return False
+        exact = coefficient_sequence(self.group, self.which, self.bound)
+        return any(exact[n] != 0 for n in open_)
 
 
 def solve_alpha_ap(c1: ResidueModP2, c2: ResidueModP2):
@@ -344,7 +387,8 @@ def aswd_three_term_check(coeffs: dict[int, Fraction], ap, chi_p: int, p: int,
     n <= n_bound (a_{n/p} = 0 when p does not divide n).
 
     ``ap`` may be an exact integer/Fraction (full p-adic check) or a
-    ResidueModP2 (rows with p | n are then certified mod p^2 only).
+    ResidueModP2 (rows with p | n are then certified mod p^2 only); with a
+    ResidueModP2, ``coeffs`` may hold residues mod p^2 in place of rationals.
     """
     exact = not isinstance(ap, ResidueModP2)
     report = ThreeTermReport(p, n_bound, [], [])
@@ -416,6 +460,7 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
                  three_term_n_bound: int | None = None) -> CongruenceReport:
     """Run the case-1 ratio test on both forms; fall back to the case-2 cross
     ratios; attach catalog newform matches up to a sixth root of unity.
+    The tests run on the printed coefficients mod p^2 for pn <= bound.
 
     A constant whose every tested numerator is the exact rational zero is a
     support artifact (the form has no coefficients at those indices at all);
@@ -424,17 +469,17 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
     With ``three_term_n_bound`` set, a case-1 verdict also carries the full
     three-term checks of both forms against the detected constants.
     """
-    aseq = coefficient_sequence(group, "a", bound)
-    bseq = coefficient_sequence(group, "b", bound)
+    a = _BasisForm(group, "a", p, bound)
+    b = _BasisForm(group, "b", p, bound)
     rep = CongruenceReport(group.name, p, "indeterminate")
-    ca, a_live = _constancy(aseq, aseq, p, bound)
-    cb, b_live = _constancy(bseq, bseq, p, bound)
+    ca, a_tested = _constancy(a.values, a.values, p, bound)
+    cb, b_tested = _constancy(b.values, b.values, p, bound)
     case1 = ca is not None and cb is not None
     c1 = c2 = None
-    if not (case1 and (a_live or b_live)):
-        c1, x_live = _constancy(aseq, bseq, p, bound)
-        c2 = _constancy(bseq, aseq, p, bound)[0] if c1 is not None else None
-        if c1 is not None and c2 is not None and x_live:
+    if not (case1 and (a.any_nonzero(a_tested) or b.any_nonzero(b_tested))):
+        c1, x_tested = _constancy(a.values, b.values, p, bound)
+        c2 = _constancy(b.values, a.values, p, bound)[0] if c1 is not None else None
+        if c1 is not None and c2 is not None and a.any_nonzero(x_tested):
             return _fill_case2(rep, group, c1, c2)
     if case1:
         _fill_case1(rep, group, ca, cb)
@@ -442,8 +487,8 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
             chi = character_value(NEWFORMS[group.newform].character, p)
             nb = min(three_term_n_bound, bound // p)
             rep.three_term = {
-                "a": aswd_three_term_check(aseq, ca, chi, p, nb),
-                "b": aswd_three_term_check(bseq, cb, chi, p, nb),
+                "a": aswd_three_term_check(a.values, ca, chi, p, nb),
+                "b": aswd_three_term_check(b.values, cb, chi, p, nb),
             }
         return rep
     if c1 is not None and c2 is not None:

@@ -8,12 +8,20 @@ PrecisionError instead of silently returning zero.
 The module also provides Dedekind eta expansions (pentagonal number
 theorem), eta quotients with fractional q-power prefactors, formal n-th
 roots, and the weight-3 Eisenstein series 1 + 12*sum((sigma(3n)-3*sigma(n))q^n.
+
+Beside the series over Q, ``eta_product_mod`` and ``cube_root_mod`` work
+over Z/m (m prime to 3): eta products, and cube roots of power series with
+constant term 1.  Newton iteration for w = u^(-1/3) divides only by 3
+(Brent-Kung, JACM 1978), so it runs mod p^2 where the Miller recurrence,
+which divides by every index n, cannot.  Products are int64 convolutions
+reduced mod m after each product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 ExactRational = Fraction
@@ -530,6 +538,74 @@ def eta_power_coeffs(m: int, e: int, length: int) -> list[int]:
     return _miller_int_power(nz, e, length)
 
 
+# ---------------------------------------------------------------------------
+# power series mod m, for the mod-p^2 congruence tests.  numpy is imported on
+# first use: loading it ahead of the package's other modules raised the peak
+# RSS of `import noncong` by about 1 MiB.
+
+
+def int64_fits(length: int, m: int) -> bool:
+    """Whether a truncated product of `length` residues mod m is exact in
+    int64: each coefficient sums at most `length` products below (m-1)^2."""
+    return length * (m - 1) ** 2 < 2 ** 63
+
+
+def _short_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a*b mod q^n for n = len(a) <= len(b), without the terms past q^n that
+    a full convolution would also form: about 2n^2/3 products, not n^2."""
+    import numpy as np
+    n = len(a)
+    if n <= 64:
+        return np.convolve(a, b[:n])[:n]
+    h = n // 2
+    out = np.convolve(a[:h], b[:n])[:n]
+    out[h:] += _short_product(a[h:], b[:n - h])
+    return out
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """a*b mod (m, q^len(a)) for int64 residue arrays."""
+    n = len(a)
+    assert int64_fits(n, m), f"int64 convolution overflow: {n} terms mod {m}"
+    return _short_product(a, b) % m
+
+
+def cube_root_mod(u: np.ndarray, m: int) -> np.ndarray:
+    """u^(1/3) mod (m, q^len(u)) for residues u with u_0 = 1, 3 prime to m.
+
+    Newton doubles the precision of w = u^(-1/3) with
+    w <- w + w(1 - u w^3)/3; the root is u w^2.
+    """
+    import numpy as np
+    n = len(u)
+    minus_third = m - pow(3, -1, m)
+    w = np.ones(1, dtype=np.int64)
+    while len(w) < n:
+        k0, k = len(w), min(2 * len(w), n)
+        w = np.concatenate([w, np.zeros(k - k0, dtype=np.int64)])
+        # 1 - u w^3 vanishes below q^k0; its terms from q^k0 on are -(u w^3)
+        uw3 = _mul_mod(u[:k], _mul_mod(_mul_mod(w, w, m), w, m), m)
+        w[k0:] = _mul_mod(uw3[k0:], w, m) * minus_third % m
+    return _mul_mod(u, _mul_mod(w, w, m), m)
+
+
+@lru_cache(maxsize=None)
+def _eta_power_ints(k: int, e: int, length: int) -> tuple[int, ...]:
+    return tuple(eta_power_coeffs(k, e, length))
+
+
+def eta_product_mod(factors, length: int, m: int) -> np.ndarray:
+    """prod (1 - x^(k n))^e over the (k, e) in factors, mod (m, x^length),
+    as int64 residues reduced from each factor's exact integer coefficients
+    (cached per process)."""
+    import numpy as np
+    u = None
+    for k, e in factors:
+        f = np.array([c % m for c in _eta_power_ints(k, e, length)], dtype=np.int64)
+        u = f if u is None else _mul_mod(u, f, m)
+    return u
+
+
 @dataclass(frozen=True)
 class EtaQuotient:
     """A finite product prod eta(m z)^e, stored as (scale, exponent) pairs."""
@@ -589,8 +665,12 @@ class EtaQuotient:
         """Parse the 'm:e,m:e' CLI syntax."""
         spec = {}
         for part in text.split(","):
-            m, e = part.split(":")
-            spec[int(m)] = int(e)
+            m, _, e = part.partition(":")
+            try:
+                spec[int(m)] = int(e)
+            except ValueError:
+                raise ValueError(f"{part!r} is not a pair scale:exponent "
+                                 "like '2:-6'") from None
         return cls.of(spec)
 
 

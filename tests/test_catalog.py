@@ -6,12 +6,15 @@ import pytest
 
 import published_tables
 from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, basis_q_expansions,
-                             character_value, coefficient_sequence,
-                             construct_basis, cusp_regularity,
-                             derived_cusp_counts, dim_cusp_forms, export_text,
-                             get_group, hecke_check, kronecker_symbol,
+                             character_value, coefficient_residues,
+                             coefficient_sequence, construct_basis,
+                             cusp_regularity, derived_cusp_counts,
+                             dim_cusp_forms, export_text, get_group,
+                             hecke_check, kronecker_symbol, lattice_indices,
                              newform_an, newform_coefficients,
-                             newform_expansion, noncongruence_test)
+                             newform_expansion, noncongruence_test,
+                             primes_upto)
+from noncong.congruence import AUX_PRIME, reduce_mod_p2
 
 ALL_NAMES = tuple(GROUPS)
 
@@ -116,6 +119,39 @@ def test_prime_coefficient_tables(name):
     for p, (ap, bp) in table.items():
         assert a[p] == ap, (name, "a", p)
         assert b[p] == bp, (name, "b", p)
+
+
+PRIMES_5_97 = [p for p in primes_upto(97) if p >= 5]
+
+
+def _exact_mod_p2(seq, p):
+    return {n: reduce_mod_p2(x, p).value for n, x in seq.items()}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_coefficient_residues_match_exact_mod_p2(name):
+    g = GROUPS[name]
+    for which in "ab":
+        exact = coefficient_sequence(g, which, 500)
+        for p in PRIMES_5_97:
+            assert coefficient_residues(g, which, 500, p * p) == \
+                _exact_mod_p2(exact, p), (which, p)
+        # off the exponent lattice a_n is exactly zero
+        lattice = lattice_indices(g, which, 500)
+        assert all(exact[n] == 0 for n in exact if lattice[n - 1] is None)
+
+
+def test_coefficient_residues_match_exact_at_1000():
+    g = GROUPS["gamma_24.6.1^6"]
+    assert g.mu == 1
+    for which in "ab":
+        exact = coefficient_sequence(g, which, 1000)
+        for p in PRIMES_5_97:
+            assert coefficient_residues(g, which, 1000, p * p) == \
+                _exact_mod_p2(exact, p), (which, p)
+        aux = coefficient_residues(g, which, 1000, AUX_PRIME)
+        assert aux == {n: x.numerator * pow(x.denominator, -1, AUX_PRIME) % AUX_PRIME
+                       for n, x in exact.items()}
 
 
 @pytest.mark.parametrize("name", MAIN_GROUPS)

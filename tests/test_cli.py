@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from noncong.catalog import GROUPS
 from noncong.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -78,9 +79,9 @@ def test_expand_eisenstein(capsys):
 
 
 def test_expand_unknown_identifier_lists_catalog(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "expand", "gamma_nope", "h1")
-    assert "catalog has" in str(exc.value)
+    rc, out, err = run(capsys, "expand", "gamma_nope", "h1")
+    assert rc == 2 and out == ""
+    assert err.startswith("refused: unknown group 'gamma_nope'; catalog has:")
 
 
 def test_aswd_golden_diff_clean(capsys):
@@ -159,13 +160,53 @@ def test_aswd_pn_bound_flag(capsys):
     assert "7,case1,47,47" in out
 
 
-def test_run_config_validation():
-    from noncong.config import RunConfig
-    RunConfig().validate()
-    with pytest.raises(ValueError, match="exceeds series precision"):
-        RunConfig(series_order=100, pn_bound=500).validate()
-    with pytest.raises(ValueError, match="output format"):
-        RunConfig(output_format="xml").validate()
+def test_cli_validation_of_format_and_pn_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "--format", "xml", "catalog")
+    assert exc.value.code == 2
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    rc, out, err = run(capsys, "aswd", "gamma_24.6.1^6", "--pmax", "13",
+                       "--pn-bound", "12")
+    assert (rc, out) == (2, "")
+    assert err == ("refused: --pn-bound 12 is below --pmax 13: "
+                   "each p needs n*p <= pn-bound for n = 1 at least\n")
+    rc, out, _ = run(capsys, "--format", "csv", "aswd", "gamma_24.6.1^6",
+                     "--pmax", "13", "--pn-bound", "13")
+    assert rc == 0 and out.endswith("13,case1,147,147\n")
+
+
+GROUP_LIST = ", ".join(GROUPS)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["aswd", "nosuch"], f"unknown group 'nosuch'; catalog has: {GROUP_LIST}"),
+    (["traces", "nosuch"], f"unknown group 'nosuch'; catalog has: {GROUP_LIST}"),
+    (["expand", "nosuch"], f"unknown group 'nosuch'; catalog has: {GROUP_LIST}"),
+    (["expand", "eta", "1:x"],
+     "eta quotient '1:x': '1:x' is not a pair scale:exponent like '2:-6'"),
+    (["expand", "gamma_24.6.1^6", "h3"], "form 'h3' is neither h1 nor h2"),
+    (["expand", "E6", "--order", "0"], "--order 0 is not a positive integer"),
+    (["aswd", "gamma_24.6.1^6", "--pn-bound", "3"],
+     "--pn-bound 3 is below --pmax 47: each p needs n*p <= pn-bound for n = 1 at least"),
+    (["aswd", "gamma_24.6.1^6", "--pn-bound", "-5"],
+     "--pn-bound -5 is below --pmax 47: each p needs n*p <= pn-bound for n = 1 at least"),
+    (["aswd", "gamma_24.6.1^6", "--pn-bound", "0"],
+     "--pn-bound 0 is below --pmax 47: each p needs n*p <= pn-bound for n = 1 at least"),
+    (["aswd", "gamma_24.6.1^6", "--pmax", "600"],
+     "--pn-bound 500 is below --pmax 600: each p needs n*p <= pn-bound for n = 1 at least"),
+    (["aswd", "gamma_24.6.1^6", "--pmax", "3"], "--pmax 3 selects no prime p >= 5"),
+    (["aswd", "gamma_24.6.1^6", "--pmax", "7000", "--pn-bound", "7000"],
+     "--pn-bound 7000 with --pmax 7000 overflows the int64 series products mod p^2"),
+    (["isogeny", "--pair", "4a", "--primes", "5..100000000"],
+     "100000000 is above the prime limit 2003"),
+    (["isogeny", "--pair", "4a", "--primes", "5..x"],
+     "'5..x' is neither a prime nor a range a..b"),
+    (["isogeny"], "give --pair or --self"),
+])
+def test_input_refused_with_one_line(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == f"refused: {message}\n"
 
 
 def test_expand_csv_serialization_format(capsys):

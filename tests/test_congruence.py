@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from noncong.catalog import (character_value, coefficient_sequence,
+from noncong import cli, congruence
+from noncong.catalog import (GROUPS, character_value, coefficient_sequence,
                              get_group, newform_an, newform_expansion,
                              primes_upto)
 from noncong.congruence import (InsufficientDataError,
@@ -206,6 +207,13 @@ def test_detect_basis_case_assignments():
     assert rep5.alpha_power_pattern[3] == (-9) % 25
 
 
+def test_vacuous_cross_ratios_keep_case1():
+    # every tested numerator, a_{5n}, b_{5n} and the cross ones, is exactly
+    # zero (off the exponent lattice), so no verdict is live and case 1 stays
+    rep = detect_basis(get_group("8^3.2^3.3^2"), 5)
+    assert rep.case_kind == "case1" and rep.constants == {"a": 0, "b": 0}
+
+
 def test_detect_basis_b_variant():
     g = get_group("24.3.2^3.1^3B")
     rep = detect_basis(g, 5)
@@ -248,3 +256,74 @@ def test_detect_basis_attaches_three_term_rows():
     assert rep.three_term["a"].ok and rep.three_term["b"].ok
     data = json.loads(rep.to_json())
     assert data["threeTerm"]["a"][0][0] == 1
+
+
+# --- the residue path against the exact sequences ---------------------------------------
+
+class _ExactForm:
+    """Oracle for congruence._BasisForm, built from the exact sequence."""
+
+    def __init__(self, group, which, p, bound):
+        self.exact = coefficient_sequence(group, which, bound)
+        self.values = {n: reduce_mod_p2(x, p).value for n, x in self.exact.items()}
+
+    def any_nonzero(self, indices):
+        return any(self.exact[n] != 0 for n in indices)
+
+
+def test_live_flag_equals_exact_flag(monkeypatch):
+    fallbacks = []
+    monkeypatch.setattr(congruence, "coefficient_sequence",
+                        lambda *a: fallbacks.append(a) or coefficient_sequence(*a))
+    checks = 0
+    for g in GROUPS.values():
+        for p in [q for q in primes_upto(97) if q >= 5]:
+            forms = {w: congruence._BasisForm(g, w, p, 500) for w in "ab"}
+            oracle = {w: _ExactForm(g, w, p, 500) for w in "ab"}
+            for num, den in ("aa", "bb", "ab", "ba"):
+                const, tested = congruence._constancy(
+                    forms[num].values, forms[den].values, p, 500)
+                want, want_tested = congruence._constancy(
+                    oracle[num].values, oracle[den].values, p, 500)
+                assert (const, tested) == (want, want_tested)
+                if tested is not None:
+                    assert forms[num].any_nonzero(tested) == \
+                        oracle[num].any_nonzero(tested), (g.name, p, num + den)
+                checks += 1
+    assert checks == 9 * 23 * 4
+    assert fallbacks == []
+
+
+def test_live_flag_falls_back_to_exact_when_residues_vanish(monkeypatch):
+    g = get_group("24.6.1^6")
+    exact = coefficient_sequence(g, "a", 500)
+    calls = []
+    monkeypatch.setattr(congruence, "_aux_residues",
+                        lambda name, which, bound: dict.fromkeys(range(1, bound + 1), 0))
+    monkeypatch.setattr(congruence, "coefficient_sequence",
+                        lambda *a: calls.append(a) or coefficient_sequence(*a))
+    form = congruence._BasisForm(g, "a", 5, 500)
+    const, tested = congruence._constancy(form.values, form.values, 5, 500)
+    # a_{5n} = 0 mod 25 on every tested n, so only the fallback can decide
+    assert const.value == 0 and all(form.values[n] == 0 for n in tested)
+    assert form.any_nonzero(tested) is any(exact[n] != 0 for n in tested) is True
+    assert calls == [(g, "a", 500)]
+    # indices off the lattice of exponents are zero without the fallback
+    off = congruence._BasisForm(get_group("9.6^3.3.2^3"), "a", 5, 500)
+    assert off.any_nonzero([2, 3, 5, 6]) is False
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+def test_aswd_output_equals_exact_reports(capsys, monkeypatch, fmt):
+    def outputs():
+        out = []
+        for name in GROUPS:
+            assert cli.main(["--format", fmt, "aswd", name, "--pmax", "47",
+                             "--three-term", "20"]) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    residue = outputs()
+    monkeypatch.setattr(congruence, "_BasisForm", _ExactForm)
+    assert residue == outputs()

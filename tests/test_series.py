@@ -1,12 +1,16 @@
 """Exact series arithmetic: ring laws, eta expansions, roots, Eisenstein."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
 from noncong.series import (EtaQuotient, PrecisionError, PuiseuxSeries,
-                            divisor_sigma, eisenstein_e6, eta_expansion,
+                            _mul_mod, cube_root_mod, divisor_sigma,
+                            eisenstein_e6, eta_expansion, int64_fits,
                             parse_series)
 
 
@@ -223,3 +227,38 @@ def test_agrees_with_covers_negative_exponents():
     b = PuiseuxSeries.from_terms([(-1, 3), (0, 2)], trunc=5)
     assert not a.agrees_with(b)
     assert a.agrees_with(a)
+
+
+# --- power series mod m ------------------------------------------------------------
+
+def test_cube_root_mod_cubes_back():
+    rng = random.Random(5)
+    for m in (25, 49, 9409, 1000003):
+        u = np.array([1] + [rng.randrange(m) for _ in range(199)], dtype=np.int64)
+        r = cube_root_mod(u, m)
+        assert (_mul_mod(_mul_mod(r, r, m), r, m) == u).all()
+
+
+def test_mul_mod_matches_python_integers():
+    rng = random.Random(6)
+    m = math.isqrt((2 ** 63 - 1) // 300) + 1   # the largest one 300 terms allow
+    assert int64_fits(300, m) and not int64_fits(300, m + 1)
+    a = [rng.randrange(m - 99, m) for _ in range(300)]
+    b = [rng.randrange(m - 99, m) for _ in range(300)]
+    want = [sum(a[i] * b[k - i] for i in range(k + 1)) % m for k in range(300)]
+    got = _mul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), m)
+    assert got.tolist() == want
+
+
+def test_int64_bound_is_asserted():
+    assert int64_fits(2, 2 ** 31) and not int64_fits(3, 2 ** 32)
+    ones = np.ones(3, dtype=np.int64)
+    with pytest.raises(AssertionError, match="int64 convolution overflow"):
+        _mul_mod(ones, ones, 2 ** 32)
+    with pytest.raises(AssertionError, match="int64 convolution overflow"):
+        cube_root_mod(ones, 2 ** 32 + 1)
+
+
+def test_eta_parse_refuses_malformed_pairs():
+    with pytest.raises(ValueError, match="not a pair scale:exponent"):
+        EtaQuotient.parse("1:x")
