@@ -18,8 +18,8 @@ from .catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, GroupRecord, NewformRecord,
                       newform_an, newform_coefficients, newform_expansion,
                       hecke_check, character_value, kronecker_symbol,
                       primes_upto)
-from .traces import (PrimeField, QuadExtField, BadPrimeError, SurfaceFamily,
-                     quadratic_character, count_points_short,
+from .traces import (PrimeField, QuadExtField, field_for, BadPrimeError,
+                     SurfaceFamily, quadratic_character, count_points_short,
                      classify_singular_fiber, local_trace, frobenius_trace,
                      trace_pair, trace_fingerprint_equal, surface_families,
                      trace_rows, rows_to_csv, TABLE8_PRIMES)

@@ -72,6 +72,8 @@ def cmd_expand(args) -> int:
     order = args.order
     if order < 1:
         raise InputRefused(f"--order {order} is not a positive integer")
+    if args.root < 1:
+        raise InputRefused(f"--root {args.root} is not a positive integer")
     if args.identifier == "E6":
         _print_series(eisenstein_e6(order), args.format)
         return 0
@@ -244,6 +246,8 @@ def cmd_noncongruence(args) -> int:
 
 
 def cmd_isogeny(args) -> int:
+    if args.samples < 1:
+        raise InputRefused(f"--samples {args.samples} is not a positive integer")
     if args.pair:
         rel = surfaces.INTER_FAMILY_RELATIONS[args.pair]
     elif args.self_group is None:

@@ -396,7 +396,7 @@ def aswd_three_term_check(coeffs: dict[int, Fraction], ap, chi_p: int, p: int,
         if n * p not in coeffs:
             raise InsufficientDataError(
                 f"insufficient precision: need coefficient {n * p}")
-        need = 2 * (1 + _intval(n, p))
+        need = 2 * (1 + padic_valuation(n, p))
         tail = Fraction(chi_p * p * p) * coeffs[n // p] if n % p == 0 else Fraction(0)
         if exact:
             lhs = coeffs[n * p] - Fraction(ap) * coeffs[n] + tail
@@ -412,14 +412,6 @@ def aswd_three_term_check(coeffs: dict[int, Fraction], ap, chi_p: int, p: int,
         if not ok:
             report.failures.append(n)
     return report
-
-
-def _intval(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -667,10 +667,13 @@ class EtaQuotient:
         for part in text.split(","):
             m, _, e = part.partition(":")
             try:
-                spec[int(m)] = int(e)
+                m, e = int(m), int(e)
             except ValueError:
                 raise ValueError(f"{part!r} is not a pair scale:exponent "
                                  "like '2:-6'") from None
+            if m in spec:
+                raise ValueError(f"scale {m} is given twice")
+            spec[m] = e
         return cls.of(spec)
 
 

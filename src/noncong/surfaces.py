@@ -665,6 +665,8 @@ def isogeny_relation_check(rel: dict, mode: str = "sampled",
                            modpoly_path: str | None = None) -> bool:
     """Check Phi_d(j1(t), j2(t)) = 0 for a relation, symbolically in Q(t) or
     sampled over F_p at `samples` non-pole points per prime."""
+    if samples < 1:
+        raise ValueError(f"samples must be a positive integer, not {samples}")
     if "i" in rel:  # self relation from ISOGENY_BY_INVOLUTION
         j = j_invariant(beauville_short(rel["level"]))
         ja, jb, d = j, j.compose(rel["i"]), rel["d"]

@@ -1,5 +1,11 @@
 """Frobenius traces of the elliptic surfaces over F_p and F_{p^2}.
 
+An element of F_q is an integer index in 0..q-1 in both fields: a in F_p,
+and a*p + b for a + b*sqrt(nu) in F_{p^2}.  Each field has one arithmetic on
+indices (``mul_vec``, ``add_vec``, ``constant``, ``chi_table``,
+``inv_table``) that takes a Python int or a numpy array alike, and
+``field_for`` hands out one field object per (p, squared, nonresidue).
+
 The trace over F_q is the negated sum of local terms over P^1(F_q):
 q + 1 - #E for a smooth fiber, +1 / -1 / 0 for split multiplicative /
 nonsplit multiplicative / additive fibers, with the singular type decided
@@ -7,13 +13,13 @@ by whether -2AB is zero, a nonzero square, or a nonsquare.
 
 Point counts use the quadratic-character sum #E = q + 1 + sum chi(x^3+Ax+B).
 The scalar path (``local_trace``, ``count_points_short``) evaluates that sum
-directly and serves as the reference.  ``fiber_trace_table`` obtains every
-fiber of one base family at once in O(q log q): writing A = u^2 * A_rep with
-A_rep in {0, 1, a nonsquare}, the fiber (A, B) is the quadratic twist by u
-of (A_rep, B/u^3), and the three sums S_rep(B) = sum_x chi(x^3 + A_rep x + B)
-over all B are cross-correlations on the additive group of F_q, done by FFT.
-All twelve cover parameterizations of one base family at one q share that
-table.
+directly, one parameter at a time, and serves as the reference.
+``fiber_trace_table`` obtains every fiber of one base family at once in
+O(q log q): writing A = u^2 * A_rep with A_rep in {0, 1, a nonsquare}, the
+fiber (A, B) is the quadratic twist by u of (A_rep, B/u^3), and the three
+sums S_rep(B) = sum_x chi(x^3 + A_rep x + B) over all B are
+cross-correlations on the additive group of F_q, done by FFT.  All twelve
+cover parameterizations of one base family at one q share that table.
 """
 
 from __future__ import annotations
@@ -21,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
+from .catalog import _factorize
 from .surfaces import (RationalFunction, beauville_short, polynomial_resultant)
 
 
@@ -33,11 +40,11 @@ class BadPrimeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# fields
+# fields (elements are indices: Python ints or int64 arrays of them)
 
 
 class PrimeField:
-    """F_p, elements 0..p-1."""
+    """F_p; the element a has index a."""
 
     def __init__(self, p: int):
         if p < 5:
@@ -68,7 +75,6 @@ class PrimeField:
             self._inv = inv
         return self._inv
 
-    # vector interface (arrays of element indices)
     def mul_vec(self, x, y):
         return x * y % self.p
 
@@ -79,58 +85,46 @@ class PrimeField:
         """Index of the image of the integer c."""
         return c % self.p
 
-    # scalar interface (elements are ints)
-    def chi(self, u: int) -> int:
-        return int(self.chi_table[u % self.p])
-
     def elements(self):
-        return range(self.p)
-
-    def poly_eval_scalar(self, coeffs, x: int) -> int:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def curve_rhs_values(self, A: int, B: int) -> np.ndarray:
-        x = np.arange(self.p, dtype=np.int64)
-        return (x * x % self.p * x + A * x + B) % self.p
+        return range(self.q)
 
 
 class QuadExtField:
-    """F_{p^2} = F_p(sqrt(nu)) for a quadratic nonresidue nu; elements are
-    pairs (a, b) = a + b*sqrt(nu), indexed by a*p + b."""
+    """F_{p^2} = F_p(sqrt(nu)) for a quadratic nonresidue nu; the element
+    a + b*sqrt(nu) has index a*p + b."""
 
     def __init__(self, p: int, nonresidue: int | None = None):
-        if p < 5:
-            raise BadPrimeError("characteristic must not be 2 or 3")
+        base = PrimeField(p)
         self.p = p
         self.q = p * p
-        base = PrimeField(p)
         self.base = base
         if nonresidue is None:
-            nonresidue = next(n for n in range(2, p) if base.chi(n) == -1)
-        if base.chi(nonresidue) != -1:
+            nonresidue = int(np.argmax(base.chi_table == -1))
+        if base.chi_table[nonresidue % p] != -1:
             raise ValueError(f"{nonresidue} is a square mod {p}")
         self.nu = nonresidue % p
-        a = np.repeat(np.arange(p, dtype=np.int64), p)
-        b = np.tile(np.arange(p, dtype=np.int64), p)
-        norm = (a * a - self.nu * b * b) % p
-        self.chi_table = base.chi_table[norm]           # chi_q = chi_p o Norm
-        self._a, self._b, self._norm = a, b, norm
+        self.chi_table = base.chi_table[self._norms()]   # chi_q = chi_p o Norm
         self.shape = (p, p)     # the additive group, index a*p + b <-> [a, b]
+        self._inv = None
+
+    def _norms(self) -> np.ndarray:
+        """Norm(x) = a^2 - nu b^2 of every element x = a*p + b."""
+        a, b = divmod(np.arange(self.q, dtype=np.int64), self.p)
+        return (a * a - self.nu * b * b) % self.p
 
     def inv_table(self) -> np.ndarray:
         """u^-1 = conj(u) / Norm(u) for every element (0 -> 0)."""
-        p = self.p
-        ninv = self.base.inv_table()[self._norm]
-        return self._a * ninv % p * p + (-self._b) * ninv % p
+        if self._inv is None:
+            p = self.p
+            a, b = divmod(np.arange(self.q, dtype=np.int64), p)
+            ninv = self.base.inv_table()[self._norms()]
+            self._inv = a * ninv % p * p + (-b) * ninv % p
+        return self._inv
 
-    # vector interface (arrays of element indices)
     def mul_vec(self, x, y):
         p = self.p
-        a, b = np.divmod(x, p)
-        c, d = np.divmod(y, p)
+        a, b = divmod(x, p)
+        c, d = divmod(y, p)
         return (a * c + self.nu * b * d) % p * p + (a * d + b * c) % p
 
     def add_vec(self, x, y):
@@ -141,56 +135,25 @@ class QuadExtField:
         """Index of the image of the integer c (the subfield F_p sits at a*p)."""
         return c % self.p * self.p
 
-    # scalar interface (elements are (a, b) pairs)
-    def chi(self, u) -> int:
-        a, b = u
-        return int(self.base.chi_table[(a * a - self.nu * b * b) % self.p])
-
     def elements(self):
-        p = self.p
-        return ((a, b) for a in range(p) for b in range(p))
-
-    def index(self, u) -> int:
-        a, b = u
-        return (a % self.p) * self.p + (b % self.p)
-
-    def mul(self, u, v):
-        a, b = u
-        c, d = v
-        p, nu = self.p, self.nu
-        return ((a * c + nu * b * d) % p, (a * d + b * c) % p)
-
-    def inv(self, u):
-        a, b = u
-        p = self.p
-        n = (a * a - self.nu * b * b) % p
-        ni = pow(n, -1, p)
-        return (a * ni % p, (-b) * ni % p)
-
-    def poly_eval_scalar(self, coeffs, u):
-        acc = (0, 0)
-        for c in reversed(coeffs):
-            acc = self.mul(acc, u)
-            acc = ((acc[0] + c) % self.p, acc[1])
-        return acc
-
-    def curve_rhs_values(self, A, B) -> np.ndarray:
-        """(x^3 + A x + B) over all x, returned as element indices."""
-        p, nu = self.p, self.nu
-        x0, x1 = self._a, self._b
-        s0 = (x0 * x0 + nu * x1 * x1) % p
-        s1 = (2 * x0 * x1) % p
-        c0 = (s0 * x0 + nu * s1 * x1) % p
-        c1 = (s0 * x1 + s1 * x0) % p
-        A0, A1 = A
-        B0, B1 = B
-        f0 = (c0 + A0 * x0 + nu * A1 * x1 + B0) % p
-        f1 = (c1 + A0 * x1 + A1 * x0 + B1) % p
-        return f0 * p + f1
+        return range(self.q)
 
 
+# room for F_p and F_{p^2} of two primes
+@lru_cache(maxsize=4)
 def field_for(p: int, squared: bool, nonresidue: int | None = None):
+    """F_{p^2} (squared) or F_p, one shared object per argument tuple, so
+    its character and inverse tables are built once."""
     return QuadExtField(p, nonresidue) if squared else PrimeField(p)
+
+
+def _poly_eval(field, coeffs, x):
+    """sum c_i x^i for integer coefficients c_i, at one element index or
+    an array of them (Horner)."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = field.add_vec(field.mul_vec(acc, x), field.constant(c))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -199,41 +162,31 @@ def field_for(p: int, squared: bool, nonresidue: int | None = None):
 
 def quadratic_character(field, u) -> int:
     """0 for zero, +1 for a nonzero square, -1 otherwise."""
-    return field.chi(u)
-
-
-def _is_zero(field, u) -> bool:
-    if isinstance(field, PrimeField):
-        return u % field.p == 0
-    return u[0] % field.p == 0 and u[1] % field.p == 0
+    return int(field.chi_table[u])
 
 
 def _disc(field, A, B):
-    if isinstance(field, PrimeField):
-        return (4 * A * A % field.p * A + 27 * B * B) % field.p
-    t1 = field.mul(field.mul(A, A), A)
-    t2 = field.mul(B, B)
-    return ((4 * t1[0] + 27 * t2[0]) % field.p, (4 * t1[1] + 27 * t2[1]) % field.p)
+    """4A^3 + 27B^2 (up to sign the discriminant of x^3 + Ax + B)."""
+    mul = field.mul_vec
+    return field.add_vec(mul(mul(mul(A, A), A), field.constant(4)),
+                         mul(mul(B, B), field.constant(27)))
 
 
 def count_points_short(field, A, B) -> int:
     """#E(F_q) for y^2 = x^3 + Ax + B via the character sum."""
-    if _is_zero(field, _disc(field, A, B)):
+    if _disc(field, A, B) == 0:
         raise ValueError("singular curve: classify the fiber instead of counting")
-    vals = field.curve_rhs_values(A, B)
-    return int(field.q + 1 + field.chi_table[vals].sum())
+    x = np.arange(field.q, dtype=np.int64)
+    rhs = field.add_vec(field.mul_vec(field.add_vec(field.mul_vec(x, x), A), x), B)
+    return int(field.q + 1 + field.chi_table[rhs].sum())
 
 
 def classify_singular_fiber(field, A, B) -> str:
     """Tate type of a singular short Weierstrass fiber from chi(-2AB)."""
-    if not _is_zero(field, _disc(field, A, B)):
+    if _disc(field, A, B) != 0:
         raise ValueError("nonsingular curve: count points instead of classifying")
-    if isinstance(field, PrimeField):
-        m = (-2 * A * B) % field.p
-    else:
-        ab = field.mul(A, B)
-        m = ((-2 * ab[0]) % field.p, (-2 * ab[1]) % field.p)
-    c = field.chi(m)
+    minus_2ab = field.mul_vec(field.mul_vec(A, B), field.constant(-2))
+    c = quadratic_character(field, minus_2ab)
     return {0: "additive", 1: "splitMult", -1: "nonsplitMult"}[c]
 
 
@@ -242,7 +195,7 @@ FIBER_VALUE = {"splitMult": 1, "nonsplitMult": -1, "additive": 0}
 
 @dataclass(frozen=True)
 class LocalTrace:
-    point: object          # field element, or "inf"
+    point: object          # element index, or "inf"
     fiber_type: str
     value: int
 
@@ -263,8 +216,8 @@ class SurfaceFamily:
         res = polynomial_resultant([Fraction(c) for c in num],
                                    [Fraction(c) for c in den])
         bad = {2, 3}
-        bad |= _prime_divisors(abs(res.numerator)) | _prime_divisors(res.denominator)
-        bad |= _prime_divisors(_content(num)) | _prime_divisors(_content(den))
+        for n in (res.numerator, res.denominator, gcd(*num), gcd(*den)):
+            bad |= set(_factorize(abs(n)))
         return num, den, frozenset(bad)
 
     def bad_primes(self) -> frozenset[int]:
@@ -276,27 +229,6 @@ def _clear_rational(f: RationalFunction) -> tuple[tuple[int, ...], tuple[int, ..
     num = tuple(int(c * den_lcm) for c in f.num)
     den = tuple(int(c * den_lcm) for c in f.den)
     return num, den
-
-
-def _content(coeffs) -> int:
-    g = 0
-    for c in coeffs:
-        g = np.gcd(g, abs(int(c)))
-    return int(g) if g else 1
-
-
-def _prime_divisors(n: int) -> set[int]:
-    n = abs(int(n))
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def surface_families(group) -> list[SurfaceFamily]:
@@ -352,8 +284,8 @@ def fiber_trace_table(level: str, p: int, squared: bool,
     mul, chi, const = field.mul_vec, field.chi_table, field.constant
     Acoef, Bcoef = _level_poly_coeffs(level)
     s = np.arange(q, dtype=np.int64)
-    A = _poly_eval_vec(field, Acoef, s)
-    B = _poly_eval_vec(field, Bcoef, s)
+    A = _poly_eval(field, Acoef, s)
+    B = _poly_eval(field, Bcoef, s)
 
     reps = np.array([0, const(1), np.argmax(chi == -1)], dtype=np.int64)
     x3 = mul(mul(s, s), s)
@@ -372,8 +304,7 @@ def fiber_trace_table(level: str, p: int, squared: bool,
     Bt = mul(B, inv[mul(mul(u, u), u)])
     tau = -chi[u] * S[code, Bt]
 
-    disc = field.add_vec(mul(mul(mul(A, A), A), const(4)), mul(mul(B, B), const(27)))
-    sing = disc == 0
+    sing = _disc(field, A, B) == 0
     if np.any(tau[~sing] ** 2 > 4 * q):
         raise AssertionError(f"Hasse bound violated in the {level} table over F_{q}")
     tau[sing] = chi[mul(mul(A, B), const(-2))[sing]]
@@ -403,13 +334,6 @@ def _sqrt_table(field) -> np.ndarray:
     return root
 
 
-def _poly_eval_vec(field, coeffs, x):
-    acc = np.zeros_like(x)
-    for c in reversed(coeffs):
-        acc = field.add_vec(field.mul_vec(acc, x), field.constant(c))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # traces
 
@@ -421,31 +345,33 @@ def _check_good_prime(family: SurfaceFamily, p: int):
 
 
 def _bucket_indices(family: SurfaceFamily, field) -> tuple[np.ndarray, int]:
-    """Parameter value s = sub(r) for every r in F_q (as element indices; -1
-    for s = infinity), plus the count of r (including r = infinity) mapping
-    to infinity is folded in via the returned inf count."""
+    """Parameter value s = sub(r) for every r in F_q and for r = infinity,
+    as element indices with -1 standing for s = infinity."""
     num, den, _ = family._int_data()
-    p = field.p
     r = np.arange(field.q, dtype=np.int64)
-    nv = _poly_eval_vec(field, num, r)
-    dv = _poly_eval_vec(field, den, r)
+    nv = _poly_eval(field, num, r)
+    dv = _poly_eval(field, den, r)
     zero_den = dv == 0
     if np.any(nv[zero_den] == 0):
-        raise BadPrimeError(f"{family.label}: map degenerates mod {p}")
+        raise BadPrimeError(f"{family.label}: map degenerates mod {field.p}")
     s = field.mul_vec(nv, field.inv_table()[dv])
-    idx = np.where(zero_den, -1, s)
-    # the point r = infinity maps by leading coefficients
+    return np.where(zero_den, -1, s), _image_of_infinity(family, field)
+
+
+def _image_of_infinity(family: SurfaceFamily, field) -> int:
+    """sub(infinity) from the leading coefficients, as an element index
+    (-1 for infinity)."""
+    num, den, _ = family._int_data()
+    p = field.p
     dn = _degree_mod(num, p)
     dd = _degree_mod(den, p)
     if dn < 0 or dd < 0:
         raise BadPrimeError(f"{family.label}: map collapses mod {p}")
     if dn > dd:
-        inf_image = -1
-    elif dn < dd:
-        inf_image = 0  # the zero element has index 0 in both fields
-    else:
-        inf_image = field.constant(num[dn] * pow(den[dd], -1, p))
-    return idx, inf_image
+        return -1
+    if dn < dd:
+        return 0
+    return field.constant(num[dn] * pow(den[dd], -1, p))
 
 
 def _degree_mod(coeffs, p) -> int:
@@ -471,38 +397,24 @@ def frobenius_trace(family: SurfaceFamily, p: int, squared: bool = False,
 
 
 def local_trace(family: SurfaceFamily, field, point) -> LocalTrace:
-    """The local term at one point of P^1(F_q), computed scalar-wise."""
-    p = field.p
-    num, den, _ = family._int_data()
+    """The local term at one point of P^1(F_q) (an element index or "inf"),
+    computed scalar-wise."""
     if point == "inf":
-        dn, dd = _degree_mod(num, p), _degree_mod(den, p)
-        if dn > dd:
-            s = "inf"
-        elif dn < dd:
-            s = 0 if isinstance(field, PrimeField) else (0, 0)
-        else:
-            lead = num[dn] * pow(den[dd], -1, p) % p
-            s = lead if isinstance(field, PrimeField) else (lead, 0)
+        s = _image_of_infinity(family, field)
     else:
-        nv = field.poly_eval_scalar(num, point)
-        dv = field.poly_eval_scalar(den, point)
-        if _is_zero(field, dv):
-            if _is_zero(field, nv):
-                raise BadPrimeError(f"{family.label}: map degenerates mod {p}")
-            s = "inf"
-        elif isinstance(field, PrimeField):
-            s = nv * pow(dv, -1, p) % p
-        else:
-            s = field.mul(nv, field.inv(dv))
-    Acoef, Bcoef = _level_poly_coeffs(family.level)
-    if s == "inf":
+        num, den, _ = family._int_data()
+        nv = _poly_eval(field, num, point)
+        dv = _poly_eval(field, den, point)
+        if dv == 0 and nv == 0:
+            raise BadPrimeError(f"{family.label}: map degenerates mod {field.p}")
+        s = -1 if dv == 0 else field.mul_vec(nv, int(field.inv_table()[dv]))
+    if s == -1:
         Astar, Bstar = _infinity_model(family.level)
-        A = Astar % p if isinstance(field, PrimeField) else (Astar % p, 0)
-        B = Bstar % p if isinstance(field, PrimeField) else (Bstar % p, 0)
+        A, B = field.constant(Astar), field.constant(Bstar)
     else:
-        A = field.poly_eval_scalar(Acoef, s)
-        B = field.poly_eval_scalar(Bcoef, s)
-    if _is_zero(field, _disc(field, A, B)):
+        Acoef, Bcoef = _level_poly_coeffs(family.level)
+        A, B = _poly_eval(field, Acoef, s), _poly_eval(field, Bcoef, s)
+    if _disc(field, A, B) == 0:
         kind = classify_singular_fiber(field, A, B)
         return LocalTrace(point, kind, FIBER_VALUE[kind])
     return LocalTrace(point, "smooth", field.q + 1 - count_points_short(field, A, B))

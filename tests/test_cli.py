@@ -202,6 +202,13 @@ GROUP_LIST = ", ".join(GROUPS)
     (["isogeny", "--pair", "4a", "--primes", "5..x"],
      "'5..x' is neither a prime nor a range a..b"),
     (["isogeny"], "give --pair or --self"),
+    (["expand", "eta", "1:2,1:3"], "eta quotient '1:2,1:3': scale 1 is given twice"),
+    (["expand", "eta", "1:24", "--root", "0"], "--root 0 is not a positive integer"),
+    (["expand", "eta", "1:24", "--root", "-2"], "--root -2 is not a positive integer"),
+    (["isogeny", "--self", "gamma_24.6.1^6", "--samples", "0"],
+     "--samples 0 is not a positive integer"),
+    (["isogeny", "--self", "gamma_24.6.1^6", "--samples", "-4"],
+     "--samples -4 is not a positive integer"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)

@@ -261,6 +261,13 @@ def test_self_relation_degree_one():
     assert isogeny_relation_check(rel, mode="sampled")
 
 
+@pytest.mark.parametrize("samples", [0, -4])
+def test_sampled_relation_check_needs_a_sample(samples):
+    rel = ISOGENY_BY_INVOLUTION["E8:-t"]
+    with pytest.raises(ValueError, match="samples must be a positive integer"):
+        isogeny_relation_check(rel, mode="sampled", samples=samples)
+
+
 def test_self_relation_degree_three_symbolic():
     rel = ISOGENY_BY_INVOLUTION["E6:1/(9t)"]
     assert isogeny_relation_check(rel, mode="symbolic")

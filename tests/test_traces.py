@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from noncong.catalog import GROUPS, MAIN_GROUPS, get_group
-from noncong.surfaces import beauville_short
+from noncong.surfaces import beauville_short, rf
 from noncong.traces import (BadPrimeError, FIBER_VALUE, PrimeField,
                             QuadExtField, TABLE8_PRIMES, _exact_integers,
-                            classify_singular_fiber, count_points_short,
-                            fiber_trace_table, frobenius_trace, local_trace,
-                            quadratic_character, surface_families, trace_pair,
+                            _poly_eval, classify_singular_fiber,
+                            count_points_short, fiber_trace_table, field_for,
+                            frobenius_trace, local_trace, quadratic_character,
+                            SurfaceFamily, surface_families, trace_pair,
                             trace_fingerprint_equal, trace_rows, rows_to_csv)
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -27,6 +28,40 @@ def load_traces_golden():
             rows[(rec["group"], rec["parameterization"], int(rec["p"]))] = \
                 (int(rec["tr_p"]), int(rec["tr_p2"]))
     return rows
+
+
+# --- test-local arithmetic on pairs (a, b) = a + b*sqrt(nu) of F_{p^2} ----------
+
+def pair_mul(p, nu, u, v):
+    (a, b), (c, d) = u, v
+    return ((a * c + nu * b * d) % p, (a * d + b * c) % p)
+
+
+def pair_index(p, u):
+    return u[0] % p * p + u[1] % p
+
+
+@pytest.mark.parametrize("p,nonresidue", [(5, None), (7, None), (13, 5)])
+def test_extension_arithmetic_matches_pair_arithmetic(p, nonresidue):
+    f = QuadExtField(p, nonresidue)
+    assert pow(f.nu, (p - 1) // 2, p) == p - 1
+    assert nonresidue is None or f.nu == nonresidue
+    pairs = [divmod(i, p) for i in range(f.q)]
+    want_mul = [pair_index(p, pair_mul(p, f.nu, u, v)) for u in pairs for v in pairs]
+    want_add = [pair_index(p, (u[0] + v[0], u[1] + v[1])) for u in pairs for v in pairs]
+    x = np.repeat(np.arange(f.q, dtype=np.int64), f.q)
+    y = np.tile(np.arange(f.q, dtype=np.int64), f.q)
+    assert f.mul_vec(x, y).tolist() == want_mul
+    assert f.add_vec(x, y).tolist() == want_add
+    assert [f.mul_vec(i, j) for i in range(f.q) for j in range(f.q)] == want_mul
+    assert [f.add_vec(i, j) for i in range(f.q) for j in range(f.q)] == want_add
+    consts = range(-2 * p, 2 * p)
+    assert [f.constant(c) for c in consts] == [pair_index(p, (c, 0)) for c in consts]
+    inv = f.inv_table()
+    assert inv[0] == 0
+    assert all(pair_mul(p, f.nu, pairs[i], pairs[inv[i]]) == (1, 0) for i in range(1, f.q))
+    base_inv = PrimeField(p).inv_table()
+    assert all(i * base_inv[i] % p == 1 for i in range(1, p))
 
 
 # --- characters ---------------------------------------------------------------
@@ -48,15 +83,12 @@ def test_character_matches_euler_criterion():
 
 def test_extension_character_via_euler():
     f = QuadExtField(7)
-    q = f.q
     for u in f.elements():
-        if u == (0, 0):
-            assert f.chi(u) == 0
-            continue
         acc = (1, 0)
-        for _ in range((q - 1) // 2):
-            acc = f.mul(acc, u)
-        assert f.chi(u) == (1 if acc == (1, 0) else -1)
+        for _ in range((f.q - 1) // 2):
+            acc = pair_mul(f.p, f.nu, acc, divmod(u, f.p))
+        want = 0 if u == 0 else (1 if acc == (1, 0) else -1)
+        assert quadratic_character(f, u) == want
 
 
 # --- point counting -------------------------------------------------------------
@@ -91,23 +123,23 @@ def test_count_vs_brute_force_100_random_curves_per_prime():
 
 def test_count_extension_field_vs_brute_force():
     f = QuadExtField(5)
+    pairs = [divmod(i, 5) for i in f.elements()]
     rng = random.Random(1)
     done = 0
     while done < 10:
         A = (rng.randrange(5), rng.randrange(5))
         B = (rng.randrange(5), rng.randrange(5))
         try:
-            fast = count_points_short(f, A, B)
+            fast = count_points_short(f, pair_index(5, A), pair_index(5, B))
         except ValueError:
             continue
         brute = 1
-        for x in f.elements():
-            rhs = f.mul(f.mul(x, x), x)
-            rhs = (rhs[0] + f.mul(A, x)[0] + B[0], rhs[1] + f.mul(A, x)[1] + B[1])
-            rhs = (rhs[0] % 5, rhs[1] % 5)
-            for y in f.elements():
-                yy = f.mul(y, y)
-                if yy == rhs:
+        for x in pairs:
+            rhs = pair_mul(5, f.nu, pair_mul(5, f.nu, x, x), x)
+            ax = pair_mul(5, f.nu, A, x)
+            rhs = ((rhs[0] + ax[0] + B[0]) % 5, (rhs[1] + ax[1] + B[1]) % 5)
+            for y in pairs:
+                if pair_mul(5, f.nu, y, y) == rhs:
                     brute += 1
         assert fast == brute
         done += 1
@@ -272,7 +304,8 @@ def test_nonresidue_choice_does_not_change_trace():
     fam = surface_families(GROUPS["gamma_24.6.1^6"])[0]
     p = 13
     base = QuadExtField(p)
-    others = [n for n in range(2, p) if PrimeField(p).chi(n) == -1 and n != base.nu]
+    others = [n for n in range(2, p)
+              if quadratic_character(PrimeField(p), n) == -1 and n != base.nu]
     alt = others[0]
     assert frobenius_trace(fam, p, True) == frobenius_trace(fam, p, True, nonresidue=alt)
 
@@ -283,6 +316,10 @@ def test_bad_primes_refused():
         with pytest.raises(BadPrimeError):
             frobenius_trace(fam, p)
     assert fam.bad_primes() == {2, 3}
+    scaled = SurfaceFamily("E8(5r^3/7)", "E8", rf([0, 0, 0, 5], [7]))
+    assert scaled.bad_primes() == {2, 3, 5, 7}      # content 5, resultant 7^3
+    with pytest.raises(BadPrimeError):
+        frobenius_trace(scaled, 5)
 
 
 def test_csv_round_trip_header():
@@ -296,7 +333,7 @@ def test_fiber_table_infinity_values():
         _, tau_inf = fiber_trace_table("E8", p, False)
         assert tau_inf == 1
         _, tau_inf6 = fiber_trace_table("E6", p, False)
-        assert tau_inf6 == PrimeField(p).chi((-3) % p)
+        assert tau_inf6 == quadratic_character(PrimeField(p), (-3) % p)
 
 
 # --- the FFT fiber-trace kernel against the scalar oracle ----------------------------
@@ -308,20 +345,16 @@ def scalar_fiber_traces(level, field, indices):
     sw = beauville_short(level)
     Acoef = [int(c) for c in sw.A.num]
     Bcoef = [int(c) for c in sw.B.num]
-    return [scalar_fiber_trace(field, Acoef, Bcoef, element(field, i)) for i in indices]
+    return [scalar_fiber_trace(field, Acoef, Bcoef, s) for s in indices]
 
 
 def scalar_fiber_trace(field, Acoef, Bcoef, s):
-    A = field.poly_eval_scalar(Acoef, s)
-    B = field.poly_eval_scalar(Bcoef, s)
+    A = _poly_eval(field, Acoef, s)
+    B = _poly_eval(field, Bcoef, s)
     try:
         return field.q + 1 - count_points_short(field, A, B)
     except ValueError:
         return FIBER_VALUE[classify_singular_fiber(field, A, B)]
-
-
-def element(field, i):
-    return i if isinstance(field, PrimeField) else divmod(i, field.p)
 
 
 @pytest.mark.parametrize("level", ["E8", "E6"])
@@ -331,7 +364,7 @@ def element(field, i):
     (13, True, 5),
 ])
 def test_fiber_table_matches_scalar_oracle(level, p, squared, nonresidue):
-    field = QuadExtField(p, nonresidue) if squared else PrimeField(p)
+    field = field_for(p, squared, nonresidue)
     tau, _ = fiber_trace_table(level, p, squared, nonresidue)
     assert tau.dtype == np.int32 and len(tau) == field.q
     assert tau.tolist() == scalar_fiber_traces(level, field, range(field.q))
@@ -340,7 +373,7 @@ def test_fiber_table_matches_scalar_oracle(level, p, squared, nonresidue):
 @pytest.mark.parametrize("level", ["E8", "E6"])
 @pytest.mark.parametrize("p,squared", [(151, True), (211, True), (997, False)])
 def test_fiber_table_sampled_at_large_q(level, p, squared):
-    field = QuadExtField(p) if squared else PrimeField(p)
+    field = field_for(p, squared)
     tau, _ = fiber_trace_table(level, p, squared)
     sample = random.Random(p).sample(range(field.q), 200)
     assert tau[sample].tolist() == scalar_fiber_traces(level, field, sample)
@@ -377,3 +410,12 @@ def test_fiber_tables_built_once_per_key():
         for fam in families:
             frobenius_trace(fam, p)
     assert fiber_trace_table.cache_info().misses == 2 * len(primes)
+
+
+def test_trace_rows_builds_one_field_per_prime_and_degree():
+    primes = (5, 7, 11, 13, 17, 19, 23)
+    field_for.cache_clear()
+    fiber_trace_table.cache_clear()
+    trace_rows([GROUPS[n] for n in MAIN_GROUPS], primes)
+    info = field_for.cache_info()
+    assert info.misses == 2 * len(primes) and info.hits > 0
