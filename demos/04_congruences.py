@@ -9,14 +9,14 @@ coefficient up to a sixth root of unity.
 """
 
 from noncong import (GROUPS, aswd_three_term_check, character_value,
-                     coefficient_sequence, detect_basis, get_group, primes_upto)
+                     coefficient_sequence, detect_bases, get_group, primes_upto)
 
 for name in ("gamma_24.6.1^6", "gamma_8^3.2^3.3^2", "gamma_18.6.3^3.1^3",
              "gamma_24.3.2^3.1^3B"):
     g = GROUPS[name]
     print(f"== {name}  (newform {g.newform})")
-    for p in [q for q in primes_upto(37) if q >= 5]:
-        rep = detect_basis(g, p, bound=500)
+    for rep in detect_bases(g, [q for q in primes_upto(37) if q >= 5], bound=500):
+        p = rep.p
         if rep.case_kind == "case1":
             line = (f"   p={p:>2} case1  a_np/a_n = {rep.constants['a']:>5}"
                     f"  b_np/b_n = {rep.constants['b']:>5}")

@@ -27,6 +27,6 @@ from .congruence import (ResidueModP2, reduce_mod_p2, padic_valuation,
                          ratio_constancy, cross_ratio_constancy, solve_alpha_ap,
                          sqrt_mod_p2, cbrt_mod_p2, sixth_roots_mod_p2,
                          primitive_cube_roots_mod_p2, aswd_three_term_check,
-                         detect_basis, CongruenceReport)
+                         detect_basis, detect_bases, CongruenceReport)
 
 __version__ = "0.1.0"

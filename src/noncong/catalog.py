@@ -5,10 +5,12 @@ dimension formula, cusp regularity, the cusp-width noncongruence test, the
 cube-root basis construction, newform coefficient access and Hecke checks.
 
 The basis coefficients come two ways: exactly (``basis_q_expansions``,
-``coefficient_sequence``), and mod m (``coefficient_residues``) from the eta
-factors' integer coefficients and a Newton cube root, for the mod-p^2
+``coefficient_sequence``), and mod a batch of moduli
+(``coefficient_residues``, one cached int64 matrix per form) from the eta
+factors' integer coefficients and one Newton cube root, for the mod-p^2
 congruence tests.  The exact path is the reference the residues are tested
-against.
+against.  The L48 and L432 newform coefficients come from integer
+coefficient lists of their eta products (and E6).
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .series import (EtaQuotient, PuiseuxSeries, cube_root_mod, eisenstein_e6,
-                     eta_product_mod)
+from .series import (EtaQuotient, PuiseuxSeries, _convolve, cube_root_mod,
+                     eisenstein_e6_ints, eta_product_ints, eta_product_mod)
 from .surfaces import RationalFunction, rf, T, ISOGENY_BY_INVOLUTION
 
 # ---------------------------------------------------------------------------
@@ -486,15 +488,16 @@ def _lattice(group: GroupRecord, which: str):
     return eq, g, 72 * unit, eq.prefactor24 * group.mu, 72 * group.mu * g
 
 
-def lattice_indices(group: GroupRecord, which: str, bound: int) -> list[int | None]:
-    """[j_1, ..., j_bound] with a_n = [x^(j_n)] P(x)^(1/3); None where a_n is
+@lru_cache(maxsize=None)
+def lattice_indices(group: GroupRecord, which: str, bound: int) -> tuple[int | None, ...]:
+    """(j_1, ..., j_bound) with a_n = [x^(j_n)] P(x)^(1/3); None where a_n is
     zero by construction."""
     _, _, step, shift, den = _lattice(group, which)
     out = []
     for n in range(1, bound + 1):
         j, r = divmod(step * n - shift, den)
         out.append(j if j >= 0 and not r else None)
-    return out
+    return tuple(out)
 
 
 def residue_length(group: GroupRecord, which: str, bound: int) -> int:
@@ -503,17 +506,37 @@ def residue_length(group: GroupRecord, which: str, bound: int) -> int:
     return max((step * bound - shift) // den + 1, 0)
 
 
+# Rows of the residue batch transformed together.  On one aswd run at
+# pmax 97, pn-bound 1000 (BENCH_6.json), all 24 rows at once peak 4.1 MiB
+# above the per-modulus products, blocks of 8 at 1.9 MiB and blocks of 4 at
+# 1.1 MiB; the three take 0.106, 0.111 and 0.116 s.
+ROW_BLOCK = 8
+
+
+# room for the two basis forms of one run
+@lru_cache(maxsize=2)
 def coefficient_residues(group: GroupRecord, which: str, bound: int,
-                         m: int) -> dict[int, int]:
-    """{n: a_n mod m} for n = 1..bound, for m prime to 3, without the exact
-    series: the eta factors reduced mod m, multiplied in int64, and the cube
-    root taken by Newton iteration (``cube_root_mod``)."""
+                         moduli: tuple[int, ...]):
+    """a_n mod m for n = 1..bound and every m in moduli (each prime to 3),
+    without the exact series: a read-only int64 matrix, one row per
+    modulus, column n - 1 holding a_n.  The eta factors are reduced mod
+    every modulus and the batch takes one Newton cube root
+    (``cube_root_mod``), ROW_BLOCK rows at a time; the matrix is cached
+    per (group, form, bound, moduli)."""
+    import numpy as np
     eq, g, *_ = _lattice(group, which)
     length = max(residue_length(group, which, bound), 1)
-    u = eta_product_mod([(k // g, e) for k, e in eq.factors], length, m)
-    h = cube_root_mod(u, m).tolist()
-    return {n: 0 if j is None else h[j]
-            for n, j in enumerate(lattice_indices(group, which, bound), 1)}
+    factors = [(k // g, e) for k, e in eq.factors]
+    lattice = lattice_indices(group, which, bound)
+    cols = [n for n, j in enumerate(lattice) if j is not None]
+    js = [lattice[n] for n in cols]
+    out = np.zeros((len(moduli), bound), dtype=np.int64)
+    for r in range(0, len(moduli), ROW_BLOCK):
+        block = moduli[r:r + ROW_BLOCK]
+        h = cube_root_mod(eta_product_mod(factors, length, block), block)
+        out[r:r + len(block), cols] = h[:, js]
+    out.flags.writeable = False
+    return out
 
 
 # radicand builders for the cube-root construction, from parent-level data
@@ -631,24 +654,30 @@ def _round_order(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _l48_series(order: int) -> PuiseuxSeries:
-    return ETA_L48.expansion(order)
+def _l48_ints(order: int) -> tuple[int, ...]:
+    """The level-48 eta product is q P(q); these are P's coefficients."""
+    return tuple(eta_product_ints(ETA_L48.factors, order))
+
+
+# The level-432 form is comp1 + 6 sqrt(2) comp5 + sqrt(-3) comp7 + 6 sqrt(-6)
+# comp11, with comp_r = q^r P_r(q^12) for the eta quotient P_r (times E6 for
+# r = 1, 7) below and its unit vector in the biquadratic basis.
+_L432_PIECES = {
+    1: ({2: 3, 3: 1, 6: -1, 1: -1}, True, (1, 0, 0, 0)),
+    5: ({1: 1, 2: 3, 3: 3, 6: -1}, False, (0, 6, 0, 0)),
+    7: ({6: 3, 1: 1, 2: -1, 3: -1}, True, (0, 0, 1, 0)),
+    11: ({3: 1, 1: 3, 6: 3, 2: -1}, False, (0, 0, 0, 6)),
+}
 
 
 @lru_cache(maxsize=None)
-def _l432_components(order: int):
-    """The four congruence pieces, already rescaled q -> q^12, so that the
-    full form is comp1 + 6*sqrt(2)comp5 + sqrt(-3)comp7 + 6*sqrt(-6)comp11."""
-    e6 = eisenstein_e6(order + 1)
-    comp = {}
-    comp[1] = EtaQuotient.of({2: 3, 3: 1, 6: -1, 1: -1}).expansion(order) * e6
-    comp[5] = EtaQuotient.of({1: 1, 2: 3, 3: 3, 6: -1}).expansion(order)
-    comp[7] = EtaQuotient.of({6: 3, 1: 1, 2: -1, 3: -1}).expansion(order) * e6
-    comp[11] = EtaQuotient.of({3: 1, 1: 3, 6: 3, 2: -1}).expansion(order)
-    return {k: v.substitute_qpower(12) for k, v in comp.items()}
-
-
-_L432_UNITS = {1: (1, 0, 0, 0), 5: (0, 6, 0, 0), 7: (0, 0, 1, 0), 11: (0, 0, 0, 6)}
+def _l432_ints(r: int, order: int) -> tuple[int, ...]:
+    """The coefficients of P_r through q^(order-1)."""
+    spec, with_e6, _ = _L432_PIECES[r]
+    prod = eta_product_ints(EtaQuotient.of(spec).factors, order)
+    if with_e6:
+        prod = _convolve(prod, eisenstein_e6_ints(order), order)
+    return tuple(prod)
 
 
 def newform_an(tag: str, n: int) -> BiquadraticNumber:
@@ -662,16 +691,13 @@ def newform_an(tag: str, n: int) -> BiquadraticNumber:
     if n < 1:
         raise ValueError("coefficient index must be >= 1")
     if tag == "L48":
-        s = _l48_series(_round_order(n + 1))
-        return BiquadraticNumber.make(d1, d2, s.coefficient(n))
+        return BiquadraticNumber.make(d1, d2, _l48_ints(_round_order(n + 1))[n - 1])
     if tag == "L432":
         r = n % 12
-        if r not in _L432_UNITS:
+        if r not in _L432_PIECES:
             return BiquadraticNumber.make(d1, d2, 0)
-        comp = _l432_components(_round_order(n // 12 + 2))[r]
-        c = comp.coefficient(n)
-        u = _L432_UNITS[r]
-        return BiquadraticNumber.make(d1, d2, *(Fraction(x) * c for x in u))
+        c = _l432_ints(r, _round_order(n // 12 + 2))[n // 12]
+        return BiquadraticNumber.make(d1, d2, *(x * c for x in _L432_PIECES[r][2]))
     stored = _L243_STORED if tag == "L243" else _L486_STORED
     if n == 3:
         return BiquadraticNumber.make(d1, d2, 0)

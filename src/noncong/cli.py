@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import catalog, congruence, surfaces, traces
-from .series import EtaQuotient, eisenstein_e6, int64_fits
+from .series import EtaQuotient, eisenstein_e6
 from .catalog import GROUPS, MAIN_GROUPS, get_group
 
 
@@ -74,6 +74,8 @@ def cmd_expand(args) -> int:
         raise InputRefused(f"--order {order} is not a positive integer")
     if args.root < 1:
         raise InputRefused(f"--root {args.root} is not a positive integer")
+    if args.root != 1 and args.identifier != "eta":
+        raise InputRefused(f"--root {args.root} applies to expand eta only")
     if args.identifier == "E6":
         _print_series(eisenstein_e6(order), args.format)
         return 0
@@ -135,14 +137,15 @@ def cmd_aswd(args) -> int:
     if bound < pmax:
         raise InputRefused(f"--pn-bound {bound} is below --pmax {pmax}: "
                            "each p needs n*p <= pn-bound for n = 1 at least")
-    length = max(catalog.residue_length(g, which, bound) for which in "ab")
-    if not int64_fits(length, max(pmax * pmax, congruence.AUX_PRIME)):
-        raise InputRefused(f"--pn-bound {bound} with --pmax {pmax} overflows "
-                           "the int64 series products mod p^2")
+    if pmax > congruence.PRIME_LIMIT:
+        raise InputRefused(f"--pmax {pmax} is above the prime limit "
+                           f"{congruence.PRIME_LIMIT}")
+    if bound > congruence.PN_BOUND_LIMIT:
+        raise InputRefused(f"--pn-bound {bound} is above the limit "
+                           f"{congruence.PN_BOUND_LIMIT}")
     primes = [p for p in catalog.primes_upto(pmax) if p >= 5]
-    reports = [congruence.detect_basis(g, p, bound=bound,
-                                       three_term_n_bound=args.three_term)
-               for p in primes]
+    reports = congruence.detect_bases(g, primes, bound=bound,
+                                      three_term_n_bound=args.three_term)
     if args.format == "json":
         print("[" + ",".join(r.to_json() for r in reports) + "]")
     elif args.format == "csv":

@@ -8,10 +8,14 @@ newform coefficients up to a sixth root of unity, dropping to modulus p when
 a common factor of p must be cancelled first.
 
 ``detect_basis`` works on the basis coefficients mod p^2 only
-(``catalog.coefficient_residues``); no exact series is built.  The one
-question residues cannot settle alone -- whether every tested numerator is
-exactly zero -- is answered by a second residue mod AUX_PRIME, by the lattice
-of exponents the form can carry, and only then by the exact sequence.
+(``catalog.coefficient_residues``); no exact series is built.  A run over
+many primes (``detect_bases``, what ``noncong aswd`` calls) computes the
+residues of each basis form once, as one batch mod p^2 for every prime plus
+AUX_PRIME (65521); ``detect_basis`` alone is the batch of its one prime.
+The one question residues cannot settle alone -- whether every tested
+numerator is exactly zero -- is answered by the AUX_PRIME row, by the
+lattice of exponents the form can carry, and only then by the exact
+sequence.
 """
 
 from __future__ import annotations
@@ -20,15 +24,21 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
-from .catalog import (GROUPS, BiquadraticNumber, GroupRecord, NEWFORMS,
+from .catalog import (BiquadraticNumber, GroupRecord, NEWFORMS,
                       character_value, coefficient_residues,
                       coefficient_sequence, lattice_indices, newform_an)
 
 
-# a second modulus for deciding whether a coefficient is exactly zero
-AUX_PRIME = 1000003
+# a second modulus for deciding whether a coefficient is exactly zero: the
+# largest prime below 2^16, so that its residues need no limbs in the FFT
+# products at any length up to 10^4 (series.FFT_EXACT_BOUND)
+AUX_PRIME = 65521
+
+# Largest --pmax and --pn-bound the CLI accepts.  At both limits one aswd
+# process takes 25-27 s and peaks at 101 MiB (2-vCPU x86_64 host).
+PRIME_LIMIT = 2003
+PN_BOUND_LIMIT = 10000
 
 
 class InsufficientDataError(ValueError):
@@ -246,18 +256,22 @@ def cross_ratio_constancy(aseq: dict[int, Fraction], bseq: dict[int, Fraction],
     return c1, c2
 
 
-@lru_cache(maxsize=None)
-def _aux_residues(name: str, which: str, bound: int) -> dict[int, int]:
-    return coefficient_residues(GROUPS[name], which, bound, AUX_PRIME)
+def _moduli(primes: tuple[int, ...]) -> tuple[int, ...]:
+    """The residue batch of a run: p^2 for every prime, then AUX_PRIME."""
+    return tuple(p * p for p in primes) + (AUX_PRIME,)
 
 
 class _BasisForm:
     """One basis form's printed coefficients mod p^2, with a sound test of
-    whether coefficients vanish over Q."""
+    whether coefficients vanish over Q.  The residues are one row of the
+    batch computed for all of ``primes`` together."""
 
-    def __init__(self, group: GroupRecord, which: str, p: int, bound: int):
+    def __init__(self, group: GroupRecord, which: str, p: int, bound: int,
+                 primes: tuple[int, ...]):
         self.group, self.which, self.bound = group, which, bound
-        self.values = coefficient_residues(group, which, bound, p * p)
+        rows = coefficient_residues(group, which, bound, _moduli(primes))
+        self.values = dict(enumerate(rows[primes.index(p)].tolist(), 1))
+        self.aux = rows[-1]
 
     def any_nonzero(self, indices: list[int]) -> bool:
         """Whether a_n != 0 for some n in indices.  A nonzero residue mod p^2
@@ -266,8 +280,7 @@ class _BasisForm:
         exact sequence."""
         if any(self.values[n] for n in indices):
             return True
-        aux = _aux_residues(self.group.name, self.which, self.bound)
-        if any(aux[n] for n in indices):
+        if any(self.aux[n - 1] for n in indices):
             return True
         lattice = lattice_indices(self.group, self.which, self.bound)
         open_ = [n for n in indices if lattice[n - 1] is not None]
@@ -449,10 +462,14 @@ class CongruenceReport:
 
 
 def detect_basis(group: GroupRecord, p: int, bound: int = 500,
-                 three_term_n_bound: int | None = None) -> CongruenceReport:
+                 three_term_n_bound: int | None = None,
+                 primes: tuple[int, ...] | None = None) -> CongruenceReport:
     """Run the case-1 ratio test on both forms; fall back to the case-2 cross
     ratios; attach catalog newform matches up to a sixth root of unity.
     The tests run on the printed coefficients mod p^2 for pn <= bound.
+
+    The residues come from one batch over ``primes`` (p alone by default):
+    the primes of a run share it, and ``detect_bases`` passes them all.
 
     A constant whose every tested numerator is the exact rational zero is a
     support artifact (the form has no coefficients at those indices at all);
@@ -461,8 +478,11 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
     With ``three_term_n_bound`` set, a case-1 verdict also carries the full
     three-term checks of both forms against the detected constants.
     """
-    a = _BasisForm(group, "a", p, bound)
-    b = _BasisForm(group, "b", p, bound)
+    primes = (p,) if primes is None else tuple(primes)
+    if p not in primes:
+        raise ValueError(f"p = {p} is not among the batch primes {primes}")
+    a = _BasisForm(group, "a", p, bound, primes)
+    b = _BasisForm(group, "b", p, bound, primes)
     rep = CongruenceReport(group.name, p, "indeterminate")
     ca, a_tested = _constancy(a.values, a.values, p, bound)
     cb, b_tested = _constancy(b.values, b.values, p, bound)
@@ -486,6 +506,16 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
     if c1 is not None and c2 is not None:
         return _fill_case2(rep, group, c1, c2)
     return rep
+
+
+def detect_bases(group: GroupRecord, primes, bound: int = 500,
+                 three_term_n_bound: int | None = None) -> list[CongruenceReport]:
+    """``detect_basis`` for every prime of a run, in order, on one batch of
+    residues: every basis form takes one Newton cube root for all the
+    moduli p^2 and AUX_PRIME together."""
+    primes = tuple(primes)
+    return [detect_basis(group, p, bound, three_term_n_bound, primes)
+            for p in primes]
 
 
 def _fill_case1(rep: CongruenceReport, group: GroupRecord,

@@ -13,8 +13,11 @@ Beside the series over Q, ``eta_product_mod`` and ``cube_root_mod`` work
 over Z/m (m prime to 3): eta products, and cube roots of power series with
 constant term 1.  Newton iteration for w = u^(-1/3) divides only by 3
 (Brent-Kung, JACM 1978), so it runs mod p^2 where the Miller recurrence,
-which divides by every index n, cannot.  Products are int64 convolutions
-reduced mod m after each product.
+which divides by every index n, cannot.  Both take a batch: an int64 matrix
+with one row of residues per modulus, so one run multiplies the series mod
+every p^2 at once.  Each product is one float64 rfft/irfft along the rows,
+made exact by a rounding guard (``exact_integers``, shared with the
+fiber-trace kernel) and by splitting large residues into limbs.
 """
 
 from __future__ import annotations
@@ -539,53 +542,111 @@ def eta_power_coeffs(m: int, e: int, length: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# power series mod m, for the mod-p^2 congruence tests.  numpy is imported on
-# first use: loading it ahead of the package's other modules raised the peak
-# RSS of `import noncong` by about 1 MiB.
+# power series mod m, for the mod-p^2 congruence tests.  A batch is an int64
+# matrix with one row of residues per modulus; the moduli travel as an int64
+# column beside it.  numpy is imported on first use: loading it ahead of the
+# package's other modules raised the peak RSS of `import noncong` by about
+# 1 MiB.
+
+# Bound on the coefficients of one float64 FFT product, length * (m-1)^2.
+# Measured worst rounding errors: 0.0015 at 2^42 and 0.02 at 2^45.3 with
+# every entry m - 1; 0.09 at 2^50 and 0.38 at 2^52 on random residues.  From
+# 2^53 on the float64 spacing reaches 1, so the rounding margin can read 0
+# while the rounded value is wrong (by 16 at 2^56).  Below 2^46 the error
+# stays under a tenth of the guard's 0.25.
+FFT_EXACT_BOUND = 2 ** 46
+
+# moduli from 2^31 on overflow the int64 product of two residues
+MODULUS_LIMIT = 2 ** 31
 
 
-def int64_fits(length: int, m: int) -> bool:
-    """Whether a truncated product of `length` residues mod m is exact in
-    int64: each coefficient sums at most `length` products below (m-1)^2."""
-    return length * (m - 1) ** 2 < 2 ** 63
-
-
-def _short_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a*b mod q^n for n = len(a) <= len(b), without the terms past q^n that
-    a full convolution would also form: about 2n^2/3 products, not n^2."""
+def exact_integers(values: np.ndarray) -> np.ndarray:
+    """Round FFT output whose exact values are integers, refusing it when
+    any entry lies 0.25 or more from the nearest integer."""
     import numpy as np
-    n = len(a)
-    if n <= 64:
-        return np.convolve(a, b[:n])[:n]
-    h = n // 2
-    out = np.convolve(a[:h], b[:n])[:n]
-    out[h:] += _short_product(a[h:], b[:n - h])
+    rounded = np.rint(values)
+    margin = float(np.max(np.abs(values - rounded)))
+    if not margin < 0.25:
+        raise AssertionError(f"FFT rounding margin {margin:.3g} reached 0.25")
+    return rounded.astype(np.int64)
+
+
+def _limbs(length: int, m_max: int) -> tuple[int, int]:
+    """(count, bits): the fewest limbs of `bits` bits that hold residues
+    below m_max and keep every coefficient of a product of `length` terms
+    under FFT_EXACT_BOUND, counting the `count` limb pairs that add up on
+    one diagonal."""
+    need = (m_max - 1).bit_length()
+    count = 1
+    while True:
+        bits = -(-need // count)
+        top = min(m_max - 1, (1 << bits) - 1)
+        if count * length * top * top < FFT_EXACT_BOUND:
+            return count, bits
+        count += 1
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a*b mod (m, x^n), row by row, for n = a.shape[1] <= b.shape[1] and
+    residue matrices a, b with one modulus per row in the column m.
+
+    Each product is one rfft/irfft along the rows, exact by the rounding
+    guard; residues too large for that are split into limbs, whose
+    diagonal sums are recombined mod m."""
+    import numpy as np
+    from numpy import fft      # numpy.fft is not loaded by ``import numpy``
+    n = a.shape[1]
+    size = 1 << (2 * n - 2).bit_length()
+    count, bits = _limbs(n, int(m.max()))
+    mask = (1 << bits) - 1
+
+    def spectra(x):
+        return [fft.rfft((x >> (bits * i)) & mask, size) for i in range(count)]
+
+    A = spectra(a)
+    B = A if b is a else spectra(b[:, :n])
+    out = None
+    for s in range(2 * count - 1):
+        lo, hi = max(0, s - count + 1), min(s, count - 1)
+        spec = A[lo] * B[s - lo]
+        for i in range(lo + 1, hi + 1):
+            spec += A[i] * B[s - i]
+        c = exact_integers(fft.irfft(spec, size)[:, :n]) % m
+        if s:
+            scale = np.array([[pow(2, bits * s, int(x))] for x in m[:, 0]])
+            c = c * scale % m
+        out = c if out is None else (out + c) % m
     return out
 
 
-def _mul_mod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """a*b mod (m, q^len(a)) for int64 residue arrays."""
-    n = len(a)
-    assert int64_fits(n, m), f"int64 convolution overflow: {n} terms mod {m}"
-    return _short_product(a, b) % m
+def _modulus_column(moduli) -> np.ndarray:
+    import numpy as np
+    if not all(1 < x < MODULUS_LIMIT for x in moduli):
+        raise ValueError(f"moduli must lie in 2..{MODULUS_LIMIT - 1}")
+    return np.array(moduli, dtype=np.int64).reshape(-1, 1)
 
 
-def cube_root_mod(u: np.ndarray, m: int) -> np.ndarray:
-    """u^(1/3) mod (m, q^len(u)) for residues u with u_0 = 1, 3 prime to m.
+def cube_root_mod(u: np.ndarray, moduli) -> np.ndarray:
+    """u^(1/3) mod (m, x^n) for each row u of a residue matrix with
+    u_0 = 1, the row's modulus m prime to 3, n = u.shape[1].
 
     Newton doubles the precision of w = u^(-1/3) with
-    w <- w + w(1 - u w^3)/3; the root is u w^2.
+    w <- w + w(1 - u w^3)/3, for every row at once; the root is u w^2.
     """
     import numpy as np
-    n = len(u)
-    minus_third = m - pow(3, -1, m)
-    w = np.ones(1, dtype=np.int64)
-    while len(w) < n:
-        k0, k = len(w), min(2 * len(w), n)
-        w = np.concatenate([w, np.zeros(k - k0, dtype=np.int64)])
-        # 1 - u w^3 vanishes below q^k0; its terms from q^k0 on are -(u w^3)
-        uw3 = _mul_mod(u[:k], _mul_mod(_mul_mod(w, w, m), w, m), m)
-        w[k0:] = _mul_mod(uw3[k0:], w, m) * minus_third % m
+    m = _modulus_column(moduli)
+    rows, n = u.shape
+    minus_third = np.array([[x - pow(3, -1, x)] for x in moduli], dtype=np.int64)
+    w = np.zeros((rows, n), dtype=np.int64)
+    w[:, 0] = 1
+    k0 = 1
+    while k0 < n:
+        k = min(2 * k0, n)
+        wk = w[:, :k]
+        # 1 - u w^3 vanishes below x^k0; its terms from x^k0 on are -(u w^3)
+        uw3 = _mul_mod(u[:, :k], _mul_mod(_mul_mod(wk, wk, m), wk, m), m)
+        w[:, k0:k] = _mul_mod(uw3[:, k0:], wk, m) * minus_third % m
+        k0 = k
     return _mul_mod(u, _mul_mod(w, w, m), m)
 
 
@@ -594,14 +655,25 @@ def _eta_power_ints(k: int, e: int, length: int) -> tuple[int, ...]:
     return tuple(eta_power_coeffs(k, e, length))
 
 
-def eta_product_mod(factors, length: int, m: int) -> np.ndarray:
-    """prod (1 - x^(k n))^e over the (k, e) in factors, mod (m, x^length),
-    as int64 residues reduced from each factor's exact integer coefficients
-    (cached per process)."""
+def eta_product_ints(factors, length: int) -> list[int]:
+    """Integer coefficients of prod (1 - x^(k n))^e over the (k, e) in
+    factors, through x^(length-1), from the cached exact eta powers."""
+    prod = [1]
+    for k, e in factors:
+        prod = _convolve(prod, list(_eta_power_ints(k, e, length)), length)
+    return prod
+
+
+def eta_product_mod(factors, length: int, moduli) -> np.ndarray:
+    """prod (1 - x^(k n))^e over the (k, e) in factors, mod (m, x^length)
+    for every m in moduli: one int64 row per modulus, reduced from each
+    factor's exact integer coefficients (cached per process)."""
     import numpy as np
+    m = _modulus_column(moduli)
     u = None
     for k, e in factors:
-        f = np.array([c % m for c in _eta_power_ints(k, e, length)], dtype=np.int64)
+        exact = np.array(_eta_power_ints(k, e, length), dtype=object)
+        f = np.array([exact % x for x in moduli], dtype=np.int64)
         u = f if u is None else _mul_mod(u, f, m)
     return u
 
@@ -645,9 +717,7 @@ class EtaQuotient:
                 raise ValueError(
                     f"prefactor q^{pre} not representable at ramification 1/{mu}")
             mu0 = mu
-        prod = [1]
-        for m, e in self.factors:
-            prod = _convolve(prod, eta_power_coeffs(m, e, order), order)
+        prod = eta_product_ints(self.factors, order)
         lo = int(pre * mu0)
         coeffs = _stride([Fraction(c) for c in prod], mu0)
         return PuiseuxSeries(mu0, lo, coeffs, lo + mu0 * order)
@@ -711,10 +781,15 @@ def sigma_table(order: int) -> list[int]:
     return sig
 
 
+def eisenstein_e6_ints(order: int) -> list[int]:
+    """Coefficients 1, 12 (sigma(3n) - 3 sigma(n)) of E6 for n < order."""
+    sig = sigma_table(3 * order)
+    return [1] + [12 * (sig[3 * n] - 3 * sig[n]) for n in range(1, order)]
+
+
 def eisenstein_e6(order: int) -> PuiseuxSeries:
     """E6 = 1 + 12 sum_{n>=1} (sigma(3n) - 3 sigma(n)) q^n, through q^(order-1)."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    sig = sigma_table(3 * order)
-    terms = [(0, 1)] + [(n, 12 * (sig[3 * n] - 3 * sig[n])) for n in range(1, order)]
-    return PuiseuxSeries.from_terms(terms, mu=1, trunc=order)
+    return PuiseuxSeries.from_terms(enumerate(eisenstein_e6_ints(order)), mu=1,
+                                    trunc=order)

@@ -32,6 +32,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .catalog import _factorize
+from .series import exact_integers
 from .surfaces import (RationalFunction, beauville_short, polynomial_resultant)
 
 
@@ -295,7 +296,7 @@ def fiber_trace_table(level: str, p: int, squared: bool,
         N = np.bincount(field.add_vec(x3, mul(s, rep)), minlength=q)
         corr = fft.irfftn(np.conj(fft.rfftn(N.reshape(shape))) * chi_hat,
                           s=shape, axes=range(len(shape)))
-        S[k] = _exact_integers(corr.ravel())
+        S[k] = exact_integers(corr.ravel())
 
     inv = field.inv_table()
     code = chi[A] % 3                       # 0: A = 0, 1: square, 2: nonsquare
@@ -314,16 +315,6 @@ def fiber_trace_table(level: str, p: int, squared: bool,
     tau_inf = chi[const(-2 * Astar * Bstar)]
     tau.flags.writeable = False
     return tau, int(tau_inf)
-
-
-def _exact_integers(values: np.ndarray) -> np.ndarray:
-    """Round FFT output whose exact values are integers, refusing it when
-    any entry lies 0.25 or more from the nearest integer."""
-    rounded = np.rint(values)
-    margin = float(np.max(np.abs(values - rounded)))
-    if not margin < 0.25:
-        raise AssertionError(f"FFT rounding margin {margin:.3g} reached 0.25")
-    return rounded.astype(np.int64)
 
 
 def _sqrt_table(field) -> np.ndarray:

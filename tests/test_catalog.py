@@ -14,7 +14,7 @@ from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, basis_q_expansions,
                              newform_an, newform_coefficients,
                              newform_expansion, noncongruence_test,
                              primes_upto)
-from noncong.congruence import AUX_PRIME, reduce_mod_p2
+from noncong.congruence import AUX_PRIME
 
 ALL_NAMES = tuple(GROUPS)
 
@@ -122,10 +122,11 @@ def test_prime_coefficient_tables(name):
 
 
 PRIMES_5_97 = [p for p in primes_upto(97) if p >= 5]
+MODULI = tuple(p * p for p in PRIMES_5_97) + (AUX_PRIME,)
 
 
-def _exact_mod_p2(seq, p):
-    return {n: reduce_mod_p2(x, p).value for n, x in seq.items()}
+def _exact_mod(seq, m):
+    return [x.numerator * pow(x.denominator, -1, m) % m for x in seq.values()]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -133,9 +134,10 @@ def test_coefficient_residues_match_exact_mod_p2(name):
     g = GROUPS[name]
     for which in "ab":
         exact = coefficient_sequence(g, which, 500)
-        for p in PRIMES_5_97:
-            assert coefficient_residues(g, which, 500, p * p) == \
-                _exact_mod_p2(exact, p), (which, p)
+        rows = coefficient_residues(g, which, 500, MODULI)
+        assert rows.shape == (len(MODULI), 500)
+        for m, row in zip(MODULI, rows.tolist()):
+            assert row == _exact_mod(exact, m), (which, m)
         # off the exponent lattice a_n is exactly zero
         lattice = lattice_indices(g, which, 500)
         assert all(exact[n] == 0 for n in exact if lattice[n - 1] is None)
@@ -146,12 +148,9 @@ def test_coefficient_residues_match_exact_at_1000():
     assert g.mu == 1
     for which in "ab":
         exact = coefficient_sequence(g, which, 1000)
-        for p in PRIMES_5_97:
-            assert coefficient_residues(g, which, 1000, p * p) == \
-                _exact_mod_p2(exact, p), (which, p)
-        aux = coefficient_residues(g, which, 1000, AUX_PRIME)
-        assert aux == {n: x.numerator * pow(x.denominator, -1, AUX_PRIME) % AUX_PRIME
-                       for n, x in exact.items()}
+        rows = coefficient_residues(g, which, 1000, MODULI)
+        for m, row in zip(MODULI, rows.tolist()):
+            assert row == _exact_mod(exact, m), (which, m)
 
 
 @pytest.mark.parametrize("name", MAIN_GROUPS)

@@ -196,7 +196,7 @@ GROUP_LIST = ", ".join(GROUPS)
      "--pn-bound 500 is below --pmax 600: each p needs n*p <= pn-bound for n = 1 at least"),
     (["aswd", "gamma_24.6.1^6", "--pmax", "3"], "--pmax 3 selects no prime p >= 5"),
     (["aswd", "gamma_24.6.1^6", "--pmax", "7000", "--pn-bound", "7000"],
-     "--pn-bound 7000 with --pmax 7000 overflows the int64 series products mod p^2"),
+     "--pmax 7000 is above the prime limit 2003"),
     (["isogeny", "--pair", "4a", "--primes", "5..100000000"],
      "100000000 is above the prime limit 2003"),
     (["isogeny", "--pair", "4a", "--primes", "5..x"],
@@ -209,6 +209,11 @@ GROUP_LIST = ", ".join(GROUPS)
      "--samples 0 is not a positive integer"),
     (["isogeny", "--self", "gamma_24.6.1^6", "--samples", "-4"],
      "--samples -4 is not a positive integer"),
+    (["expand", "gamma_24.6.1^6", "h1", "--root", "3"],
+     "--root 3 applies to expand eta only"),
+    (["expand", "E6", "--root", "5"], "--root 5 applies to expand eta only"),
+    (["aswd", "gamma_24.6.1^6", "--pmax", "97", "--pn-bound", "20000"],
+     "--pn-bound 20000 is above the limit 10000"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)

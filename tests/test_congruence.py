@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from noncong import cli, congruence
-from noncong.catalog import (GROUPS, character_value, coefficient_sequence,
-                             get_group, newform_an, newform_expansion,
-                             primes_upto)
+from noncong.catalog import (GROUPS, character_value, coefficient_residues,
+                             coefficient_sequence, get_group, newform_an,
+                             newform_expansion, primes_upto)
 from noncong.congruence import (InsufficientDataError,
                                 NotPIntegralError, ResidueModP2,
                                 aswd_three_term_check, cbrt_mod_p2,
@@ -263,7 +263,7 @@ def test_detect_basis_attaches_three_term_rows():
 class _ExactForm:
     """Oracle for congruence._BasisForm, built from the exact sequence."""
 
-    def __init__(self, group, which, p, bound):
+    def __init__(self, group, which, p, bound, primes):
         self.exact = coefficient_sequence(group, which, bound)
         self.values = {n: reduce_mod_p2(x, p).value for n, x in self.exact.items()}
 
@@ -276,10 +276,11 @@ def test_live_flag_equals_exact_flag(monkeypatch):
     monkeypatch.setattr(congruence, "coefficient_sequence",
                         lambda *a: fallbacks.append(a) or coefficient_sequence(*a))
     checks = 0
+    primes = tuple(q for q in primes_upto(97) if q >= 5)
     for g in GROUPS.values():
-        for p in [q for q in primes_upto(97) if q >= 5]:
-            forms = {w: congruence._BasisForm(g, w, p, 500) for w in "ab"}
-            oracle = {w: _ExactForm(g, w, p, 500) for w in "ab"}
+        for p in primes:
+            forms = {w: congruence._BasisForm(g, w, p, 500, primes) for w in "ab"}
+            oracle = {w: _ExactForm(g, w, p, 500, primes) for w in "ab"}
             for num, den in ("aa", "bb", "ab", "ba"):
                 const, tested = congruence._constancy(
                     forms[num].values, forms[den].values, p, 500)
@@ -298,18 +299,23 @@ def test_live_flag_falls_back_to_exact_when_residues_vanish(monkeypatch):
     g = get_group("24.6.1^6")
     exact = coefficient_sequence(g, "a", 500)
     calls = []
-    monkeypatch.setattr(congruence, "_aux_residues",
-                        lambda name, which, bound: dict.fromkeys(range(1, bound + 1), 0))
+
+    def without_aux(*args):
+        rows = coefficient_residues(*args).copy()
+        rows[-1] = 0
+        return rows
+
+    monkeypatch.setattr(congruence, "coefficient_residues", without_aux)
     monkeypatch.setattr(congruence, "coefficient_sequence",
                         lambda *a: calls.append(a) or coefficient_sequence(*a))
-    form = congruence._BasisForm(g, "a", 5, 500)
+    form = congruence._BasisForm(g, "a", 5, 500, (5,))
     const, tested = congruence._constancy(form.values, form.values, 5, 500)
     # a_{5n} = 0 mod 25 on every tested n, so only the fallback can decide
     assert const.value == 0 and all(form.values[n] == 0 for n in tested)
     assert form.any_nonzero(tested) is any(exact[n] != 0 for n in tested) is True
     assert calls == [(g, "a", 500)]
     # indices off the lattice of exponents are zero without the fallback
-    off = congruence._BasisForm(get_group("9.6^3.3.2^3"), "a", 5, 500)
+    off = congruence._BasisForm(get_group("9.6^3.3.2^3"), "a", 5, 500, (5,))
     assert off.any_nonzero([2, 3, 5, 6]) is False
     assert len(calls) == 1
 

@@ -1,6 +1,5 @@
 """Exact series arithmetic: ring laws, eta expansions, roots, Eisenstein."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -8,10 +7,10 @@ import pytest
 
 import numpy as np
 
-from noncong.series import (EtaQuotient, PrecisionError, PuiseuxSeries,
-                            _mul_mod, cube_root_mod, divisor_sigma,
-                            eisenstein_e6, eta_expansion, int64_fits,
-                            parse_series)
+from noncong.series import (EtaQuotient, MODULUS_LIMIT, PrecisionError,
+                            PuiseuxSeries, _limbs, _mul_mod, cube_root_mod,
+                            divisor_sigma, eisenstein_e6, eta_expansion,
+                            eta_product_mod, parse_series)
 
 
 def q_series(terms, mu=1, trunc=None):
@@ -231,32 +230,67 @@ def test_agrees_with_covers_negative_exponents():
 
 # --- power series mod m ------------------------------------------------------------
 
+def _column(moduli):
+    return np.array(moduli, dtype=np.int64).reshape(-1, 1)
+
+
+def _python_product(a, b, m):
+    """a*b mod (m, x^len(a)) by Kronecker substitution on Python integers."""
+    n = len(a)
+    width = ((n * (m - 1) ** 2).bit_length() + 7) // 8
+
+    def pack(xs):
+        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in xs), "little")
+
+    c = (pack(a) * pack(b[:n])).to_bytes(2 * n * width, "little")
+    return [int.from_bytes(c[k * width:(k + 1) * width], "little") % m for k in range(n)]
+
+
 def test_cube_root_mod_cubes_back():
     rng = random.Random(5)
-    for m in (25, 49, 9409, 1000003):
-        u = np.array([1] + [rng.randrange(m) for _ in range(199)], dtype=np.int64)
-        r = cube_root_mod(u, m)
-        assert (_mul_mod(_mul_mod(r, r, m), r, m) == u).all()
+    moduli = (25, 49, 9409, 65521, 1000003, 2003 ** 2, MODULUS_LIMIT - 1)
+    u = np.array([[1] + [rng.randrange(m) for _ in range(199)] for m in moduli],
+                 dtype=np.int64)
+    r = cube_root_mod(u, moduli)
+    m = _column(moduli)
+    assert (_mul_mod(_mul_mod(r, r, m), r, m) == u).all()
 
 
 def test_mul_mod_matches_python_integers():
     rng = random.Random(6)
-    m = math.isqrt((2 ** 63 - 1) // 300) + 1   # the largest one 300 terms allow
-    assert int64_fits(300, m) and not int64_fits(300, m + 1)
-    a = [rng.randrange(m - 99, m) for _ in range(300)]
-    b = [rng.randrange(m - 99, m) for _ in range(300)]
-    want = [sum(a[i] * b[k - i] for i in range(k + 1)) % m for k in range(300)]
-    got = _mul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), m)
-    assert got.tolist() == want
+    moduli = (97 ** 2, 2003 ** 2, 97 ** 2, 65521)
+    assert _limbs(1000, 97 ** 2)[0] == 1 and _limbs(10 ** 4, 65521)[0] == 1
+    assert _limbs(1000, 2003 ** 2)[0] == 2
+    a = [[rng.randrange(m - 99, m) for _ in range(1000)] for m in moduli]
+    b = [[rng.randrange(m - 99, m) for _ in range(1000)] for m in moduli]
+    got = _mul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+                   _column(moduli))
+    assert got.tolist() == [_python_product(x, y, m) for x, y, m in zip(a, b, moduli)]
 
 
-def test_int64_bound_is_asserted():
-    assert int64_fits(2, 2 ** 31) and not int64_fits(3, 2 ** 32)
-    ones = np.ones(3, dtype=np.int64)
-    with pytest.raises(AssertionError, match="int64 convolution overflow"):
-        _mul_mod(ones, ones, 2 ** 32)
-    with pytest.raises(AssertionError, match="int64 convolution overflow"):
-        cube_root_mod(ones, 2 ** 32 + 1)
+def test_rounding_guard_refuses_perturbed_product(monkeypatch):
+    from numpy import fft
+    ones = np.ones((2, 50), dtype=np.int64)
+    m = _column((25, 49))
+    assert _mul_mod(ones, ones, m)[:, 30].tolist() == [31 % 25, 31 % 49]
+    irfft = fft.irfft
+
+    def perturbed(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out[1, 7] += 0.3
+        return out
+
+    monkeypatch.setattr(fft, "irfft", perturbed)
+    with pytest.raises(AssertionError, match="rounding margin"):
+        _mul_mod(ones, ones, m)
+
+
+def test_modulus_limit_is_refused():
+    ones = np.ones((1, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match="moduli must lie in"):
+        cube_root_mod(ones, (MODULUS_LIMIT,))
+    with pytest.raises(ValueError, match="moduli must lie in"):
+        eta_product_mod([(1, 1)], 3, (25, MODULUS_LIMIT + 1))
 
 
 def test_eta_parse_refuses_malformed_pairs():

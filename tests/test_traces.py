@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from noncong.catalog import GROUPS, MAIN_GROUPS, get_group
+from noncong.series import exact_integers
 from noncong.surfaces import beauville_short, rf
 from noncong.traces import (BadPrimeError, FIBER_VALUE, PrimeField,
-                            QuadExtField, TABLE8_PRIMES, _exact_integers,
+                            QuadExtField, TABLE8_PRIMES,
                             _poly_eval, classify_singular_fiber,
                             count_points_short, fiber_trace_table, field_for,
                             frobenius_trace, local_trace, quadratic_character,
@@ -383,16 +384,16 @@ def test_fft_rounding_guard_refuses_perturbed_correlation():
     rng = np.random.default_rng(5)
     exact = rng.integers(-50, 50, size=101)
     noisy = exact + rng.uniform(-0.2, 0.2, size=101)
-    assert _exact_integers(noisy).tolist() == exact.tolist()
+    assert exact_integers(noisy).tolist() == exact.tolist()
     noisy[17] += 0.3
     with pytest.raises(AssertionError, match="rounding margin"):
-        _exact_integers(noisy)
+        exact_integers(noisy)
 
 
 def test_hasse_guard_refuses_corrupted_table(monkeypatch):
     import noncong.traces as traces
-    exact = traces._exact_integers
-    monkeypatch.setattr(traces, "_exact_integers", lambda values: exact(values) + 7)
+    monkeypatch.setattr(traces, "exact_integers",
+                        lambda values: exact_integers(values) + 7)
     fiber_trace_table.cache_clear()
     with pytest.raises(AssertionError, match="Hasse bound"):
         fiber_trace_table("E8", 11, False)
