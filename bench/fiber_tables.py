@@ -1,14 +1,23 @@
-"""Time the E8 fiber-trace table over F_{p^2} in two checkouts and fit the
-scaling exponent k of t ~ p^k.
+"""Time the fiber-trace kernel in two checkouts and fit the scaling exponent
+k of t ~ p^k for each measurement.
 
     python bench/fiber_tables.py --before <checkout> --after <checkout> \
-        [--primes 73,101,151,211] [--out BENCH.json]
+        [--primes 101,211,1009,2003] [--out BENCH.json]
 
-Each checkout is timed in its own child interpreter that imports ``noncong``
-from the checkout's ``src/``.  A table is built after clearing the table
-cache; the reported time is the median of three builds when one build takes
-under a second, else the single build.  The exponent is the least-squares
-slope of log t against log p.
+Three measurements per prime p:
+
+* ``table_p2``: ``fiber_trace_table("E8", p, True)`` with the field and
+  table caches cleared, so the field set-up (character, inverse or log
+  tables) counts;
+* ``table_p``: the same over F_p;
+* ``family_sums_p2``: ``frobenius_trace`` of the twelve families of the
+  main groups over F_{p^2}, with both fiber tables and the field built
+  beforehand (not timed).
+
+Every (checkout, measurement, prime) runs in its own child interpreter that
+imports ``noncong`` from the checkout's ``src/`` and also reports its peak
+RSS, which includes the interpreter and numpy.  A timing is the median of
+repeated runs: as many as fit in one second, at least one and at most 25.
 """
 
 from __future__ import annotations
@@ -18,25 +27,42 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 import time
 
+MEASUREMENTS = ("table_p2", "table_p", "family_sums_p2")
 
-def time_tables(primes: list[int]) -> dict[int, float]:
-    from noncong.traces import fiber_trace_table
-    fiber_trace_table("E8", 5, True)            # first-call imports
-    out = {}
-    for p in primes:
-        runs = []
-        while len(runs) < (1 if runs and runs[0] >= 1.0 else 3):
-            fiber_trace_table.cache_clear()
-            t0 = time.perf_counter()
-            fiber_trace_table("E8", p, True)
-            runs.append(time.perf_counter() - t0)
-        out[p] = statistics.median(runs)
-    return out
+
+def child(kind: str, p: int) -> dict:
+    """One measurement in this (fresh) interpreter; see the module doc."""
+    import noncong
+    from noncong import traces
+    traces.fiber_trace_table("E8", 5, True)            # first-call imports
+    if kind == "family_sums_p2":
+        families = [fam for name in noncong.MAIN_GROUPS
+                    for fam in traces.surface_families(noncong.GROUPS[name])]
+        for level in ("E8", "E6"):
+            traces.fiber_trace_table(level, p, True, None)
+        traces.field_for(p, True, None).inv_table()
+
+        def run():
+            for fam in families:
+                traces.frobenius_trace(fam, p, True, None)
+    else:
+        def run():
+            traces.field_for.cache_clear()
+            traces.fiber_trace_table.cache_clear()
+            traces.fiber_trace_table("E8", p, kind == "table_p2", None)
+    runs = []
+    while not runs or (sum(runs) < 1.0 and len(runs) < 25):
+        t0 = time.perf_counter()
+        run()
+        runs.append(time.perf_counter() - t0)
+    return {"time_s": statistics.median(runs),
+            "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
 def fit_exponent(times: dict[int, float]) -> float:
@@ -48,27 +74,42 @@ def fit_exponent(times: dict[int, float]) -> float:
 
 
 def measure(checkout: str, primes: list[int]) -> dict:
-    code = ("import json, sys, fiber_tables; "
-            "print(json.dumps(fiber_tables.time_tables(json.loads(sys.argv[1]))))")
-    path = os.pathsep.join([os.path.join(checkout, "src"),
-                            os.path.dirname(os.path.abspath(__file__))])
-    res = subprocess.run([sys.executable, "-c", code, json.dumps(primes)],
-                         env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, check=True)
-    times = {int(p): t for p, t in json.loads(res.stdout).items()}
-    return {"table_s": {str(p): round(t, 4) for p, t in times.items()},
-            "exponent": round(fit_exponent(times), 3)}
+    path = os.path.join(checkout, "src")
+    out = {}
+    for kind in MEASUREMENTS:
+        times, peaks = {}, {}
+        for p in primes:
+            res = subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--child", kind, str(p)],
+                env={**os.environ, "PYTHONPATH": path},
+                capture_output=True, text=True, check=True)
+            got = json.loads(res.stdout)
+            times[p], peaks[p] = got["time_s"], got["peak_rss_mib"]
+            print(f"{checkout} {kind} p={p}: {got['time_s']:.4f} s, "
+                  f"{got['peak_rss_mib']:.0f} MiB", file=sys.stderr)
+        out[kind] = {"time_s": {str(p): round(t, 4) for p, t in times.items()},
+                     "exponent": round(fit_exponent(times), 3),
+                     "peak_rss_mib": {str(p): round(m, 1) for p, m in peaks.items()}}
+    return out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--before", required=True)
-    ap.add_argument("--after", required=True)
-    ap.add_argument("--primes", default="73,101,151,211")
+    ap.add_argument("--before")
+    ap.add_argument("--after")
+    ap.add_argument("--primes", default="101,211,1009,2003")
     ap.add_argument("--out", default=None)
+    ap.add_argument("--child", nargs=2, metavar=("KIND", "P"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.child:
+        print(json.dumps(child(args.child[0], int(args.child[1]))))
+        return 0
+    if not (args.before and args.after):
+        ap.error("--before and --after are required")
     primes = [int(p) for p in args.primes.split(",")]
-    record = {"metric": "fiber_trace_table('E8', p, squared=True) wall time",
+    record = {"metric": "wall time of the E8 fiber-trace table over F_{p^2} and F_p "
+                        "(cold field) and of the twelve families' F_{p^2} trace sums "
+                        "(warm tables); peak RSS of the measuring process",
               "unit": "s",
               "host": f"{platform.machine()}, {os.cpu_count()} CPUs",
               "python": platform.python_version(),

@@ -208,10 +208,6 @@ class GroupRecord:
     parameterizations: tuple[tuple[str, RationalFunction], ...] = ()
     isogeny_key: str | None = None
 
-    @property
-    def display(self) -> str:
-        return self.name.removeprefix("gamma_")
-
     def isogeny_data(self) -> dict | None:
         return ISOGENY_BY_INVOLUTION.get(self.isogeny_key) if self.isogeny_key else None
 

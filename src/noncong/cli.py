@@ -102,11 +102,11 @@ def cmd_traces(args) -> int:
     primes = _parse_primes(args.primes, limit=traces.PRIME_LIMIT)
     groups = [GROUPS[n] for n in MAIN_GROUPS] if args.group in (None, "all") \
         else [_group(args.group)]
+    golden = _read_golden(args.golden, *TRACES_GOLDEN) if args.golden else None
     try:
         rows = traces.trace_rows(groups, primes)
     except traces.BadPrimeError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return 2
+        raise InputRefused(str(e)) from None
     if args.format == "csv":
         sys.stdout.write(traces.rows_to_csv(rows))
     elif args.format == "json":
@@ -115,18 +115,44 @@ def cmd_traces(args) -> int:
     else:
         for g, l, p, a, b in rows:
             print(f"{g} {l} p={p}: {a}, {b}")
-    if args.golden:
-        return _diff_golden_traces(rows, args.golden)
+    if golden is not None and traces.rows_to_csv(rows) != golden[0]:
+        print(f"golden mismatch against {args.golden}", file=sys.stderr)
+        return 1
     return 0
 
 
-def _diff_golden_traces(rows, path: str) -> int:
-    body = traces.rows_to_csv(rows)
-    want = open(path, "r", encoding="utf-8").read()
-    if body == want:
-        return 0
-    print(f"golden mismatch against {path}", file=sys.stderr)
-    return 1
+def _int_or_blank(text: str) -> int | None:
+    return int(text) if text else None
+
+
+# header and column types of the golden CSV files (an indeterminate aswd row
+# has blank constants)
+TRACES_GOLDEN = ("group,parameterization,p,tr_p,tr_p2", (str, str, int, int, int))
+ASWD_GOLDEN = ("p,case,c1,c2", (int, str, _int_or_blank, _int_or_blank))
+
+
+def _read_golden(path: str, header: str, types) -> tuple[str, list[tuple]]:
+    """The text of a golden CSV file and its rows, read before any
+    computation; a missing, unreadable or malformed file is refused."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        reason = e.strerror if isinstance(e, OSError) else "not UTF-8 text"
+        raise InputRefused(f"golden file {path}: {reason}") from None
+    lines = text.splitlines()
+    if not lines or lines[0] != header:
+        raise InputRefused(f"golden file {path}: the first line is not {header!r}")
+    rows = []
+    for number, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        try:
+            rows.append(tuple(t(f) for t, f in zip(types, line.strip().split(","), strict=True)))
+        except ValueError:
+            raise InputRefused(f"golden file {path}, line {number}: {line.strip()!r} "
+                               f"is not a row of {header!r}") from None
+    return text, rows
 
 
 def cmd_aswd(args) -> int:
@@ -143,6 +169,9 @@ def cmd_aswd(args) -> int:
     if bound > congruence.PN_BOUND_LIMIT:
         raise InputRefused(f"--pn-bound {bound} is above the limit "
                            f"{congruence.PN_BOUND_LIMIT}")
+    if args.three_term is not None and args.three_term < 0:
+        raise InputRefused(f"--three-term {args.three_term} is negative")
+    golden = _read_golden(args.golden, *ASWD_GOLDEN)[1] if args.golden else None
     primes = [p for p in catalog.primes_upto(pmax) if p >= 5]
     reports = congruence.detect_bases(g, primes, bound=bound,
                                       three_term_n_bound=args.three_term)
@@ -166,10 +195,8 @@ def cmd_aswd(args) -> int:
                     line += (f"  [{which}: {m.tag} * u={m.unit} "
                              f"(order {m.order}, mod p^{m.modulus_exponent})]")
             print(line)
-    if args.golden:
-        rc = _diff_golden_aswd(reports, args.golden)
-        if rc:
-            return rc
+    if golden is not None and _diff_golden_aswd(reports, golden):
+        return 1
     failures = [(r.p, which) for r in reports
                 for which, m in r.matches.items() if m is None]
     if failures and args.strict:
@@ -178,47 +205,33 @@ def cmd_aswd(args) -> int:
     return 0
 
 
+def _case_row(r) -> tuple:
+    """(case, c1, c2) of one report; an indeterminate row has no constants."""
+    if r.case_kind == "case1":
+        return "case1", r.constants["a"], r.constants["b"]
+    if r.case_kind == "case2":
+        return "case2", r.constants["ab"], r.constants["ba"]
+    return "indeterminate", None, None
+
+
 def _aswd_csv(reports) -> str:
-    lines = ["p,case,c1,c2"]
+    lines = [ASWD_GOLDEN[0]]
     for r in reports:
-        if r.case_kind == "case1":
-            lines.append(f"{r.p},case1,{r.constants['a']},{r.constants['b']}")
-        elif r.case_kind == "case2":
-            lines.append(f"{r.p},case2,{r.constants['ab']},{r.constants['ba']}")
-        else:
-            lines.append(f"{r.p},indeterminate,,")
+        lines.append(",".join(["" if v is None else str(v) for v in (r.p, *_case_row(r))]))
     return "\n".join(lines) + "\n"
 
 
-def _diff_golden_aswd(reports, path: str) -> int:
-    by_p = {}
-    for r in reports:
-        if r.case_kind == "case1":
-            by_p[r.p] = ("case1", r.constants["a"], r.constants["b"])
-        elif r.case_kind == "case2":
-            by_p[r.p] = ("case2", r.constants["ab"], r.constants["ba"])
-    bad = []
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()  # header
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            p, kind, c1, c2 = line.split(",")
-            want = (kind, int(c1), int(c2))
-            got = by_p.get(int(p))
-            if got == want:
-                continue
-            # a row where every tested combination vanishes mod p^2 carries
-            # the same information under either case label
-            if got and got[1:] == (0, 0) and want[1:] == (0, 0):
-                continue
-            bad.append((int(p), got, want))
-    if bad:
-        for p, got, want in bad:
+def _diff_golden_aswd(reports, golden) -> int:
+    by_p = {r.p: _case_row(r) for r in reports}
+    rc = 0
+    for p, *want in golden:
+        got, want = by_p.get(p), tuple(want)
+        # a row where every tested combination vanishes mod p^2 carries
+        # the same information under either case label
+        if got != want and not (got and got[1:] == want[1:] == (0, 0)):
             print(f"golden mismatch p={p}: got {got}, want {want}", file=sys.stderr)
-        return 1
-    return 0
+            rc = 1
+    return rc
 
 
 def cmd_catalog(args) -> int:

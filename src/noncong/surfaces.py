@@ -167,10 +167,6 @@ class RationalFunction:
     def const(cls, c) -> "RationalFunction":
         return cls((Fraction(c),))
 
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "RationalFunction":
-        return cls(tuple(Fraction(c) for c in coeffs))
-
     # -- inspection
 
     @property
@@ -180,11 +176,6 @@ class RationalFunction:
     @property
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and len(self.den) == 1
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("not a constant")
-        return self.num[0] if self.num else Fraction(0)
 
     def degree(self) -> int:
         """max(deg num, deg den) — the degree of the map P^1 -> P^1."""

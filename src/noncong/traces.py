@@ -2,24 +2,21 @@
 
 An element of F_q is an integer index in 0..q-1 in both fields: a in F_p,
 and a*p + b for a + b*sqrt(nu) in F_{p^2}.  Each field has one arithmetic on
-indices (``mul_vec``, ``add_vec``, ``constant``, ``chi_table``,
-``inv_table``) that takes a Python int or a numpy array alike, and
-``field_for`` hands out one field object per (p, squared, nonresidue).
+indices (``mul_vec``, ``add_vec``, ``constant``) for Python ints and numpy
+arrays alike, and discrete-log tables ``exp[k] = g^k``, ``log[g^k] = k`` for
+a generator g of F_q^*: the quadratic character is the parity of the log,
+x^-1 is g^(-log x), a square root g^(log x / 2), x^3 is g^(3 log x).
 
-The trace over F_q is the negated sum of local terms over P^1(F_q):
-q + 1 - #E for a smooth fiber, +1 / -1 / 0 for split multiplicative /
-nonsplit multiplicative / additive fibers, with the singular type decided
-by whether -2AB is zero, a nonzero square, or a nonsquare.
-
-Point counts use the quadratic-character sum #E = q + 1 + sum chi(x^3+Ax+B).
-The scalar path (``local_trace``, ``count_points_short``) evaluates that sum
-directly, one parameter at a time, and serves as the reference.
-``fiber_trace_table`` obtains every fiber of one base family at once in
-O(q log q): writing A = u^2 * A_rep with A_rep in {0, 1, a nonsquare}, the
-fiber (A, B) is the quadratic twist by u of (A_rep, B/u^3), and the three
-sums S_rep(B) = sum_x chi(x^3 + A_rep x + B) over all B are
-cross-correlations on the additive group of F_q, done by FFT.  All twelve
-cover parameterizations of one base family at one q share that table.
+The trace over F_q is minus the sum of local terms over P^1(F_q): q + 1 - #E
+for a smooth fiber, +1 / -1 / 0 for split / nonsplit multiplicative /
+additive fibers (-2AB a square, a nonsquare, zero).  ``local_trace`` counts
+points one parameter at a time and is the reference.  ``fiber_trace_table``
+gets every fiber of a base family at once in O(q log q) from the quadratic
+twists of three curves, whose character sums are one batched FFT.  Every
+cover parameterization is sub(r) = f(r^3) for a Mobius map f, so a family's
+sum reads the table at f(0), f(infinity) and, three times each, at f(s) for
+the (q - 1) / 3 cubes s of F_q^*; when 3 does not divide q - 1, r -> r^3 and
+f permute P^1(F_q) and the sum is the whole table.
 """
 
 from __future__ import annotations
@@ -27,13 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import accumulate
+from math import comb, gcd, isqrt, lcm
 
 import numpy as np
 
 from .catalog import _factorize
 from .series import exact_integers
-from .surfaces import (RationalFunction, beauville_short, polynomial_resultant)
+from .surfaces import RationalFunction, beauville_short
 
 
 class BadPrimeError(ValueError):
@@ -50,30 +48,33 @@ class PrimeField:
     def __init__(self, p: int):
         if p < 5:
             raise BadPrimeError("characteristic must not be 2 or 3")
-        self.p = p
-        self.q = p
-        sq = np.full(p, -1, dtype=np.int8)
-        sq[0] = 0
-        roots = (np.arange(1, p, dtype=np.int64) ** 2) % p
-        sq[roots] = 1
-        self.chi_table = sq
-        self.shape = (p,)
+        self.p, self.q, self.shape = p, p, (p,)
+        self._build_logs()
+
+    def _build_logs(self):
+        """``exp`` (length q - 1), ``log`` (log[0] = 0 as a placeholder) and
+        ``chi_table`` for the first generator g of F_q^* in index order; exp
+        is one outer product of g^0..g^(m-1) by g^(mk), m = ceil(sqrt(q - 1))."""
+        n, one, mul = self.q - 1, self.constant(1), self.mul_vec
+        g = next(x for x in range(one + 1, self.q)       # 2, or 1 + sqrt(nu)
+                 if all(_power(self, x, n // ell) != one for ell in _factorize(n)))
+        m = isqrt(n - 1) + 1
+        baby = list(accumulate([g] * (m - 1), mul, initial=one))
+        giant = list(accumulate([mul(baby[-1], g)] * (-(-n // m) - 1), mul, initial=one))
+        self.g = g
+        self.exp = mul(np.array(giant)[:, None], np.array(baby)).ravel()[:n]
+        self.log = np.zeros(self.q, dtype=np.int64)
+        self.log[self.exp] = np.arange(n)
+        chi = 1 - 2 * (self.log & 1)
+        chi[0] = 0
+        self.chi_table = chi.astype(np.int8)
         self._inv = None
 
     def inv_table(self) -> np.ndarray:
-        """x^-1 for every element (0 -> 0), by Fermat: x^(p-2) over the
-        whole array with square-and-multiply."""
+        """x^-1 = g^(-log x) for every element (0 -> 0)."""
         if self._inv is None:
-            p = self.p
-            base = np.arange(p, dtype=np.int64)
-            inv = np.ones(p, dtype=np.int64)
-            e = p - 2
-            while e:
-                if e & 1:
-                    inv = inv * base % p
-                base = base * base % p
-                e >>= 1
-            self._inv = inv
+            self._inv = self.exp[-self.log % (self.q - 1)]
+            self._inv[0] = 0
         return self._inv
 
     def mul_vec(self, x, y):
@@ -90,37 +91,21 @@ class PrimeField:
         return range(self.q)
 
 
-class QuadExtField:
-    """F_{p^2} = F_p(sqrt(nu)) for a quadratic nonresidue nu; the element
-    a + b*sqrt(nu) has index a*p + b."""
+class QuadExtField(PrimeField):
+    """F_{p^2} = F_p(sqrt(nu)) for a quadratic nonresidue nu (by default the
+    smallest); the element a + b*sqrt(nu) has index a*p + b.  The log tables
+    and ``inv_table`` are those of PrimeField, built on this arithmetic."""
 
     def __init__(self, p: int, nonresidue: int | None = None):
-        base = PrimeField(p)
-        self.p = p
-        self.q = p * p
-        self.base = base
+        if p < 5:
+            raise BadPrimeError("characteristic must not be 2 or 3")
         if nonresidue is None:
-            nonresidue = int(np.argmax(base.chi_table == -1))
-        if base.chi_table[nonresidue % p] != -1:
+            nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        if pow(nonresidue, (p - 1) // 2, p) != p - 1:
             raise ValueError(f"{nonresidue} is a square mod {p}")
-        self.nu = nonresidue % p
-        self.chi_table = base.chi_table[self._norms()]   # chi_q = chi_p o Norm
+        self.p, self.q, self.nu = p, p * p, nonresidue % p
         self.shape = (p, p)     # the additive group, index a*p + b <-> [a, b]
-        self._inv = None
-
-    def _norms(self) -> np.ndarray:
-        """Norm(x) = a^2 - nu b^2 of every element x = a*p + b."""
-        a, b = divmod(np.arange(self.q, dtype=np.int64), self.p)
-        return (a * a - self.nu * b * b) % self.p
-
-    def inv_table(self) -> np.ndarray:
-        """u^-1 = conj(u) / Norm(u) for every element (0 -> 0)."""
-        if self._inv is None:
-            p = self.p
-            a, b = divmod(np.arange(self.q, dtype=np.int64), p)
-            ninv = self.base.inv_table()[self._norms()]
-            self._inv = a * ninv % p * p + (-b) * ninv % p
-        return self._inv
+        self._build_logs()
 
     def mul_vec(self, x, y):
         p = self.p
@@ -136,15 +121,20 @@ class QuadExtField:
         """Index of the image of the integer c (the subfield F_p sits at a*p)."""
         return c % self.p * self.p
 
-    def elements(self):
-        return range(self.q)
+
+def _power(field, x: int, e: int) -> int:
+    """x^e for one element index, by square-and-multiply."""
+    if e == 0:
+        return field.constant(1)
+    half = _power(field, field.mul_vec(x, x), e >> 1)
+    return field.mul_vec(half, x) if e & 1 else half
 
 
 # room for F_p and F_{p^2} of two primes
 @lru_cache(maxsize=4)
 def field_for(p: int, squared: bool, nonresidue: int | None = None):
     """F_{p^2} (squared) or F_p, one shared object per argument tuple, so
-    its character and inverse tables are built once."""
+    its log, character and inverse tables are built once."""
     return QuadExtField(p, nonresidue) if squared else PrimeField(p)
 
 
@@ -207,29 +197,30 @@ class LocalTrace:
 
 @dataclass(frozen=True)
 class SurfaceFamily:
+    """The level family pulled back along r -> sub(r) = f(r^3).  The
+    integer Mobius coefficients (a, b, c, d) of f(s) = (a s + b) / (c s + d),
+    with no common factor, are derived once, as ``mobius``; the bad primes
+    are 2, 3 and those dividing ad - bc, where f stops being a bijection."""
     label: str
     level: str                     # "E8" or "E6"
     sub: RationalFunction
 
-    @lru_cache(maxsize=None)
-    def _int_data(self):
-        num, den = _clear_rational(self.sub)
-        res = polynomial_resultant([Fraction(c) for c in num],
-                                   [Fraction(c) for c in den])
-        bad = {2, 3}
-        for n in (res.numerator, res.denominator, gcd(*num), gcd(*den)):
-            bad |= set(_factorize(abs(n)))
-        return num, den, frozenset(bad)
+    def __post_init__(self):
+        scale = lcm(*[c.denominator for c in self.sub.num + self.sub.den], 1)
+        num, den = ([int(c * scale) for c in poly] + [0] * (4 - len(poly))
+                    for poly in (self.sub.num, self.sub.den))
+        if len(num) > 4 or len(den) > 4 or any(num[1:3] + den[1:3]):
+            raise ValueError(f"{self.label}: the map is not f(r^3) for a Mobius map f")
+        coeffs = (num[3], num[0], den[3], den[0])
+        content = gcd(*coeffs)
+        a, b, c, d = (x // content for x in coeffs)
+        if a * d == b * c:
+            raise ValueError(f"{self.label}: the map is constant")
+        object.__setattr__(self, "mobius", (a, b, c, d))
+        object.__setattr__(self, "_bad", frozenset({2, 3, *_factorize(abs(a * d - b * c))}))
 
     def bad_primes(self) -> frozenset[int]:
-        return self._int_data()[2]
-
-
-def _clear_rational(f: RationalFunction) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    den_lcm = lcm(*[c.denominator for c in f.num + f.den], 1)
-    num = tuple(int(c * den_lcm) for c in f.num)
-    den = tuple(int(c * den_lcm) for c in f.den)
-    return num, den
+        return self._bad
 
 
 def surface_families(group) -> list[SurfaceFamily]:
@@ -262,7 +253,7 @@ def _infinity_model(level: str) -> tuple[int, int]:
 
 
 # Largest prime the CLI accepts for traces: building the F_{p^2} fiber-trace
-# table takes about 9 s and 740 MiB at p = 2003.
+# table takes about 4.6 s and 510 MiB at p = 2003 (BENCH_7.json, 2-vCPU x86_64).
 PRIME_LIMIT = 2003
 
 
@@ -274,41 +265,29 @@ def fiber_trace_table(level: str, p: int, squared: bool,
     read-only int32 array indexed by element), plus the trace at the
     parameter point at infinity.
 
-    Smooth fibers: for A = u^2 * rep, sum_x chi(x^3 + Ax + B) equals
-    chi(u) * S_rep(B / u^3) with S_rep(b) = sum_v N_rep(v) chi(v + b) and
-    N_rep(v) = #{x : x^3 + rep x = v}; each S_rep is one FFT correlation
-    over the additive group.  Singular fibers take chi(-2AB).
+    Smooth fibers: for A = u^2 * rep with u = g^(log A // 2) and
+    rep = g^(log A mod 2) (0 for A = 0), sum_x chi(x^3 + Ax + B) equals
+    chi(u) * S_rep(B / u^3), read from ``_character_sums``; u, B / u^3 and
+    chi(u) are sums of log indices.  Singular fibers take chi(-2AB).
     """
-    from numpy import fft      # numpy.fft is not loaded by ``import numpy``
     field = field_for(p, squared, nonresidue)
-    q, shape = field.q, field.shape
-    mul, chi, const = field.mul_vec, field.chi_table, field.constant
-    Acoef, Bcoef = _level_poly_coeffs(level)
-    s = np.arange(q, dtype=np.int64)
-    A = _poly_eval(field, Acoef, s)
-    B = _poly_eval(field, Bcoef, s)
-
-    reps = np.array([0, const(1), np.argmax(chi == -1)], dtype=np.int64)
-    x3 = mul(mul(s, s), s)
-    chi_hat = fft.rfftn(chi.reshape(shape).astype(np.float64))
-    S = np.empty((3, q), dtype=np.int64)
-    for k, rep in enumerate(reps):
-        N = np.bincount(field.add_vec(x3, mul(s, rep)), minlength=q)
-        corr = fft.irfftn(np.conj(fft.rfftn(N.reshape(shape))) * chi_hat,
-                          s=shape, axes=range(len(shape)))
-        S[k] = exact_integers(corr.ravel())
-
-    inv = field.inv_table()
-    code = chi[A] % 3                       # 0: A = 0, 1: square, 2: nonsquare
-    u = _sqrt_table(field)[mul(A, inv[reps[code]])]
-    u[code == 0] = const(1)
-    Bt = mul(B, inv[mul(mul(u, u), u)])
-    tau = -chi[u] * S[code, Bt]
-
-    sing = _disc(field, A, B) == 0
-    if np.any(tau[~sing] ** 2 > 4 * q):
+    q, n = field.q, field.q - 1
+    E, L, chi, const = field.exp, field.log, field.chi_table, field.constant
+    S = _character_sums(field)
+    if np.any(S ** 2 > 4 * q):      # each S_rep(b) is minus a trace, or 0 / +-1
         raise AssertionError(f"Hasse bound violated in the {level} table over F_{q}")
-    tau[sing] = chi[mul(mul(A, B), const(-2))[sing]]
+    A, B = (_poly_grid(field, coeffs) for coeffs in _level_poly_coeffs(level))
+    LA, LB = L[A], L[B]
+
+    half = LA >> 1                          # log u
+    code = np.where(A == 0, 0, 1 + (LA & 1))     # rep index: 0, 1 or g
+    Bt = np.where(B == 0, 0, E[(LB - 3 * half) % n])
+    tau = (2 * (half & 1) - 1) * S[code, Bt]     # -chi(u) S_rep(B / u^3)
+
+    # 4A^3 + 27B^2 = 0: both zero, or log 4 + 3 log A = log(-27) + 2 log B
+    shift = L[const(4)] - L[const(-27)]
+    sing = np.where(A == 0, B == 0, (B != 0) & ((shift + 3 * LA - 2 * LB) % n == 0))
+    tau[sing] = chi[field.mul_vec(field.mul_vec(A[sing], B[sing]), const(-2))]
     tau = tau.astype(np.int32)              # |tau| <= 2 sqrt(q) by Hasse
 
     Astar, Bstar = _infinity_model(level)
@@ -317,12 +296,52 @@ def fiber_trace_table(level: str, p: int, squared: bool,
     return tau, int(tau_inf)
 
 
-def _sqrt_table(field) -> np.ndarray:
-    """A square root of every square of F_q (entries at nonsquares are 0)."""
-    x = np.arange(field.q, dtype=np.int64)
-    root = np.zeros(field.q, dtype=np.int64)
-    root[field.mul_vec(x, x)] = x
-    return root
+def _poly_grid(field, coeffs) -> np.ndarray:
+    """The integer polynomial P at every element of F_q, by index.  Over
+    F_{p^2}, P(a + b w) = sum_k D_k(a) (b w)^k with D_k = P^(k) / k! and
+    w^2 = nu: the F_p part (even k) and the w part (odd k) are each one
+    matrix product of D_k(a) nu^(k // 2) (rows a) by b^k (columns b)."""
+    p = field.p
+    a = np.arange(p, dtype=np.int64)
+    if field.q == p:
+        return _poly_eval(field, coeffs, a)
+    base = field_for(p, False, None)       # F_p, cached under frobenius_trace's key
+    D = np.array([_poly_eval(base, [comb(i, k) * c for i, c in enumerate(coeffs)][k:], a)
+                  * pow(field.nu, k // 2, p) % p for k in range(len(coeffs))])
+    V = np.ones_like(D)
+    for k in range(1, len(coeffs)):
+        V[k] = V[k - 1] * a % p
+    return (D[0::2].T @ V[0::2] % p * p + D[1::2].T @ V[1::2] % p).ravel()
+
+
+def _character_sums(field) -> np.ndarray:
+    """S[i, b] = sum_x chi(x^3 + rep_i x + b) for rep_i = 0, 1, g and every
+    b: the correlations of N[i, v] = #{x : x^3 + rep_i x = v} with chi, in
+    one batched FFT.  Over F_p it is linear, zero-padded to a power of two
+    m >= 2p and folded mod p, S[b] = C[b] + C[m - p + b] (prime-length
+    transforms are slower); over F_{p^2} circular on the (p, p) grid."""
+    from numpy import fft      # numpy.fft is not loaded by ``import numpy``
+    q, n, E, shape = field.q, field.q - 1, field.exp, field.shape
+    k = np.arange(n)           # x = g^k: x^3 = g^(3k), g x = g^(k+1); x = 0 adds v = 0
+    x3 = E[3 * k % n]
+    N = np.empty((3, q))
+    N[0] = np.bincount(x3, minlength=q)
+    N[1] = np.bincount(field.add_vec(x3, E), minlength=q)
+    N[2] = np.bincount(field.add_vec(x3, E[(k + 1) % n]), minlength=q)
+    N[:, 0] += 1
+    del k, x3                  # each full-size temporary is freed before the next
+    if len(shape) == 1:
+        p = shape[0]
+        m = 1 << (2 * p - 1).bit_length()
+        C = fft.irfft(np.conj(fft.rfft(N, m)) * fft.rfft(field.chi_table, m), m)
+        return exact_integers(C[:, :p] + C[:, m - p:])
+    axes = (1, 2)
+    spectrum = fft.rfftn(N.reshape(3, *shape), axes=axes)
+    del N
+    np.conjugate(spectrum, out=spectrum)
+    spectrum *= fft.rfftn(field.chi_table.reshape(shape))
+    spectrum = fft.irfftn(spectrum, s=shape, axes=axes)      # the correlations
+    return exact_integers(spectrum.reshape(3, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -335,41 +354,24 @@ def _check_good_prime(family: SurfaceFamily, p: int):
             f"{family.label}: {p} is not a good prime (bad set {sorted(family.bad_primes())})")
 
 
-def _bucket_indices(family: SurfaceFamily, field) -> tuple[np.ndarray, int]:
-    """Parameter value s = sub(r) for every r in F_q and for r = infinity,
-    as element indices with -1 standing for s = infinity."""
-    num, den, _ = family._int_data()
-    r = np.arange(field.q, dtype=np.int64)
-    nv = _poly_eval(field, num, r)
-    dv = _poly_eval(field, den, r)
-    zero_den = dv == 0
-    if np.any(nv[zero_den] == 0):
-        raise BadPrimeError(f"{family.label}: map degenerates mod {field.p}")
-    s = field.mul_vec(nv, field.inv_table()[dv])
-    return np.where(zero_den, -1, s), _image_of_infinity(family, field)
+def _ratio(field, x: int, y: int) -> int:
+    """x / y for integers x, y as an element index, -1 (infinity) when p | y."""
+    return -1 if y % field.p == 0 else field.constant(x * pow(y, -1, field.p))
 
 
-def _image_of_infinity(family: SurfaceFamily, field) -> int:
-    """sub(infinity) from the leading coefficients, as an element index
-    (-1 for infinity)."""
-    num, den, _ = family._int_data()
-    p = field.p
-    dn = _degree_mod(num, p)
-    dd = _degree_mod(den, p)
-    if dn < 0 or dd < 0:
-        raise BadPrimeError(f"{family.label}: map collapses mod {p}")
-    if dn > dd:
-        return -1
-    if dn < dd:
-        return 0
-    return field.constant(num[dn] * pow(den[dd], -1, p))
-
-
-def _degree_mod(coeffs, p) -> int:
-    for i in range(len(coeffs) - 1, -1, -1):
-        if coeffs[i] % p:
-            return i
-    return -1
+def _mobius_on_cubes(field, mobius) -> np.ndarray:
+    """f(s) = (a s + b) / (c s + d) at the cubes s = g^(3j) of F_q^*, as
+    element indices with -1 for infinity: a s = g^(log a + 3j), and a
+    constant of F_p adds to an index mod q in both fields."""
+    E, L, n, q = field.exp, field.log, field.q - 1, field.q
+    logs = np.arange(0, n, 3)
+    a, b, c, d = (field.constant(x) for x in mobius)
+    num = (np.where(a == 0, 0, E[(L[a] + logs) % n]) + b) % q
+    den = (np.where(c == 0, 0, E[(L[c] + logs) % n]) + d) % q
+    f = E[(L[num] - L[den]) % n]
+    f[num == 0] = 0
+    f[den == 0] = -1
+    return f
 
 
 def frobenius_trace(family: SurfaceFamily, p: int, squared: bool = False,
@@ -377,25 +379,24 @@ def frobenius_trace(family: SurfaceFamily, p: int, squared: bool = False,
     """Tr(Frob_q) = - sum of local traces over P^1(F_q), q = p or p^2."""
     _check_good_prime(family, p)
     field = field_for(p, squared, nonresidue)
-    tau_arr, tau_inf = fiber_trace_table(family.level, p, squared, nonresidue)
-    idx, inf_image = _bucket_indices(family, field)
-    total = 0
-    finite = idx >= 0
-    total += int(tau_arr[idx[finite]].sum())
-    total += int((~finite).sum()) * tau_inf
-    total += tau_inf if inf_image == -1 else int(tau_arr[inf_image])
-    return -total
+    # the table with tau(infinity) appended: index -1 is the point at infinity
+    tau = np.append(*fiber_trace_table(family.level, p, squared, nonresidue))
+    if (field.q - 1) % 3:                   # r -> r^3 and f permute P^1(F_q)
+        return -int(tau.sum())
+    a, b, c, d = family.mobius
+    ends = [_ratio(field, b, d), _ratio(field, a, c)]      # f(0), f(infinity)
+    return -(3 * int(tau[_mobius_on_cubes(field, family.mobius)].sum()) + int(tau[ends].sum()))
 
 
 def local_trace(family: SurfaceFamily, field, point) -> LocalTrace:
     """The local term at one point of P^1(F_q) (an element index or "inf"),
-    computed scalar-wise."""
+    computed scalar-wise from the cover map num(r) / den(r)."""
+    a, b, c, d = family.mobius
     if point == "inf":
-        s = _image_of_infinity(family, field)
+        s = _ratio(field, a, c)
     else:
-        num, den, _ = family._int_data()
-        nv = _poly_eval(field, num, point)
-        dv = _poly_eval(field, den, point)
+        nv = _poly_eval(field, (b, 0, 0, a), point)
+        dv = _poly_eval(field, (d, 0, 0, c), point)
         if dv == 0 and nv == 0:
             raise BadPrimeError(f"{family.label}: map degenerates mod {field.p}")
         s = -1 if dv == 0 else field.mul_vec(nv, int(field.inv_table()[dv]))
@@ -436,12 +437,9 @@ TABLE8_PRIMES = (5, 7, 11, 13, 17, 19, 23, 73)
 
 def trace_rows(groups, primes=TABLE8_PRIMES):
     """Rows (group, parameterization, p, tr_p, tr_p2) for the requested
-    groups, in catalog order, primes ascending.
-
-    The traces are computed prime by prime: the (at most four) fiber-trace
-    tables of one prime are built once and stay in the bounded table cache
-    while every family reads them.
-    """
+    groups, in catalog order, primes ascending.  The traces are computed
+    prime by prime, so the (at most four) fiber-trace tables of one prime
+    are built once and stay cached while every family reads them."""
     families = [(g.name, fam) for g in groups for fam in surface_families(g)]
     pairs = {(i, p): trace_pair(fam, p)
              for p in primes for i, (_, fam) in enumerate(families)}

@@ -176,6 +176,8 @@ def test_cli_validation_of_format_and_pn_bound(capsys):
 
 
 GROUP_LIST = ", ".join(GROUPS)
+MISSING = str(GOLDEN / "nonexist.csv")
+README = str(GOLDEN.parent / "README.md")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -214,11 +216,37 @@ GROUP_LIST = ", ".join(GROUPS)
     (["expand", "E6", "--root", "5"], "--root 5 applies to expand eta only"),
     (["aswd", "gamma_24.6.1^6", "--pmax", "97", "--pn-bound", "20000"],
      "--pn-bound 20000 is above the limit 10000"),
+    # the golden paths depend on the checkout, so these ids are fixed
+    pytest.param(["aswd", "gamma_24.6.1^6", "--pmax", "7", "--golden", MISSING],
+                 f"golden file {MISSING}: No such file or directory", id="aswd-golden-missing"),
+    pytest.param(["aswd", "gamma_24.6.1^6", "--pmax", "7", "--golden", README],
+                 f"golden file {README}: the first line is not 'p,case,c1,c2'",
+                 id="aswd-golden-not-csv"),
+    pytest.param(["traces", "--all", "--golden", MISSING],
+                 f"golden file {MISSING}: No such file or directory", id="traces-golden-missing"),
+    pytest.param(["traces", "--all", "--golden", README],
+                 f"golden file {README}: the first line is not "
+                 "'group,parameterization,p,tr_p,tr_p2'", id="traces-golden-not-csv"),
+    (["aswd", "gamma_24.6.1^6", "--pmax", "7", "--three-term", "-1"],
+     "--three-term -1 is negative"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert err == f"refused: {message}\n"
+
+
+@pytest.mark.parametrize("argv,row", [
+    (["aswd", "gamma_24.6.1^6", "--pmax", "7"], "7,case1,47"),
+    (["traces", "--all"], "gamma_24.6.1^6,E8(r^3),5,0,x"),
+])
+def test_malformed_golden_row_refused(capsys, tmp_path, argv, row):
+    golden = GOLDEN / ("traces.csv" if argv[0] == "traces" else "ratios_gamma_24.6.1-6.csv")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(golden.read_text().splitlines()[0] + "\n" + row + "\n")
+    rc, out, err = run(capsys, *argv, "--golden", str(bad))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"refused: golden file {bad}, line 2: {row!r} is not a row of")
 
 
 def test_expand_csv_serialization_format(capsys):

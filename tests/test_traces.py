@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noncong.catalog import GROUPS, MAIN_GROUPS, get_group
+from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, get_group,
+                             kronecker_symbol, kronecker_symbol_product,
+                             newform_an, primes_upto)
 from noncong.series import exact_integers
 from noncong.surfaces import beauville_short, rf
 from noncong.traces import (BadPrimeError, FIBER_VALUE, PrimeField,
@@ -309,6 +311,126 @@ def test_nonresidue_choice_does_not_change_trace():
               if quadratic_character(PrimeField(p), n) == -1 and n != base.nu]
     alt = others[0]
     assert frobenius_trace(fam, p, True) == frobenius_trace(fam, p, True, nonresidue=alt)
+
+
+@pytest.mark.parametrize("p,squared,nonresidue", [
+    (5, False, None), (7, False, None), (13, False, None), (13, True, 5)])
+def test_log_tables(p, squared, nonresidue):
+    field = field_for(p, squared, nonresidue)
+    q, E, L = field.q, field.exp, field.log
+    nu = field.nu if squared else 0
+    pair = (lambda i: divmod(i, p)) if squared else (lambda i: (i, 0))
+    one = pair(field.constant(1))
+
+    def power(u, e):
+        acc = one
+        for _ in range(e):
+            acc = pair_mul(p, nu, acc, u)
+        return acc
+
+    assert sorted(E.tolist()) == list(range(1, q))
+    assert E[0] == field.constant(1) and E[1] == field.g
+    assert all(E[L[x]] == x for x in range(1, q))
+    inv, chi = field.inv_table(), field.chi_table
+    assert inv[0] == 0 and chi[0] == 0
+    for x in range(1, q):
+        u = pair(x)
+        assert pair_mul(p, nu, u, pair(inv[x])) == one
+        euler = power(u, (q - 1) // 2)
+        assert euler in (one, pair(field.constant(-1)))
+        assert chi[x] == (1 if euler == one else -1)
+        if chi[x] == 1:
+            root = pair(E[L[x] // 2])
+            assert pair_mul(p, nu, root, root) == u
+
+
+def oracle_trace(fam, field):
+    return -sum(local_trace(fam, field, pt).value for pt in [*field.elements(), "inf"])
+
+
+ALL_FAMILIES = [fam for name in MAIN_GROUPS for fam in surface_families(GROUPS[name])]
+
+
+@pytest.mark.parametrize("p,squared,nonresidue", [
+    (7, False, None), (13, False, None), (11, False, None), (17, False, None),
+    (5, True, None), (7, True, None), (13, True, 5), (1009, False, None)])
+def test_cube_cover_sum_matches_scalar_oracle(p, squared, nonresidue):
+    field = field_for(p, squared, nonresidue)
+    for fam in ALL_FAMILIES:
+        assert frobenius_trace(fam, p, squared, nonresidue) == oracle_trace(fam, field), fam.label
+
+
+def test_cube_cover_sum_at_211_squared_sampled():
+    """The cube-cover sum equals the sum over every r of the table read at
+    num(r) / den(r); a sample of those reads equals the scalar oracle."""
+    p = 211
+    field = field_for(p, True, None)
+    r = np.arange(field.q, dtype=np.int64)
+    for level in ("E8", "E6"):
+        tau, tau_inf = fiber_trace_table(level, p, True, None)
+        for fam in [f for f in ALL_FAMILIES if f.level == level]:
+            a, b, c, d = fam.mobius
+            num = _poly_eval(field, (b, 0, 0, a), r)
+            den = _poly_eval(field, (d, 0, 0, c), r)
+            s = field.mul_vec(num, field.inv_table()[den])
+            at_inf = tau_inf if c % p == 0 else int(tau[field.constant(a * pow(c, -1, p))])
+            direct = int(tau[s[den != 0]].sum()) + int((den == 0).sum()) * tau_inf + at_inf
+            assert frobenius_trace(fam, p, True) == -direct, fam.label
+            for x in random.Random(fam.label).sample(range(field.q), 5):
+                want = tau_inf if den[x] == 0 else int(tau[s[x]])
+                assert local_trace(fam, field, x).value == want
+
+
+@pytest.mark.parametrize("coeffs", [[1, 0, 1], [0, 1, 0, 1], [0, 0, 0, 0, 0, 0, 1]])
+def test_family_that_is_not_a_cubic_cover_refused(coeffs):
+    with pytest.raises(ValueError, match="Mobius"):
+        SurfaceFamily("E8(sub)", "E8", rf(coeffs))
+
+
+def test_degenerate_mobius_map_refused():
+    fam = SurfaceFamily("E8(5r^3-1)", "E8", rf([-1, 0, 0, 5]))
+    assert fam.mobius == (5, -1, 0, 1) and fam.bad_primes() == {2, 3, 5}
+    with pytest.raises(BadPrimeError):
+        frobenius_trace(fam, 5)
+    with pytest.raises(ValueError, match="constant"):
+        SurfaceFamily("E8(2)", "E8", rf([2]))
+
+
+# Tr_{p^2} = k (A_p^2 - 2 chi(p) p^2) with k = psi(c) + conj psi(c) for the
+# cubic residue character psi at p = 1 mod 3 (c = 1 unless listed here), and
+# k = 2 (3/p) for the L432 families, else 2, at p = 2 mod 3
+CUBE_CONSTANT = {"E8(r^3-1)": 2, "E8(2r^3-1)": 2, "E6(3r^3)": 3, "E6(1-24/r^3)": 3}
+
+
+def ap_squared(ap):
+    terms = [c * c * d for c, d in zip(ap.c, (1, ap.d1, ap.d2, ap.d1 * ap.d2)) if c]
+    assert len(terms) <= 1
+    return sum(terms)
+
+
+def test_traces_against_newform_coefficients():
+    checks = 0
+    for name in MAIN_GROUPS:
+        group = GROUPS[name]
+        for fam in surface_families(group):
+            for p in [p for p in primes_upto(150) if p >= 5]:
+                try:
+                    ap = newform_an(group.newform, p)
+                except KeyError:            # past the stored L243/L486 tables
+                    continue
+                tr, tr2 = trace_pair(fam, p)
+                chi = kronecker_symbol_product(NEWFORMS[group.newform].character, p)
+                if p % 3 == 1:
+                    c = CUBE_CONSTANT.get(fam.label, 1)
+                    k = 2 if pow(c, (p - 1) // 3, p) == 1 else -1
+                else:
+                    k = 2 * kronecker_symbol(3, p) if group.newform == "L432" else 2
+                assert tr2 == k * (ap_squared(ap) - 2 * chi * p * p), (fam.label, p)
+                checks += 1
+                if ap.is_rational and ap.c[0]:
+                    assert tr / ap.c[0] in (1, -1, 2, -2), (fam.label, p)
+                    checks += 1
+    assert checks == 372
 
 
 def test_bad_primes_refused():
