@@ -4,12 +4,14 @@ k of t ~ p^k for each measurement.
     python bench/fiber_tables.py --before <checkout> --after <checkout> \
         [--primes 101,211,1009,2003] [--out BENCH.json]
 
-Three measurements per prime p:
+Four measurements per prime p:
 
 * ``table_p2``: ``fiber_trace_table("E8", p, True)`` with the field and
   table caches cleared, so the field set-up (character, inverse or log
   tables) counts;
 * ``table_p``: the same over F_p;
+* ``pair_p2``: the E8 and then the E6 table over one F_{p^2}, caches
+  cleared as for ``table_p2``, so the pair shares one field set-up;
 * ``family_sums_p2``: ``frobenius_trace`` of the twelve families of the
   main groups over F_{p^2}, with both fiber tables and the field built
   beforehand (not timed).
@@ -17,7 +19,7 @@ Three measurements per prime p:
 Every (checkout, measurement, prime) runs in its own child interpreter that
 imports ``noncong`` from the checkout's ``src/`` and also reports its peak
 RSS, which includes the interpreter and numpy.  A timing is the median of
-repeated runs: as many as fit in one second, at least one and at most 25.
+repeated runs: as many as fit in one second, at least three and at most 25.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import subprocess
 import sys
 import time
 
-MEASUREMENTS = ("table_p2", "table_p", "family_sums_p2")
+MEASUREMENTS = ("table_p2", "table_p", "pair_p2", "family_sums_p2")
 
 
 def child(kind: str, p: int) -> dict:
@@ -52,12 +54,15 @@ def child(kind: str, p: int) -> dict:
             for fam in families:
                 traces.frobenius_trace(fam, p, True, None)
     else:
+        levels = ("E8", "E6") if kind == "pair_p2" else ("E8",)
+
         def run():
             traces.field_for.cache_clear()
             traces.fiber_trace_table.cache_clear()
-            traces.fiber_trace_table("E8", p, kind == "table_p2", None)
+            for level in levels:
+                traces.fiber_trace_table(level, p, kind != "table_p", None)
     runs = []
-    while not runs or (sum(runs) < 1.0 and len(runs) < 25):
+    while len(runs) < 3 or (sum(runs) < 1.0 and len(runs) < 25):
         t0 = time.perf_counter()
         run()
         runs.append(time.perf_counter() - t0)
@@ -108,8 +113,9 @@ def main(argv=None) -> int:
         ap.error("--before and --after are required")
     primes = [int(p) for p in args.primes.split(",")]
     record = {"metric": "wall time of the E8 fiber-trace table over F_{p^2} and F_p "
-                        "(cold field) and of the twelve families' F_{p^2} trace sums "
-                        "(warm tables); peak RSS of the measuring process",
+                        "and of the E8 and E6 tables over one F_{p^2} (cold field) and "
+                        "of the twelve families' F_{p^2} trace sums (warm tables); "
+                        "peak RSS of the measuring process",
               "unit": "s",
               "host": f"{platform.machine()}, {os.cpu_count()} CPUs",
               "python": platform.python_version(),

@@ -1,0 +1,100 @@
+"""Time the newform coefficients A_p of L48 and L432 in two checkouts and
+fit the scaling exponent k of t ~ N^k.
+
+    python bench/newform_coeffs.py --before <checkout> --after <checkout> \
+        [--bounds 1009,2003,4001] [--out BENCH.json]
+
+For each form and bound N a child interpreter imports ``noncong`` from the
+checkout's ``src/`` and times ``newform_an(form, p)`` for every prime
+5 <= p <= N in ascending order, as ``perfbench``'s ap-scan asks for them,
+from cold caches: each run is its own child, so the exact eta powers and
+the coefficient lists are built inside the timing.  A timing is the median
+of three children; the peak RSS is that of the median run's child and
+includes the interpreter.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+FORMS = ("L48", "L432")
+
+
+def child(form: str, bound: int) -> dict:
+    """One cold measurement in this (fresh) interpreter."""
+    from noncong import catalog
+    primes = [p for p in catalog.primes_upto(bound) if p >= 5]
+    t0 = time.perf_counter()
+    for p in primes:
+        catalog.newform_an(form, p)
+    return {"time_s": time.perf_counter() - t0,
+            "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def fit_exponent(times: dict[int, float]) -> float:
+    xs = [math.log(n) for n in times]
+    ys = [math.log(t) for t in times.values()]
+    mx, my = statistics.mean(xs), statistics.mean(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
+
+
+def measure(checkout: str, bounds: list[int]) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
+    out = {}
+    for form in FORMS:
+        times, peaks = {}, {}
+        for n in bounds:
+            runs = sorted((json.loads(subprocess.run(
+                [sys.executable, os.path.abspath(__file__), "--child", form, str(n)],
+                env=env, capture_output=True, text=True, check=True).stdout)
+                for _ in range(3)), key=lambda r: r["time_s"])
+            times[n], peaks[n] = runs[1]["time_s"], runs[1]["peak_rss_mib"]
+            print(f"{checkout} {form} N={n}: {times[n]:.4f} s, {peaks[n]:.0f} MiB",
+                  file=sys.stderr)
+        out[form] = {"time_s": {str(n): round(t, 4) for n, t in times.items()},
+                     "exponent": round(fit_exponent(times), 3),
+                     "peak_rss_mib": {str(n): round(m, 1) for n, m in peaks.items()}}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--before")
+    ap.add_argument("--after")
+    ap.add_argument("--bounds", default="1009,2003,4001")
+    ap.add_argument("--out", default=None)
+    ap.add_argument("--child", nargs=2, metavar=("FORM", "N"), help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        print(json.dumps(child(args.child[0], int(args.child[1]))))
+        return 0
+    if not (args.before and args.after):
+        ap.error("--before and --after are required")
+    bounds = [int(n) for n in args.bounds.split(",")]
+    record = {"metric": "wall time of newform_an(form, p) for every prime 5 <= p <= N, "
+                        "ascending, from cold caches; peak RSS of the measuring process",
+              "unit": "s",
+              "host": f"{platform.machine()}, {os.cpu_count()} CPUs",
+              "python": platform.python_version(),
+              "before": measure(args.before, bounds),
+              "after": measure(args.after, bounds)}
+    text = json.dumps(record, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -631,6 +631,7 @@ NEWFORMS: dict[str, NewformRecord] = {
 }
 
 ETA_L48 = EtaQuotient.of({4: 9, 12: 9, 2: -3, 6: -3, 8: -3, 24: -3})
+assert ETA_L48.prefactor24 == 24 and all(k % 2 == 0 for k, _ in ETA_L48.factors)
 
 # stored prime coefficients (the L243/L486 tables end where shown)
 _L243_STORED = {2: (0, 3), 5: (0, 6), 7: (11, 0), 11: (0, 12), 13: (5, 0),
@@ -644,15 +645,30 @@ _L486_STORED = {2: (0, -1), 5: (0, 3), 7: (-7, 0), 11: (0, -3), 13: (5, 0),
 
 
 def _round_order(n: int) -> int:
-    """Round series orders up to powers of two so repeated coefficient
-    lookups share a handful of cached expansions."""
+    """The first power of two, at least 64, that covers n coefficients."""
     return 1 << max(6, (n - 1).bit_length())
 
 
-@lru_cache(maxsize=None)
-def _l48_ints(order: int) -> tuple[int, ...]:
-    """The level-48 eta product is q P(q); these are P's coefficients."""
-    return tuple(eta_product_ints(ETA_L48.factors, order))
+# One coefficient list per newform piece, as long as the longest request so
+# far rounded up by _round_order: a shorter request reads a prefix, so a
+# list is rebuilt only when a request passes the next power of two.
+_PIECES: dict[object, tuple[int, ...]] = {}
+
+
+def _piece(key, n: int, build) -> tuple[int, ...]:
+    """At least the first n coefficients of the piece `key`; build(length)
+    computes its first `length`."""
+    held = _PIECES.get(key, ())
+    if len(held) < n:
+        held = _PIECES[key] = tuple(build(_round_order(n)))
+    return held
+
+
+def _l48_ints(length: int) -> list[int]:
+    """The level-48 eta product is q R(q^2), as every eta scale of ETA_L48
+    is even; these are R's coefficients, from the eta powers at the halved
+    scales."""
+    return eta_product_ints([(k // 2, e) for k, e in ETA_L48.factors], length)
 
 
 # The level-432 form is comp1 + 6 sqrt(2) comp5 + sqrt(-3) comp7 + 6 sqrt(-6)
@@ -666,14 +682,13 @@ _L432_PIECES = {
 }
 
 
-@lru_cache(maxsize=None)
-def _l432_ints(r: int, order: int) -> tuple[int, ...]:
-    """The coefficients of P_r through q^(order-1)."""
+def _l432_ints(r: int, length: int) -> list[int]:
+    """The coefficients of P_r through q^(length-1)."""
     spec, with_e6, _ = _L432_PIECES[r]
-    prod = eta_product_ints(EtaQuotient.of(spec).factors, order)
+    prod = eta_product_ints(EtaQuotient.of(spec).factors, length)
     if with_e6:
-        prod = _convolve(prod, eisenstein_e6_ints(order), order)
-    return tuple(prod)
+        prod = _convolve(prod, eisenstein_e6_ints(length), length)
+    return prod
 
 
 def newform_an(tag: str, n: int) -> BiquadraticNumber:
@@ -687,12 +702,13 @@ def newform_an(tag: str, n: int) -> BiquadraticNumber:
     if n < 1:
         raise ValueError("coefficient index must be >= 1")
     if tag == "L48":
-        return BiquadraticNumber.make(d1, d2, _l48_ints(_round_order(n + 1))[n - 1])
+        c = _piece("L48", n // 2 + 1, _l48_ints)[n // 2] if n % 2 else 0
+        return BiquadraticNumber.make(d1, d2, c)
     if tag == "L432":
         r = n % 12
         if r not in _L432_PIECES:
             return BiquadraticNumber.make(d1, d2, 0)
-        c = _l432_ints(r, _round_order(n // 12 + 2))[n // 12]
+        c = _piece(("L432", r), n // 12 + 1, lambda length: _l432_ints(r, length))[n // 12]
         return BiquadraticNumber.make(d1, d2, *(x * c for x in _L432_PIECES[r][2]))
     stored = _L243_STORED if tag == "L243" else _L486_STORED
     if n == 3:

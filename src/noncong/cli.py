@@ -280,8 +280,7 @@ def cmd_isogeny(args) -> int:
             rel, mode=args.mode, primes=primes, samples=args.samples,
             modpoly_path=args.modpoly)
     except surfaces.MissingPolynomialData as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise InputRefused(str(e)) from None
     print("pass" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -153,18 +153,35 @@ def _miller_frac_power(u: list[Fraction], alpha: Fraction, length: int) -> list[
     return v
 
 
-def _convolve(a: list, b: list, length: int) -> list:
-    """Truncated convolution; stays in int when both inputs are int lists."""
-    zero = 0 if (a and isinstance(a[0], int)) and (b and isinstance(b[0], int)) else Fraction(0)
-    out = [zero] * length
-    for i, ai in enumerate(a):
-        if not ai or i >= length:
-            continue
-        jmax = min(len(b), length - i)
-        for j in range(jmax):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
+def _pack(coeffs: list[int], width: int) -> int:
+    """sum c_i 2^(8 width i) for ints |c_i| < 2^(8 width), from one byte
+    string of the positive and one of the negative coefficients."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in coeffs)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _convolve(a: list[int], b: list[int], length: int) -> list[int]:
+    """The integer product sum a_i b_j x^(i+j) through x^(length-1), by
+    Kronecker substitution (Harvey, JSC 2009): both lists are packed into
+    one integer at x = 2^s, multiplied once, and the low s * length bits
+    are read back as balanced digits.  Every coefficient of the product is
+    below 2^(s-1) in absolute value, so a digit at or above 2^(s-1) is
+    negative and borrows 1 from the next."""
+    a, b = a[:length], b[:length]
+    top = max(map(abs, a), default=0), max(map(abs, b), default=0)
+    if length <= 0 or not all(top):
+        return [0] * max(length, 0)
+    bits = top[0].bit_length() + top[1].bit_length() + min(len(a), len(b)).bit_length() + 1
+    width = -(-bits // 8)
+    digits = ((_pack(a, width) * _pack(b, width)) & ((1 << (8 * width * length)) - 1)
+              ).to_bytes(width * length, "little")
+    half, full = 1 << (8 * width - 1), 1 << (8 * width)
+    out, borrow = [], 0
+    for i in range(0, width * length, width):
+        d = int.from_bytes(digits[i:i + width], "little") + borrow
+        borrow = d >= half
+        out.append(d - full if borrow else d)
     return out
 
 
@@ -391,10 +408,13 @@ class PuiseuxSeries:
             return PuiseuxSeries.zero(min(t1 + lo2, t2 + lo1), 1)
         t = min(t1 + lo2, t2 + lo1)
         length = t - lo1 - lo2
-        if all(x.denominator == 1 for x in c1) and all(x.denominator == 1 for x in c2):
-            prod = _convolve([x.numerator for x in c1], [x.numerator for x in c2], length)
-        else:
-            prod = _convolve(c1, c2, length)
+        # over a common denominator of each factor, the product is of integers
+        d1 = lcm(*(x.denominator for x in c1))
+        d2 = lcm(*(x.denominator for x in c2))
+        prod = _convolve([x.numerator * (d1 // x.denominator) for x in c1],
+                         [x.numerator * (d2 // x.denominator) for x in c2], length)
+        if d1 * d2 > 1:
+            prod = [Fraction(c, d1 * d2) for c in prod]
         return PuiseuxSeries(m, lo1 + lo2, prod, t)
 
     __rmul__ = __mul__

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import accumulate
 from math import comb, gcd, isqrt, lcm
 
@@ -68,7 +68,7 @@ class PrimeField:
         chi = 1 - 2 * (self.log & 1)
         chi[0] = 0
         self.chi_table = chi.astype(np.int8)
-        self._inv = None
+        self._inv = self._sums = None
 
     def inv_table(self) -> np.ndarray:
         """x^-1 = g^(-log x) for every element (0 -> 0)."""
@@ -76,6 +76,18 @@ class PrimeField:
             self._inv = self.exp[-self.log % (self.q - 1)]
             self._inv[0] = 0
         return self._inv
+
+    def character_sums(self) -> np.ndarray:
+        """The int16 table S[i, b] of ``_character_sums``, built once and
+        shared by the E8 and E6 tables.  Each S_rep(b) is minus the trace of
+        a curve over F_q, or 0 or +-1 at a singular one: the Hasse bound
+        |S| <= 2 sqrt(q) guards the FFT, and fits S in int16 for p < 2^14."""
+        if self._sums is None:
+            S = _character_sums(self)
+            if np.any(S ** 2 > 4 * self.q):
+                raise AssertionError(f"Hasse bound violated in the character sums over F_{self.q}")
+            self._sums = S.astype(np.int16)
+        return self._sums
 
     def mul_vec(self, x, y):
         return x * y % self.p
@@ -130,11 +142,31 @@ def _power(field, x: int, e: int) -> int:
     return field.mul_vec(half, x) if e & 1 else half
 
 
+def _cache_on(key, maxsize: int):
+    """lru_cache on key(*args, **kwargs), so that every spelling of one
+    call (a default given or left out, positional or keyword) shares an
+    entry; cache_clear and cache_info are those of the cache."""
+    def decorate(fn):
+        cached = lru_cache(maxsize)(lambda k: fn(*k))
+
+        @wraps(fn)
+        def call(*args, **kwargs):
+            return cached(key(*args, **kwargs))
+        call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+        return call
+    return decorate
+
+
+def _field_key(p: int, squared: bool, nonresidue: int | None = None):
+    """F_p takes no nonresidue."""
+    return p, bool(squared), nonresidue if squared else None
+
+
 # room for F_p and F_{p^2} of two primes
-@lru_cache(maxsize=4)
+@_cache_on(_field_key, maxsize=4)
 def field_for(p: int, squared: bool, nonresidue: int | None = None):
-    """F_{p^2} (squared) or F_p, one shared object per argument tuple, so
-    its log, character and inverse tables are built once."""
+    """F_{p^2} (squared) or F_p, one shared object per field, so its log,
+    character, inverse and character-sum tables are built once."""
     return QuadExtField(p, nonresidue) if squared else PrimeField(p)
 
 
@@ -258,7 +290,7 @@ PRIME_LIMIT = 2003
 
 
 # room for the four tables of one prime (E8 and E6, over F_p and F_{p^2}) twice
-@lru_cache(maxsize=8)
+@_cache_on(lambda level, *field, **kw: (level, *_field_key(*field, **kw)), maxsize=8)
 def fiber_trace_table(level: str, p: int, squared: bool,
                       nonresidue: int | None = None):
     """Local trace of the level family at every parameter value of F_q (a
@@ -267,15 +299,14 @@ def fiber_trace_table(level: str, p: int, squared: bool,
 
     Smooth fibers: for A = u^2 * rep with u = g^(log A // 2) and
     rep = g^(log A mod 2) (0 for A = 0), sum_x chi(x^3 + Ax + B) equals
-    chi(u) * S_rep(B / u^3), read from ``_character_sums``; u, B / u^3 and
-    chi(u) are sums of log indices.  Singular fibers take chi(-2AB).
+    chi(u) * S_rep(B / u^3), read from the field's ``character_sums``; u,
+    B / u^3 and chi(u) are sums of log indices.  Singular fibers take
+    chi(-2AB).
     """
     field = field_for(p, squared, nonresidue)
-    q, n = field.q, field.q - 1
+    n = field.q - 1
     E, L, chi, const = field.exp, field.log, field.chi_table, field.constant
-    S = _character_sums(field)
-    if np.any(S ** 2 > 4 * q):      # each S_rep(b) is minus a trace, or 0 / +-1
-        raise AssertionError(f"Hasse bound violated in the {level} table over F_{q}")
+    S = field.character_sums()
     A, B = (_poly_grid(field, coeffs) for coeffs in _level_poly_coeffs(level))
     LA, LB = L[A], L[B]
 
@@ -379,13 +410,16 @@ def frobenius_trace(family: SurfaceFamily, p: int, squared: bool = False,
     """Tr(Frob_q) = - sum of local traces over P^1(F_q), q = p or p^2."""
     _check_good_prime(family, p)
     field = field_for(p, squared, nonresidue)
-    # the table with tau(infinity) appended: index -1 is the point at infinity
-    tau = np.append(*fiber_trace_table(family.level, p, squared, nonresidue))
+    tau, tau_inf = fiber_trace_table(family.level, p, squared, nonresidue)
     if (field.q - 1) % 3:                   # r -> r^3 and f permute P^1(F_q)
-        return -int(tau.sum())
+        return -int(tau.sum()) - tau_inf
+
+    def total(points):                      # point -1 is infinity
+        return int(np.where(points < 0, tau_inf, tau[points]).sum())
+
     a, b, c, d = family.mobius
-    ends = [_ratio(field, b, d), _ratio(field, a, c)]      # f(0), f(infinity)
-    return -(3 * int(tau[_mobius_on_cubes(field, family.mobius)].sum()) + int(tau[ends].sum()))
+    ends = np.array([_ratio(field, b, d), _ratio(field, a, c)])    # f(0), f(infinity)
+    return -(3 * total(_mobius_on_cubes(field, family.mobius)) + total(ends))
 
 
 def local_trace(family: SurfaceFamily, field, point) -> LocalTrace:

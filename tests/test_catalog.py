@@ -1,6 +1,8 @@
 """Group catalog: structure, basis construction, coefficient goldens, newforms."""
 
+import csv
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, basis_q_expansions,
 from noncong.congruence import AUX_PRIME
 
 ALL_NAMES = tuple(GROUPS)
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
 # --- structural ------------------------------------------------------------
@@ -190,6 +193,33 @@ def test_kronecker_symbol_basics():
     assert kronecker_symbol(-3, 2) == -1
     assert kronecker_symbol(2, 7) == 1
     assert kronecker_symbol(12, 7) == kronecker_symbol(-3, 7) * kronecker_symbol(-4, 7)
+
+
+def test_newform_an_independent_of_request_order(monkeypatch):
+    """Ascending and descending requests from cold caches give one set of
+    values and build lists of one length per piece; they agree with the
+    published prime tables and, for L48 = q R(q^2), with the full product."""
+    import noncong.catalog as catalog
+    runs, held = [], []
+    for order in (range(1, 2501), range(2500, 0, -1)):
+        monkeypatch.setattr(catalog, "_PIECES", {})
+        runs.append({(tag, n): newform_an(tag, n).c for n in order for tag in ("L48", "L432")})
+        held.append({key: len(c) for key, c in catalog._PIECES.items()})
+    assert runs[0] == runs[1] and held[0] == held[1]
+    assert held[0] == {"L48": 2048, **{("L432", r): 256 for r in (1, 5, 7, 11)}}
+    want = {}
+    with open(GOLDEN / "newform_L48_primes.csv", newline="") as fh:
+        for rec in csv.DictReader(fh):
+            want["L48", int(rec["p"])] = (int(rec["ap"]), 0, 0, 0)
+    slot = {"1": 0, "sqrt2": 1, "sqrt-3": 2, "sqrt-6": 3}
+    with open(GOLDEN / "newform_L432_primes.csv", newline="") as fh:
+        for rec in csv.DictReader(fh):
+            c = [0, 0, 0, 0]
+            c[slot[rec["divisor"]]] = int(rec["value"])
+            want["L432", int(rec["p"])] = tuple(c)
+    assert {key: runs[0][key] for key in want} == want
+    full = catalog.ETA_L48.expansion(300)
+    assert all(runs[0]["L48", n] == (full.coefficient(n), 0, 0, 0) for n in range(1, 300))
 
 
 def test_l48_expansion_and_prime_table():

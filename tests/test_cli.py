@@ -136,8 +136,9 @@ def test_isogeny_pair(capsys):
 
 def test_isogeny_missing_data(capsys, monkeypatch):
     monkeypatch.delenv("NONCONG_MODPOLY_PATH", raising=False)
-    rc, _, err = run(capsys, "isogeny", "--pair", "1a")
-    assert rc == 2 and "polynomial data required" in err
+    rc, out, err = run(capsys, "isogeny", "--pair", "1a")
+    assert rc == 2 and out == "" and "polynomial data required" in err
+    assert err.startswith("refused: ") and err.count("\n") == 1
 
 
 def test_isogeny_self_relation(capsys):

@@ -8,8 +8,8 @@ import pytest
 import numpy as np
 
 from noncong.series import (EtaQuotient, MODULUS_LIMIT, PrecisionError,
-                            PuiseuxSeries, _limbs, _mul_mod, cube_root_mod,
-                            divisor_sigma, eisenstein_e6, eta_expansion,
+                            PuiseuxSeries, _convolve, _limbs, _mul_mod,
+                            cube_root_mod, divisor_sigma, eisenstein_e6, eta_expansion,
                             eta_product_mod, parse_series)
 
 
@@ -54,6 +54,41 @@ def test_ring_laws_random_order_30():
         lhs = s1 * (s2 + s3)
         rhs = s1 * s2 + s1 * s3
         assert lhs.agrees_with(rhs)
+
+
+def schoolbook(a, b, length):
+    out = [0] * length
+    for i, x in enumerate(a[:length]):
+        for j, y in enumerate(b[:length - i]):
+            out[i + j] += x * y
+    return out
+
+
+def test_kronecker_product_matches_schoolbook():
+    rng = random.Random(9)
+    for bits in (1, 7, 8, 63, 64, 65, 2000):
+        for _ in range(40):
+            a, b = ([rng.randint(-2 ** bits, 2 ** bits) for _ in range(rng.randint(0, 15))]
+                    for _ in range(2))
+            if a and rng.random() < 0.3:         # leading zeros
+                k = rng.randint(1, len(a))
+                a[:k] = [0] * k
+            for length in (0, 1, max(len(a), 1) // 2, len(a) + len(b) - 1, len(a) + len(b) + 5):
+                assert _convolve(a, b, length) == schoolbook(a, b, length), (a, b, length)
+    extreme = [2 ** 2000 - 1, -(2 ** 2000 - 1)] * 4
+    assert _convolve(extreme, extreme, 20) == schoolbook(extreme, extreme, 20)
+    assert _convolve([0, 0, 0], [5, -3], 6) == [0] * 6
+    assert _convolve([], [1], 3) == [0, 0, 0]
+
+
+def test_fraction_series_product_matches_schoolbook():
+    rng = random.Random(4)
+    a, b = (random_series(rng, 1, 25) for _ in range(2))
+    prod = a * b
+    assert prod.lo == a.lo + b.lo and prod.trunc == min(a.trunc + b.lo, b.trunc + a.lo)
+    want = schoolbook(list(a.coeffs), list(b.coeffs), prod.trunc - prod.lo)
+    assert [prod.coefficient(prod.lo + i) for i in range(len(want))] == want
+    assert any(c.denominator > 1 for c in prod.coeffs)
 
 
 def test_invert_geometric_series():

@@ -516,9 +516,42 @@ def test_hasse_guard_refuses_corrupted_table(monkeypatch):
     import noncong.traces as traces
     monkeypatch.setattr(traces, "exact_integers",
                         lambda values: exact_integers(values) + 7)
+    field_for.cache_clear()            # the fields hold the shared character sums
     fiber_trace_table.cache_clear()
     with pytest.raises(AssertionError, match="Hasse bound"):
         fiber_trace_table("E8", 11, False)
+
+
+def test_character_sums_computed_once_per_field(monkeypatch):
+    import noncong.traces as traces
+    calls, compute = [], traces._character_sums
+
+    def counted(field):
+        calls.append(field.q)
+        return compute(field)
+
+    monkeypatch.setattr(traces, "_character_sums", counted)
+    field_for.cache_clear()
+    fiber_trace_table.cache_clear()
+    fam8, fam6 = (next(f for f in ALL_FAMILIES if f.level == level) for level in ("E8", "E6"))
+    for p in (13, 17):
+        trace_pair(fam8, p)
+        trace_pair(fam6, p)
+        assert field_for(p, True).character_sums().dtype == np.int16
+    assert calls == [13, 169, 17, 289]
+
+
+def test_cache_keys_do_not_depend_on_spelling():
+    field_for.cache_clear()
+    fiber_trace_table.cache_clear()
+    table = fiber_trace_table("E8", 13, True)
+    assert fiber_trace_table("E8", 13, True, None) is table
+    assert fiber_trace_table("E8", 13, squared=True, nonresidue=None) is table
+    assert fiber_trace_table("E8", 13, 1) is table
+    assert fiber_trace_table.cache_info().currsize == 1
+    assert field_for(13, False, 2) is field_for(13, False) is field_for(p=13, squared=False)
+    assert field_for(13, True, None) is field_for(13, True)
+    assert field_for.cache_info().currsize == 2
 
 
 def test_fiber_tables_built_once_per_key():
