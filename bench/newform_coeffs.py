@@ -1,16 +1,23 @@
-"""Time the newform coefficients A_p of L48 and L432 in two checkouts and
-fit the scaling exponent k of t ~ N^k.
+"""Time the exact integer series of two checkouts, the newform
+coefficients A_p of L48 and L432 and the exact basis of one group, and fit
+the scaling exponent k of t ~ N^k.
 
     python bench/newform_coeffs.py --before <checkout> --after <checkout> \
-        [--bounds 1009,2003,4001] [--out BENCH.json]
+        [--bounds 1009,2003,4001] [--basis-bounds 501,1001,2001] [--out BENCH.json]
 
-For each form and bound N a child interpreter imports ``noncong`` from the
-checkout's ``src/`` and times ``newform_an(form, p)`` for every prime
-5 <= p <= N in ascending order, as ``perfbench``'s ap-scan asks for them,
-from cold caches: each run is its own child, so the exact eta powers and
-the coefficient lists are built inside the timing.  A timing is the median
-of three children; the peak RSS is that of the median run's child and
-includes the interpreter.
+Every measurement is a child interpreter that imports ``noncong`` from the
+checkout's ``src/`` and starts from cold caches, so the exact eta powers
+and everything built from them are computed inside the timing:
+
+* for each form and bound N in ``--bounds``, ``newform_an(form, p)`` for
+  every prime 5 <= p <= N in ascending order, as ``perfbench``'s ap-scan
+  asks for them;
+* for each N in ``--basis-bounds``, ``basis_q_expansions(BASIS_GROUP, N)``,
+  both exact basis forms (eta quotient expansions and their cube roots) of
+  one of the five groups with mu = 1, whose forms cost most.
+
+A timing is the median of three children; the peak RSS is that of the
+median run's child and includes the interpreter.
 """
 
 from __future__ import annotations
@@ -27,15 +34,22 @@ import sys
 import time
 
 FORMS = ("L48", "L432")
+BASIS_GROUP = "gamma_24.6.1^6"
 
 
 def child(form: str, bound: int) -> dict:
-    """One cold measurement in this (fresh) interpreter."""
+    """One cold measurement in this (fresh) interpreter: the newform `form`
+    or, for a group name, its exact basis."""
     from noncong import catalog
-    primes = [p for p in catalog.primes_upto(bound) if p >= 5]
-    t0 = time.perf_counter()
-    for p in primes:
-        catalog.newform_an(form, p)
+    if form in FORMS:
+        primes = [p for p in catalog.primes_upto(bound) if p >= 5]
+        t0 = time.perf_counter()
+        for p in primes:
+            catalog.newform_an(form, p)
+    else:
+        group = catalog.get_group(form)
+        t0 = time.perf_counter()
+        catalog.basis_q_expansions(group, bound)
     return {"time_s": time.perf_counter() - t0,
             "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
@@ -48,10 +62,11 @@ def fit_exponent(times: dict[int, float]) -> float:
             / sum((x - mx) ** 2 for x in xs))
 
 
-def measure(checkout: str, bounds: list[int]) -> dict:
+def measure(checkout: str, plan: dict[str, list[int]]) -> dict:
+    """{form or group: timings} over the bounds `plan` gives each."""
     env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
     out = {}
-    for form in FORMS:
+    for form, bounds in plan.items():
         times, peaks = {}, {}
         for n in bounds:
             runs = sorted((json.loads(subprocess.run(
@@ -71,7 +86,10 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before")
     ap.add_argument("--after")
-    ap.add_argument("--bounds", default="1009,2003,4001")
+    ap.add_argument("--bounds", default="1009,2003,4001",
+                    help="prime bounds N of the newform coefficients")
+    ap.add_argument("--basis-bounds", default="501,1001,2001",
+                    help="printed-index bounds N of the exact basis")
     ap.add_argument("--out", default=None)
     ap.add_argument("--child", nargs=2, metavar=("FORM", "N"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -80,14 +98,17 @@ def main(argv=None) -> int:
         return 0
     if not (args.before and args.after):
         ap.error("--before and --after are required")
-    bounds = [int(n) for n in args.bounds.split(",")]
-    record = {"metric": "wall time of newform_an(form, p) for every prime 5 <= p <= N, "
-                        "ascending, from cold caches; peak RSS of the measuring process",
+    plan = {form: [int(n) for n in args.bounds.split(",")] for form in FORMS}
+    plan[BASIS_GROUP] = [int(n) for n in args.basis_bounds.split(",")]
+    record = {"metric": "wall time, from cold caches, of newform_an(form, p) for every "
+                        "prime 5 <= p <= N in ascending order (L48, L432) and of "
+                        f"basis_q_expansions({BASIS_GROUP}, N) ({BASIS_GROUP}); "
+                        "peak RSS of the measuring process",
               "unit": "s",
               "host": f"{platform.machine()}, {os.cpu_count()} CPUs",
               "python": platform.python_version(),
-              "before": measure(args.before, bounds),
-              "after": measure(args.after, bounds)}
+              "before": measure(args.before, plan),
+              "after": measure(args.after, plan)}
     text = json.dumps(record, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

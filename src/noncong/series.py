@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 ExactRational = Fraction
@@ -65,80 +64,70 @@ def rational_nth_root(x: Fraction, n: int) -> Fraction | None:
 
 
 # ---------------------------------------------------------------------------
-# J.C.P. Miller recurrences.  For u = 1 + u_1 q + ... the power v = u^alpha
+# J.C.P. Miller recurrence.  For u = 1 + u_1 q + ... the power v = u^alpha
 # satisfies n*v_n = sum_{k=1..n} ((alpha+1)k - n) u_k v_{n-k}; this costs one
 # multiplication worth of work and, for sparse u (pentagonal series), far less.
+# For integer u and alpha = a/b, v_n lies in Z[1/b]: a prime l | b divides the
+# denominator of binomial(a/b, j) exactly j*v_l(b) + v_l(j!) times.  So
+# B_n = b^(c_n) v_n is an integer for c_n = n + v_l(n!), l the least prime of
+# b (c_n = 0 for b = 1), and b^(c_n) times the recurrence reads
+#   n*B_n = sum_k ((a+b)k - nb) u_k B_{n-k} b^(c_n - c_{n-k} - 1),
+# every exponent at least k - 1.  One integer recurrence thus serves every
+# power and root of an integral unit; ``_miller_frac_power`` is left for the
+# units with non-integral coefficients.
 
 
-def _miller_int_power(u_nz: list[tuple[int, int]], e: int, length: int) -> list[int]:
-    """Integer coefficients of (1 + sum u_k q^k)^e for integer e (any sign).
-
-    ``u_nz`` lists the nonzero (k, u_k) with k >= 1.
-    """
-    v = [0] * length
-    if length == 0:
-        return v
-    v[0] = 1
+def _scale_exponents(b: int, length: int) -> list[int]:
+    """c_n = n + v_l(n!) for n < length and l the least prime of b; all 0
+    for b = 1."""
+    c = [0] * length
+    if b == 1:
+        return c
+    ell = next(d for d in range(2, b + 1) if b % d == 0)
     for n in range(1, length):
+        m, e = n, 1
+        while m % ell == 0:
+            m //= ell
+            e += 1
+        c[n] = c[n - 1] + e
+    return c
+
+
+def _miller_power(terms: list[tuple[int, int]], a: int, b: int, length: int,
+                  head=(1,)) -> list[int]:
+    """B_n = b^(c_n) [q^n] (1 + sum u_k q^k)^(a/b) for n < length, with c_n
+    from ``_scale_exponents``: integers for any integer a and b >= 1 prime
+    to a.  ``terms`` lists the nonzero (k, u_k), k >= 1 ascending; the
+    recurrence resumes after the known values ``head`` = (B_0, B_1, ...)."""
+    out = list(head)
+    c = _scale_exponents(b, length)
+    pw = [1]
+    for _ in range(1, c[-1] if c else 0):
+        pw.append(pw[-1] * b)
+    ab = a + b
+    for n in range(len(out), length):
         s = 0
-        for k, uk in u_nz:
-            if k > n:
-                break
-            s += ((e + 1) * k - n) * uk * v[n - k]
+        if b == 1:      # every power of b is 1
+            for k, uk in terms:
+                if k > n:
+                    break
+                s += (ab * k - n) * uk * out[n - k]
+        else:
+            top = c[n] - 1
+            for k, uk in terms:
+                if k > n:
+                    break
+                s += (ab * k - n * b) * uk * out[n - k] * pw[top - c[n - k]]
         q, r = divmod(s, n)
         if r:
-            raise ArithmeticError("integer power recurrence lost exactness")
-        v[n] = q
-    return v
-
-
-def _miller_root_int(u: list[int], a: int, b: int, length: int) -> list[Fraction]:
-    """Coefficients of (1 + u_1 q + ...)^(a/b) for integer u, prime b.
-
-    Values live in Z[1/b]; they are carried as (numerator, b-exponent)
-    pairs so the recurrence stays in integer arithmetic.
-    """
-    if length == 0:
-        return []
-    nums = [1] + [0] * (length - 1)
-    exps = [0] * length
-    ab = a + b
-    pow_b = [1]
-    for n in range(1, length):
-        kmax = min(n, len(u) - 1)
-        emax = 0
-        for k in range(1, kmax + 1):
-            if u[k] and exps[n - k] > emax:
-                emax = exps[n - k]
-        s = 0
-        for k in range(1, kmax + 1):
-            uk = u[k]
-            if not uk:
-                continue
-            shift = emax - exps[n - k]
-            while len(pow_b) <= shift:
-                pow_b.append(pow_b[-1] * b)
-            s += (ab * k - n * b) * uk * nums[n - k] * pow_b[shift]
-        # v_n = s / (n * b^(emax+1)); move the b-part of n into the exponent.
-        e = emax + 1
-        m = n
-        while m % b == 0:
-            m //= b
-            e += 1
-        q, r = divmod(s, m)
-        if r:
-            raise ArithmeticError("root recurrence lost exactness")
-        while q and q % b == 0:
-            q //= b
-            e -= 1
-        nums[n] = q
-        exps[n] = e if q else 0
-    return [Fraction(nums[n], b ** exps[n]) if exps[n] > 0 else Fraction(nums[n])
-            for n in range(length)]
+            raise ArithmeticError("power recurrence lost exactness")
+        out.append(q)
+    return out
 
 
 def _miller_frac_power(u: list[Fraction], alpha: Fraction, length: int) -> list[Fraction]:
-    """Fraction fallback for (1 + u_1 q + ...)^alpha."""
+    """(1 + u_1 q + ...)^alpha over the rationals, for units with
+    non-integral coefficients."""
     v = [Fraction(0)] * length
     if length == 0:
         return v
@@ -419,19 +408,26 @@ class PuiseuxSeries:
 
     __rmul__ = __mul__
 
-    def _unit_power(self, e: int) -> "PuiseuxSeries":
-        """self**e for nonzero self and any integer e, via the Miller recurrence."""
+    def _power(self, a: int, b: int) -> "PuiseuxSeries":
+        """self^(a/b) for nonzero self, b >= 1 prime to a: the leading
+        coefficient's rational b-th root to the a-th power times the unit
+        raised by the Miller recurrence, re-indexed in 1/(b mu) units."""
         c0 = self.coeffs[0]
+        r0 = rational_nth_root(c0, b)
+        if r0 is None:
+            raise ValueError(f"leading coefficient {c0} is not a rational {b}-th power")
         length = self.trunc - self.lo
-        unit = [c / c0 for c in self.coeffs] + [Fraction(0)] * (length - len(self.coeffs))
+        unit = [c / c0 for c in self.coeffs]
         if all(x.denominator == 1 for x in unit):
-            nz = [(k, int(unit[k])) for k in range(1, length) if unit[k]]
-            out = [Fraction(v) for v in _miller_int_power(nz, e, length)]
+            terms = [(k, int(x)) for k, x in enumerate(unit) if k and x]
+            out = [Fraction(v, b ** e) for v, e in zip(_miller_power(terms, a, b, length),
+                                                       _scale_exponents(b, length))]
         else:
-            out = _miller_frac_power(unit, Fraction(e), length)
-        scale = c0 ** e
-        out = [scale * v for v in out]
-        return PuiseuxSeries(self.mu, self.lo * e, out, self.lo * e + length)
+            out = _miller_frac_power(unit, Fraction(a, b), length)
+        scale = r0 ** a
+        # exponents (lo a + b i)/(b mu); known up to relative q-order length/mu
+        return PuiseuxSeries(self.mu * b, self.lo * a, _stride([scale * v for v in out], b),
+                             self.lo * a + b * length)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -442,13 +438,13 @@ class PuiseuxSeries:
             if e < 0:
                 raise ValueError("not invertible: zero leading coefficient")
             return PuiseuxSeries.zero(self.trunc + (e - 1) * self.lo, 1)
-        return self._unit_power(e)
+        return self._power(e, 1)
 
     def invert(self) -> "PuiseuxSeries":
         """Multiplicative inverse; requires a nonzero leading coefficient."""
         if self.is_zero:
             raise ValueError("not invertible: zero leading coefficient")
-        return self._unit_power(-1)
+        return self._power(-1, 1)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -464,21 +460,7 @@ class PuiseuxSeries:
             return self
         if self.is_zero:
             raise ValueError("zero series has no n-th root at finite precision")
-        c0 = self.coeffs[0]
-        r0 = rational_nth_root(c0, n)
-        if r0 is None:
-            raise ValueError(f"leading coefficient {c0} is not a rational {n}-th power")
-        length = self.trunc - self.lo
-        unit = [c / c0 for c in self.coeffs] + [Fraction(0)] * (length - len(self.coeffs))
-        is_prime_n = n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
-        if is_prime_n and all(x.denominator == 1 for x in unit):
-            root = _miller_root_int([int(x) for x in unit], 1, n, length)
-        else:
-            root = _miller_frac_power(unit, Fraction(1, n), length)
-        out = [r0 * v for v in root]
-        # exponents (lo + n*i)/(n*mu); known up to relative q-order length/mu
-        return PuiseuxSeries(self.mu * n, self.lo,
-                             _stride(out, n), self.lo + n * length)
+        return self._power(1, n)
 
     def substitute_qpower(self, k: int) -> "PuiseuxSeries":
         """The series f(q^k) for a positive integer k."""
@@ -555,10 +537,20 @@ def eta_expansion(m: int, order: int) -> PuiseuxSeries:
     return PuiseuxSeries.from_terms(pentagonal_terms(m, order), mu=1, trunc=order)
 
 
+# The longest coefficient list of each eta power computed so far, keyed by
+# (scale, exponent): a longer request resumes the recurrence at its end, and
+# every request reads a prefix.
+_ETA_POWERS: dict[tuple[int, int], list[int]] = {}
+
+
 def eta_power_coeffs(m: int, e: int, length: int) -> list[int]:
-    """Integer coefficients of prod (1 - q^(m n))^e, prefactor excluded."""
-    nz = [(k, c) for k, c in pentagonal_terms(m, length) if k > 0]
-    return _miller_int_power(nz, e, length)
+    """Integer coefficients of prod (1 - q^(m n))^e through q^(length-1),
+    prefactor excluded."""
+    held = _ETA_POWERS.get((m, e), [1])
+    if len(held) < length:
+        terms = [(k, c) for k, c in pentagonal_terms(m, length) if k > 0]
+        held = _ETA_POWERS[m, e] = _miller_power(terms, e, 1, length, held)
+    return held[:length]
 
 
 # ---------------------------------------------------------------------------
@@ -670,17 +662,12 @@ def cube_root_mod(u: np.ndarray, moduli) -> np.ndarray:
     return _mul_mod(u, _mul_mod(w, w, m), m)
 
 
-@lru_cache(maxsize=None)
-def _eta_power_ints(k: int, e: int, length: int) -> tuple[int, ...]:
-    return tuple(eta_power_coeffs(k, e, length))
-
-
 def eta_product_ints(factors, length: int) -> list[int]:
     """Integer coefficients of prod (1 - x^(k n))^e over the (k, e) in
     factors, through x^(length-1), from the cached exact eta powers."""
     prod = [1]
     for k, e in factors:
-        prod = _convolve(prod, list(_eta_power_ints(k, e, length)), length)
+        prod = _convolve(prod, eta_power_coeffs(k, e, length), length)
     return prod
 
 
@@ -692,7 +679,7 @@ def eta_product_mod(factors, length: int, moduli) -> np.ndarray:
     m = _modulus_column(moduli)
     u = None
     for k, e in factors:
-        exact = np.array(_eta_power_ints(k, e, length), dtype=object)
+        exact = np.array(eta_power_coeffs(k, e, length), dtype=object)
         f = np.array([exact % x for x in moduli], dtype=np.int64)
         u = f if u is None else _mul_mod(u, f, m)
     return u

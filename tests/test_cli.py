@@ -72,6 +72,19 @@ def test_expand_raw_eta_quotient_with_root(capsys):
     assert "(-176/81)*q^4" in out
 
 
+@pytest.mark.parametrize("fmt", ["human", "csv"])
+@pytest.mark.parametrize("root", [2, 3, 4, 6])
+def test_expand_eta_root_of_power_is_lower_power(capsys, root, fmt):
+    """(eta^24)^(1/k) = eta^(24/k): the k-th root of an integral unit, prime
+    or composite k, prints the same series as the eta power itself."""
+    rc, rooted, _ = run(capsys, "--format", fmt, "expand", "eta", "1:24",
+                        "--root", str(root), "--order", "121")
+    assert rc == 0
+    rc, direct, _ = run(capsys, "--format", fmt, "expand", "eta", f"1:{24 // root}",
+                        "--order", "121")
+    assert rc == 0 and rooted == direct
+
+
 def test_expand_eisenstein(capsys):
     rc, out, _ = run(capsys, "expand", "E6", "--order", "4")
     assert rc == 0
@@ -230,6 +243,12 @@ README = str(GOLDEN.parent / "README.md")
                  "'group,parameterization,p,tr_p,tr_p2'", id="traces-golden-not-csv"),
     (["aswd", "gamma_24.6.1^6", "--pmax", "7", "--three-term", "-1"],
      "--three-term -1 is negative"),
+    (["expand", "gamma_24.6.1^6", "h1", "--order", "2001"],
+     "--order 2001 is above the limit 2000"),
+    (["expand", "eta", "1:24", "--order", "100000"], "--order 100000 is above the limit 2000"),
+    (["expand", "eta", "1:24", "--root", "3", "--order", "100000"],
+     "--order 100000 is above the limit 2000"),
+    (["expand", "E6", "--order", "100000"], "--order 100000 is above the limit 2000"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)

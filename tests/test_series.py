@@ -7,10 +7,13 @@ import pytest
 
 import numpy as np
 
+from noncong import series
 from noncong.series import (EtaQuotient, MODULUS_LIMIT, PrecisionError,
-                            PuiseuxSeries, _convolve, _limbs, _mul_mod,
+                            PuiseuxSeries, _convolve, _limbs, _miller_frac_power,
+                            _miller_power, _mul_mod, _scale_exponents,
                             cube_root_mod, divisor_sigma, eisenstein_e6, eta_expansion,
-                            eta_product_mod, parse_series)
+                            eta_power_coeffs, eta_product_ints, eta_product_mod,
+                            parse_series)
 
 
 def q_series(terms, mu=1, trunc=None):
@@ -189,6 +192,69 @@ def test_cube_root_eta_quotient_known_values():
     assert h.coefficient_at(Fraction(2, 3)) == 1
     assert h.coefficient_at(Fraction(8, 3)) == Fraction(-20, 3)
     assert h.coefficient_at(Fraction(14, 3)) == Fraction(128, 9)
+
+
+def random_eta_unit(rng, length):
+    """Integer coefficients of prod (1 - q^(m n))^e over one to three random
+    (m, e), m <= 6, |e| <= 3."""
+    scales = rng.sample(range(1, 7), rng.randint(1, 3))
+    return eta_product_ints([(m, rng.choice([-3, -2, -1, 1, 2, 3])) for m in scales],
+                            length)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 6, 9, 12])
+def test_integer_recurrence_matches_fraction_recurrence(b):
+    """For alpha = e/b on integral units, the integer recurrence, **, invert
+    and nth_root all agree with the Fraction recurrence."""
+    rng = random.Random(1000 + b)
+    for e in (-6, -1, 2, 9):
+        alpha = Fraction(e, b)
+        length = rng.randint(20, 150)
+        unit = random_eta_unit(rng, length)
+        want = _miller_frac_power([Fraction(x) for x in unit], alpha, length)
+        terms = [(k, x) for k, x in enumerate(unit) if k and x]
+        den = alpha.denominator
+        scaled = _miller_power(terms, alpha.numerator, den, length)
+        assert [Fraction(v, den ** c) for v, c in
+                zip(scaled, _scale_exponents(den, length))] == want, (e, b)
+        s = PuiseuxSeries.from_terms(enumerate(unit), trunc=length)
+        power = s ** e
+        if e < 0:
+            assert s.invert() ** -e == power
+        got = power.nth_root(b) if b > 1 else power
+        assert got.trunc == length * got.mu
+        assert [got.coefficient_at(i) for i in range(length)] == want, (e, b)
+
+
+def test_recurrence_refuses_a_corrupted_prefix(monkeypatch):
+    """Resumed from a stored eta(q) prefix whose last value is 2 instead of
+    1, the step n = 6 reads 6 B_6 = 4 and is refused."""
+    monkeypatch.setattr(series, "_ETA_POWERS", {(1, 1): [1, -1, -1, 0, 0, 2]})
+    with pytest.raises(ArithmeticError, match="lost exactness"):
+        eta_power_coeffs(1, 1, 20)
+
+
+def test_eta_powers_grow_in_place(monkeypatch):
+    """One list per (scale, exponent), extended by resuming the recurrence:
+    requests of 40, 200 and 90 coefficients compute each coefficient once
+    and read prefixes of the one stored list."""
+    dense = [0] * 200
+    for k, c in series.pentagonal_terms(2, 200):
+        dense[k] = c
+    want = [int(x) for x in _miller_frac_power([Fraction(x) for x in dense], Fraction(-6), 200)]
+    monkeypatch.setattr(series, "_ETA_POWERS", {})
+    computed = []
+
+    def counting(terms, a, b, length, head=(1,)):
+        computed.append(length - len(head))
+        return _miller_power(terms, a, b, length, head)
+
+    monkeypatch.setattr(series, "_miller_power", counting)
+    assert eta_power_coeffs(2, -6, 40) == want[:40]
+    assert eta_power_coeffs(2, -6, 200) == want
+    assert eta_power_coeffs(2, -6, 90) == want[:90]
+    assert sum(computed) == 199
+    assert list(series._ETA_POWERS) == [(2, -6)] and len(series._ETA_POWERS[2, -6]) == 200
 
 
 def test_divisor_sigma():
