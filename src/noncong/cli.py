@@ -73,6 +73,14 @@ def _print_series(series, fmt: str, limit: int | None = None):
 # 41 s to 3000 (time ~ N^3, 2-vCPU x86_64).
 ORDER_LIMIT = 2000
 
+# Largest --root `expand eta` accepts; it admits every eta^24^(1/k) =
+# eta^(24/k).  The k-th root is stored as order * k dense coefficients, and
+# its recurrence carries integers of up to about 2 order log2(k) bits.  At
+# order 2000 the 24th root of eta^-24 takes 61 s and 41 MiB and the 100th
+# root of eta^24 over 120 s; with no limit, --root 100000 --order 100 took
+# 27 s and 1.27 GiB (2-vCPU x86_64).
+ROOT_LIMIT = 24
+
 
 def cmd_expand(args) -> int:
     order = args.order
@@ -82,6 +90,8 @@ def cmd_expand(args) -> int:
         raise InputRefused(f"--order {order} is above the limit {ORDER_LIMIT}")
     if args.root < 1:
         raise InputRefused(f"--root {args.root} is not a positive integer")
+    if args.root > ROOT_LIMIT:
+        raise InputRefused(f"--root {args.root} is above the limit {ROOT_LIMIT}")
     if args.root != 1 and args.identifier != "eta":
         raise InputRefused(f"--root {args.root} applies to expand eta only")
     if args.identifier == "E6":

@@ -537,20 +537,29 @@ def eta_expansion(m: int, order: int) -> PuiseuxSeries:
     return PuiseuxSeries.from_terms(pentagonal_terms(m, order), mu=1, trunc=order)
 
 
-# The longest coefficient list of each eta power computed so far, keyed by
-# (scale, exponent): a longer request resumes the recurrence at its end, and
-# every request reads a prefix.
-_ETA_POWERS: dict[tuple[int, int], list[int]] = {}
+# The longest coefficient list of each power prod (1 - q^n)^e computed so
+# far, keyed by the exponent e: a longer request resumes the recurrence at its
+# end, and every scale m reads the same list with stride m, as
+# prod (1 - q^(m n))^e is nonzero only at multiples of m.
+_ETA_POWERS: dict[int, list[int]] = {}
+
+
+def _eta_power_base(e: int, length: int) -> list[int]:
+    """At least the first `length` coefficients of prod (1 - q^n)^e."""
+    held = _ETA_POWERS.get(e, [1])
+    if len(held) < length:
+        terms = [(k, c) for k, c in pentagonal_terms(1, length) if k > 0]
+        held = _ETA_POWERS[e] = _miller_power(terms, e, 1, length, held)
+    return held
 
 
 def eta_power_coeffs(m: int, e: int, length: int) -> list[int]:
     """Integer coefficients of prod (1 - q^(m n))^e through q^(length-1),
     prefactor excluded."""
-    held = _ETA_POWERS.get((m, e), [1])
-    if len(held) < length:
-        terms = [(k, c) for k, c in pentagonal_terms(m, length) if k > 0]
-        held = _ETA_POWERS[m, e] = _miller_power(terms, e, 1, length, held)
-    return held[:length]
+    base = -(-length // m)
+    out = [0] * length
+    out[::m] = _eta_power_base(e, base)[:base]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -673,14 +682,17 @@ def eta_product_ints(factors, length: int) -> list[int]:
 
 def eta_product_mod(factors, length: int, moduli) -> np.ndarray:
     """prod (1 - x^(k n))^e over the (k, e) in factors, mod (m, x^length)
-    for every m in moduli: one int64 row per modulus, reduced from each
-    factor's exact integer coefficients (cached per process)."""
+    for every m in moduli: one int64 row per modulus, reduced from the
+    ceil(length / k) exact integer coefficients of prod (1 - x^n)^e (cached
+    per process) and spread with stride k."""
     import numpy as np
     m = _modulus_column(moduli)
     u = None
     for k, e in factors:
-        exact = np.array(eta_power_coeffs(k, e, length), dtype=object)
-        f = np.array([exact % x for x in moduli], dtype=np.int64)
+        base = -(-length // k)
+        exact = np.array(_eta_power_base(e, base)[:base], dtype=object)
+        f = np.zeros((len(moduli), length), dtype=np.int64)
+        f[:, ::k] = [exact % x for x in moduli]
         u = f if u is None else _mul_mod(u, f, m)
     return u
 

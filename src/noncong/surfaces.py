@@ -135,18 +135,19 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(Fraction(1),)):
-        num = _trim([Fraction(c) for c in num])
-        den = _trim([Fraction(c) for c in den])
+        num = _trim([c if type(c) is Fraction else Fraction(c) for c in num])
+        den = _trim([c if type(c) is Fraction else Fraction(c) for c in den])
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
             object.__setattr__(self, "num", ())
             object.__setattr__(self, "den", (Fraction(1),))
             return
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
+        if len(num) > 1 and len(den) > 1:   # a constant is prime to any polynomial
+            g = _pgcd(num, den)
+            if len(g) > 1:
+                num = _pdivmod(num, g)[0]
+                den = _pdivmod(den, g)[0]
         lead = den[-1]
         if lead != 1:
             num = _pscale(num, Fraction(1) / lead)
@@ -259,8 +260,9 @@ class RationalFunction:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def compose(self, inner: "RationalFunction") -> "RationalFunction":
@@ -372,9 +374,11 @@ def substitute_parameter(sw: ShortWeierstrass, sub: RationalFunction) -> ShortWe
 
 
 # The two families the triple covers live over, plus the other four genus-0
-# index-12 fibrations, each with its j-invariant for cross checks.  `j_factor`
-# reconciles the classical j column with the j of the Weierstrass data (the
-# level-4 column is short by 2^8).  The level-3 a6 is the one forced by the
+# index-12 fibrations, each with its j-invariant for cross checks.  `j_column`
+# builds the classical j column when called: only the cross checks read it,
+# and its products would cost most of this module's import.  `j_factor`
+# reconciles the column with the j of the Weierstrass data (the level-4
+# column is short by 2^8).  The level-3 a6 is the one forced by the
 # Hesse pencil x^3 + y^3 + z^3 = t*x*y*z in the same row.
 
 _t = T
@@ -384,47 +388,47 @@ BEAUVILLE: dict[str, dict] = {
         family=WeierstrassFamily("E3", rf([0]), rf([0, 0, 1]), rf([0]),
                                  rf([0, -72]), rf([-432, 0, 0, -64])),
         scale=Fraction(1),
-        j_column=(rf([0, 0, 0, 1]) * rf([216, 0, 0, 1]) ** 3
-                  / rf([-27, 0, 0, 1]) ** 3),
+        j_column=lambda: (rf([0, 0, 0, 1]) * rf([216, 0, 0, 1]) ** 3
+                          / rf([-27, 0, 0, 1]) ** 3),
         j_factor=Fraction(1),
     ),
     "E4": dict(
         family=WeierstrassFamily("E4", rf([0]), rf([4, 0, 4]), rf([0]),
                                  rf([0, 0, 16]), rf([0])),
         scale=Fraction(1),
-        j_column=(rf([1, 0, -1, 0, 1]) ** 3
-                  / (rf([0, 0, 0, 0, 1]) * rf([-1, 1]) ** 2 * rf([1, 1]) ** 2)),
+        j_column=lambda: (rf([1, 0, -1, 0, 1]) ** 3
+                          / (rf([0, 0, 0, 0, 1]) * rf([-1, 1]) ** 2 * rf([1, 1]) ** 2)),
         j_factor=Fraction(256),
     ),
     "E5": dict(
         family=WeierstrassFamily("E5", rf([1, 1]), rf([0, 1]), rf([0, 1]),
                                  rf([0]), rf([0])),
         scale=Fraction(1),
-        j_column=(rf([1, -12, 14, 12, 1]) ** 3 * Fraction(-1)
-                  / (rf([0, 0, 0, 0, 0, 1]) * rf([-1, 11, 1]))),
+        j_column=lambda: (rf([1, -12, 14, 12, 1]) ** 3 * Fraction(-1)
+                          / (rf([0, 0, 0, 0, 0, 1]) * rf([-1, 11, 1]))),
         j_factor=Fraction(1),
     ),
     "E6": dict(
         family=WeierstrassFamily("E6", rf([1, 1]), rf([0, 1, -1]), rf([0, 1, -1]),
                                  rf([0]), rf([0])),
         scale=Fraction(1, 2),
-        j_column=(rf([-1, 3]) ** 3 * rf([-1, 9, -3, 3]) ** 3
-                  / (rf([-1, 1]) ** 3 * rf([0, 0, 0, 0, 0, 0, 1]) * rf([-1, 9]))),
+        j_column=lambda: (rf([-1, 3]) ** 3 * rf([-1, 9, -3, 3]) ** 3
+                          / (rf([-1, 1]) ** 3 * rf([0] * 6 + [1]) * rf([-1, 9]))),
         j_factor=Fraction(1),
     ),
     "E8": dict(
         family=WeierstrassFamily("E8", rf([4]), rf([0, 0, 1]), rf([0, 0, 4]),
                                  rf([0]), rf([0])),
         scale=Fraction(2),
-        j_column=(rf([16, 0, -16, 0, 1]) ** 3 * Fraction(-16)
-                  / (rf([0] * 8 + [1]) * rf([1, 1]) * rf([-1, 1]))),
+        j_column=lambda: (rf([16, 0, -16, 0, 1]) ** 3 * Fraction(-16)
+                          / (rf([0] * 8 + [1]) * rf([1, 1]) * rf([-1, 1]))),
         j_factor=Fraction(1),
     ),
     "E9": dict(
         family=WeierstrassFamily("E9", rf([0]), rf([0, 0, 1]), rf([0]),
                                  rf([0, 8]), rf([16])),
         scale=Fraction(1),
-        j_column=(rf([0, 0, 0, 1]) * rf([-24, 0, 0, 1]) ** 3 / rf([-27, 0, 0, 1])),
+        j_column=lambda: (rf([0, 0, 0, 1]) * rf([-24, 0, 0, 1]) ** 3 / rf([-27, 0, 0, 1])),
         j_factor=Fraction(1),
     ),
 }

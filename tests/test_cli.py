@@ -1,5 +1,6 @@
 """Command-line surface: spec'd invocations, golden diffing, exit codes."""
 
+import time
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,20 @@ def test_expand_eta_root_of_power_is_lower_power(capsys, root, fmt):
     rc, direct, _ = run(capsys, "--format", fmt, "expand", "eta", f"1:{24 // root}",
                         "--order", "121")
     assert rc == 0 and rooted == direct
+
+
+def test_expand_eta_root_limit(capsys):
+    """A root degree past the limit is refused before any series is built;
+    roots up to the limit print as before."""
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "expand", "eta", "1:24", "--root", "100000", "--order", "100")
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2 and out == "" and err == "refused: --root 100000 is above the limit 24\n"
+    for root in (3, 24):
+        rc, rooted, _ = run(capsys, "expand", "eta", "1:24", "--root", str(root),
+                            "--order", "150")
+        assert rc == 0
+        assert rooted == run(capsys, "expand", "eta", f"1:{24 // root}", "--order", "150")[1]
 
 
 def test_expand_eisenstein(capsys):
@@ -249,6 +264,7 @@ README = str(GOLDEN.parent / "README.md")
     (["expand", "eta", "1:24", "--root", "3", "--order", "100000"],
      "--order 100000 is above the limit 2000"),
     (["expand", "E6", "--order", "100000"], "--order 100000 is above the limit 2000"),
+    (["expand", "eta", "1:24", "--root", "25"], "--root 25 is above the limit 24"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)

@@ -8,6 +8,7 @@ import pytest
 import numpy as np
 
 from noncong import series
+from noncong.catalog import GROUPS
 from noncong.series import (EtaQuotient, MODULUS_LIMIT, PrecisionError,
                             PuiseuxSeries, _convolve, _limbs, _miller_frac_power,
                             _miller_power, _mul_mod, _scale_exponents,
@@ -228,20 +229,17 @@ def test_integer_recurrence_matches_fraction_recurrence(b):
 
 def test_recurrence_refuses_a_corrupted_prefix(monkeypatch):
     """Resumed from a stored eta(q) prefix whose last value is 2 instead of
-    1, the step n = 6 reads 6 B_6 = 4 and is refused."""
-    monkeypatch.setattr(series, "_ETA_POWERS", {(1, 1): [1, -1, -1, 0, 0, 2]})
-    with pytest.raises(ArithmeticError, match="lost exactness"):
-        eta_power_coeffs(1, 1, 20)
+    1, the step n = 6 reads 6 B_6 = 4 and is refused, at every scale that
+    reads the stored list past it."""
+    for m in (1, 2, 3):
+        monkeypatch.setattr(series, "_ETA_POWERS", {1: [1, -1, -1, 0, 0, 2]})
+        with pytest.raises(ArithmeticError, match="lost exactness"):
+            eta_power_coeffs(m, 1, 20 * m)
 
 
-def test_eta_powers_grow_in_place(monkeypatch):
-    """One list per (scale, exponent), extended by resuming the recurrence:
-    requests of 40, 200 and 90 coefficients compute each coefficient once
-    and read prefixes of the one stored list."""
-    dense = [0] * 200
-    for k, c in series.pentagonal_terms(2, 200):
-        dense[k] = c
-    want = [int(x) for x in _miller_frac_power([Fraction(x) for x in dense], Fraction(-6), 200)]
+def count_recurrences(monkeypatch) -> list[int]:
+    """Empty the eta-power store and record, for each recurrence run, how
+    many coefficients it computes."""
     monkeypatch.setattr(series, "_ETA_POWERS", {})
     computed = []
 
@@ -250,11 +248,54 @@ def test_eta_powers_grow_in_place(monkeypatch):
         return _miller_power(terms, a, b, length, head)
 
     monkeypatch.setattr(series, "_miller_power", counting)
+    return computed
+
+
+def dense_eta(m: int, length: int) -> list[Fraction]:
+    dense = [Fraction(0)] * length
+    for k, c in series.pentagonal_terms(m, length):
+        dense[k] = Fraction(c)
+    return dense
+
+
+def test_eta_powers_grow_in_place(monkeypatch):
+    """One list per exponent, extended by resuming the recurrence: requests
+    of 40, 200 and 90 coefficients of eta(q^2)^-6 compute each of the 100
+    coefficients of eta(q)^-6 they need once and read the one stored list."""
+    want = [int(x) for x in _miller_frac_power(dense_eta(2, 200), Fraction(-6), 200)]
+    computed = count_recurrences(monkeypatch)
     assert eta_power_coeffs(2, -6, 40) == want[:40]
     assert eta_power_coeffs(2, -6, 200) == want
     assert eta_power_coeffs(2, -6, 90) == want[:90]
-    assert sum(computed) == 199
-    assert list(series._ETA_POWERS) == [(2, -6)] and len(series._ETA_POWERS[2, -6]) == 200
+    assert sum(computed) == 99
+    assert list(series._ETA_POWERS) == [-6] and len(series._ETA_POWERS[-6]) == 100
+
+
+def test_eta_power_scales_share_one_recurrence(monkeypatch):
+    """Requests for one exponent at scales 1, 2 and 4 read one list: one
+    recurrence run when scale 1 comes first, and each coefficient computed
+    once in the opposite order."""
+    computed = count_recurrences(monkeypatch)
+    lists = [eta_power_coeffs(m, 9, 120) for m in (1, 2, 4)]
+    assert computed == [119]
+    computed = count_recurrences(monkeypatch)
+    assert [eta_power_coeffs(m, 9, 120) for m in (4, 2, 1)] == lists[::-1]
+    assert sum(computed) == 119 and list(series._ETA_POWERS) == [9]
+
+
+CATALOG_EXPONENTS = sorted({e for g in GROUPS.values() for eq in (g.h1, g.h2)
+                            for _, e in eq.factors})
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8])
+def test_eta_powers_match_fraction_recurrence_at_every_scale(m):
+    """The strided list of prod (1 - q^n)^e is prod (1 - q^(m n))^e, as the
+    Fraction recurrence gives it on the dense expansion, for every exponent
+    of a catalog basis form."""
+    length = 150
+    for e in CATALOG_EXPONENTS:
+        want = _miller_frac_power(dense_eta(m, length), Fraction(e), length)
+        assert eta_power_coeffs(m, e, length) == want, (m, e)
 
 
 def test_divisor_sigma():

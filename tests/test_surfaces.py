@@ -98,7 +98,7 @@ def test_printed_j_of_level8():
 def test_all_six_j_columns(label):
     entry = BEAUVILLE[label]
     j = j_invariant(beauville_short(label))
-    assert j == entry["j_column"] * entry["j_factor"], label
+    assert j == entry["j_column"]() * entry["j_factor"], label
 
 
 def test_substitute_parameter():
