@@ -21,12 +21,10 @@ from .catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, GroupRecord, NewformRecord,
 from .traces import (PrimeField, QuadExtField, field_for, BadPrimeError,
                      SurfaceFamily, quadratic_character, count_points_short,
                      classify_singular_fiber, local_trace, frobenius_trace,
-                     trace_pair, trace_fingerprint_equal, surface_families,
+                     trace_pair, surface_families,
                      trace_rows, rows_to_csv, TABLE8_PRIMES)
-from .congruence import (ResidueModP2, reduce_mod_p2, padic_valuation,
-                         ratio_constancy, cross_ratio_constancy, solve_alpha_ap,
-                         sqrt_mod_p2, cbrt_mod_p2, sixth_roots_mod_p2,
-                         primitive_cube_roots_mod_p2, aswd_three_term_check,
-                         detect_basis, detect_bases, CongruenceReport)
+from .congruence import (reduce_mod_p2, padic_valuation, solve_alpha_ap,
+                         sqrt_mod_p2, aswd_three_term_check, detect_basis,
+                         detect_bases, CongruenceReport)
 
 __version__ = "0.1.0"

@@ -266,11 +266,6 @@ class PuiseuxSeries:
     def truncation_exponent(self) -> Fraction:
         return Fraction(self.trunc, self.mu)
 
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero series has no leading coefficient")
-        return self.coeffs[0]
-
     def coefficient(self, n: int) -> Fraction:
         """Exact coefficient of q^(n/mu); PrecisionError beyond truncation."""
         if n >= self.trunc:

@@ -87,13 +87,6 @@ def _pgcd(a, b):
     return _pscale(a, Fraction(1) / a[-1])  # monic
 
 
-def _peval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 def _pcompose_rational(p, num, den):
     """p(num/den) cleared: returns (poly, den^deg(p)) as polynomials."""
     n = len(p) - 1
@@ -277,14 +270,6 @@ class RationalFunction:
         if da >= db:
             return RationalFunction(n1, _pmul(n2, _power(inner.den, da - db)))
         return RationalFunction(_pmul(n1, _power(inner.den, db - da)), n2)
-
-    def evaluate(self, x) -> Fraction:
-        """Exact evaluation at a rational point (raises at poles)."""
-        x = Fraction(x)
-        d = _peval(self.den, x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at t = {x}")
-        return _peval(self.num, x) / d
 
 
 def _power(p, e):

@@ -451,18 +451,6 @@ def trace_pair(family: SurfaceFamily, p: int) -> tuple[int, int]:
     return frobenius_trace(family, p, False), frobenius_trace(family, p, True)
 
 
-def trace_fingerprint_equal(fam_a: SurfaceFamily, fam_b: SurfaceFamily,
-                            primes) -> dict[int, dict]:
-    """Per-prime comparison of Tr_p and Tr_{p^2} between two families."""
-    out = {}
-    for p in primes:
-        ta, ta2 = trace_pair(fam_a, p)
-        tb, tb2 = trace_pair(fam_b, p)
-        out[p] = dict(tr_p=(ta, tb), tr_p2=(ta2, tb2),
-                      tr_p_equal=ta == tb, tr_p2_equal=ta2 == tb2)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # table assembly
 

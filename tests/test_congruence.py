@@ -10,21 +10,18 @@ from noncong import cli, congruence
 from noncong.catalog import (GROUPS, character_value, coefficient_residues,
                              coefficient_sequence, get_group, newform_an,
                              newform_expansion, primes_upto)
-from noncong.congruence import (InsufficientDataError,
-                                NotPIntegralError, ResidueModP2,
-                                aswd_three_term_check, cbrt_mod_p2,
-                                cross_ratio_constancy, detect_basis,
-                                padic_valuation, primitive_cube_roots_mod_p2,
-                                ratio_constancy, reduce_mod_p2, sixth_roots_mod_p2,
-                                solve_alpha_ap, sqrt_mod_p2)
+from noncong.congruence import (InsufficientDataError, NotPIntegralError,
+                                aswd_three_term_check, detect_basis,
+                                detect_bases, match_constant, padic_valuation,
+                                reduce_mod_p2, solve_alpha_ap, sqrt_mod_p2)
 
 
 # --- residues -----------------------------------------------------------------
 
 def test_reduce_examples():
-    assert reduce_mod_p2(Fraction(-4, 3), 5).value == 7
-    assert reduce_mod_p2(0, 7).value == 0
-    assert reduce_mod_p2(-22, 13).value == 147
+    assert reduce_mod_p2(Fraction(-4, 3), 5) == 7
+    assert reduce_mod_p2(0, 7) == 0
+    assert reduce_mod_p2(-22, 13) == 147
 
 
 def test_reduce_round_trip_random():
@@ -34,7 +31,7 @@ def test_reduce_round_trip_random():
         num = rng.randint(-500, 500)
         den = rng.choice([1, 3, 9, 27, 81])
         r = reduce_mod_p2(Fraction(num, den), p)
-        assert (r.value * den - num) % (p * p) == 0
+        assert (r * den - num) % (p * p) == 0
 
 
 def test_reduce_rejects_non_integral():
@@ -50,109 +47,114 @@ def test_padic_valuations():
 
 
 def test_residue_arithmetic():
-    a = ResidueModP2(5, 7)
-    assert (a * a.inverse()).value == 1
-    assert (a + 18).value == 0
+    # residues are plain ints mod p^2: units invert, non-units are refused,
+    # and a sixth root of unity carries its order
+    assert reduce_mod_p2(Fraction(1, 7), 5) * 7 % 25 == 1
+    assert (reduce_mod_p2(7, 5) + reduce_mod_p2(18, 5)) % 25 == 0
     with pytest.raises(ZeroDivisionError):
-        ResidueModP2(5, 10).inverse()
-    assert ResidueModP2(7, 18).order() == 3
+        solve_alpha_ap(1, 10, 5)
+    with pytest.raises(ValueError, match="units only"):
+        sqrt_mod_p2(10, 5)
+    assert congruence._unit_order(18, 49) == 3
 
 
 # --- roots ----------------------------------------------------------------------
 
 def test_sqrt_examples():
-    roots = sqrt_mod_p2(ResidueModP2(7, -3 % 49))
-    assert {r.value for r in roots} == {37, 12}
+    assert set(sqrt_mod_p2(-3 % 49, 7)) == {37, 12}
     assert (37 * 37 - (-3)) % 49 == 0
-    assert sqrt_mod_p2(ResidueModP2(5, 2)) is None
-    roots1 = sqrt_mod_p2(ResidueModP2(11, 1))
-    assert {r.value for r in roots1} == {1, 120}
-
-
-def test_cbrt_examples():
-    assert cbrt_mod_p2(ResidueModP2(5, 3)).value == 12
-    assert pow(12, 3, 25) == 3
-    assert cbrt_mod_p2(ResidueModP2(5, 1)).value == 1
-    assert cbrt_mod_p2(ResidueModP2(11, 3)).value == 9
-    with pytest.raises(ValueError, match="not unique"):
-        cbrt_mod_p2(ResidueModP2(7, 2))
+    assert sqrt_mod_p2(2, 5) is None
+    assert set(sqrt_mod_p2(1, 11)) == {1, 120}
 
 
 def test_root_round_trips_random():
     rng = random.Random(3)
-    squares = cubes = 0
+    squares = 0
     for p in [q for q in primes_upto(50) if q >= 5]:
         for _ in range(30):
             a = rng.randrange(1, p)
-            r = sqrt_mod_p2(ResidueModP2(p, a))
+            r = sqrt_mod_p2(a, p)
             if r is not None:
                 for x in r:
-                    assert (x.value * x.value - a) % (p * p) == 0
+                    assert (x * x - a) % (p * p) == 0
                 squares += 1
-            if p % 3 == 2:
-                c = cbrt_mod_p2(ResidueModP2(p, a))
-                assert pow(c.value, 3, p * p) == a % (p * p)
-                cubes += 1
-    assert squares >= 100 and cubes >= 100
+    assert squares >= 100
 
 
 def test_sixth_roots():
+    # match_constant accepts c = u * target exactly for the sixth roots of
+    # unity u mod p^2, and reports each with its multiplicative order
     for p in (5, 7, 13, 23):
-        roots = sixth_roots_mod_p2(p)
         m = p * p
-        for r in roots:
-            assert pow(r.value, 6, m) == 1
-        assert {1, m - 1} <= {r.value for r in roots}
-        assert len(roots) == (6 if p % 3 == 1 else 2)
-    omegas = primitive_cube_roots_mod_p2(7)
-    assert {w.value for w in omegas} == {18, 30}
-    assert all((w.value ** 2 + w.value + 1) % 49 == 0 for w in omegas)
-    w13 = primitive_cube_roots_mod_p2(13)
-    assert 22 in {w.value for w in w13} and 146 in {w.value for w in w13}
+        found = {}
+        for u in range(1, m):
+            hit = match_constant(u * 2 % m, 2, p, "L48")
+            assert (hit is not None) == (pow(u, 6, m) == 1), (p, u)
+            if hit is not None:
+                assert (hit.unit, hit.modulus_exponent) == (u, 2)
+                assert hit.order == next(k for k in range(1, 7) if pow(u, k, m) == 1)
+                found[u] = hit.order
+        assert {1, m - 1} <= set(found)
+        assert len(found) == (6 if p % 3 == 1 else 2)
+        if p == 7:
+            omegas = {u for u, k in found.items() if k == 3}
+            assert omegas == {18, 30}
+            assert all((w * w + w + 1) % 49 == 0 for w in omegas)
+        if p == 13:
+            assert found[22] == found[146] == 3
 
 
 # --- ratio machinery ---------------------------------------------------------------
 
+def _reduced(seq, p):
+    return {n: reduce_mod_p2(x, p) for n, x in seq.items()}
+
+
+def _ratio(seq, p, bound):
+    r = _reduced(seq, p)
+    return congruence._constancy(r, r, p, bound)[0]
+
+
 def test_ratio_constancy_on_catalog_group():
     g = get_group("24.6.1^6")
     a = coefficient_sequence(g, "a", 500)
-    assert ratio_constancy(a, 7, 500).value == 47
-    assert ratio_constancy(a, 5, 500).value == 0
-    assert ratio_constancy(a, 19, 500).value == 335
+    assert _ratio(a, 7, 500) == 47
+    assert _ratio(a, 5, 500) == 0
+    assert _ratio(a, 19, 500) == 335
 
 
 def test_ratio_constancy_empty_test_set_is_error():
     with pytest.raises(InsufficientDataError, match="insufficient data"):
-        ratio_constancy({1: Fraction(1)}, 7, 500)
+        congruence._constancy({1: 1}, {1: 1}, 7, 500)
 
 
 def test_ratio_constancy_detects_nonconstant():
     seq = {n: Fraction(n) for n in range(1, 60)}
     seq[14] = Fraction(999)
-    assert ratio_constancy(seq, 7, 56) is None
+    assert _ratio(seq, 7, 56) is None
 
 
 def test_cross_ratio_on_catalog_group():
     g = get_group("8^3.6.3.1^3")
     a = coefficient_sequence(g, "a", 500)
     b = coefficient_sequence(g, "b", 500)
-    assert ratio_constancy(a, 5, 500) is None          # case 1 fails at p = 2 mod 3
-    c1, c2 = cross_ratio_constancy(a, b, 5, 500)
-    assert (c1.value, c2.value) == (3, 1)
-    c1, c2 = cross_ratio_constancy(a, b, 11, 500)
-    assert (c1.value, c2.value) == (84, 32)
+    assert _ratio(a, 5, 500) is None          # case 1 fails at p = 2 mod 3
+    for p, want in ((5, (3, 1)), (11, (84, 32))):
+        ra, rb = _reduced(a, p), _reduced(b, p)
+        c1 = congruence._constancy(ra, rb, p, 500)[0]
+        c2 = congruence._constancy(rb, ra, p, 500)[0]
+        assert (c1, c2) == want
 
 
 def test_solve_alpha_ap():
-    c1, c2 = ResidueModP2(5, 3), ResidueModP2(5, 1)
-    alpha_sq, ap_sq, pattern = solve_alpha_ap(c1, c2)
-    assert ap_sq.value == 3
-    assert ap_sq.value == (-2 * 36) % 25      # -2 * 6^2
-    assert pattern[6].value == 4
-    same = solve_alpha_ap(ResidueModP2(5, 7), ResidueModP2(5, 7))
-    assert same[0].value == 1
+    alpha_sq, ap_sq, pattern = solve_alpha_ap(3, 1, 5)
+    assert ap_sq == 3
+    assert ap_sq == (-2 * 36) % 25      # -2 * 6^2
+    assert pattern[6] == 4
+    same = solve_alpha_ap(7, 7, 5)
+    assert same[0] == 1
     with pytest.raises(ZeroDivisionError):
-        solve_alpha_ap(ResidueModP2(5, 5), ResidueModP2(5, 10))
+        solve_alpha_ap(5, 10, 5)
 
 
 # --- three-term checks ----------------------------------------------------------------
@@ -177,8 +179,8 @@ def test_three_term_for_noncongruence_form():
 
 def test_three_term_with_residue_ap():
     g = get_group("24.6.1^6")
-    a = coefficient_sequence(g, "a", 500)
-    rep = aswd_three_term_check(a, reduce_mod_p2(-2, 7), character_value((-3,), 7), 7, 20)
+    a = _reduced(coefficient_sequence(g, "a", 500), 7)
+    rep = congruence._three_term_mod_p2(a, reduce_mod_p2(-2, 7), 7, 20)
     assert rep.ok
     assert any(kind.startswith("mod") for _, _, kind, _ in rep.rows)
 
@@ -258,6 +260,30 @@ def test_detect_basis_attaches_three_term_rows():
     assert data["threeTerm"]["a"][0][0] == 1
 
 
+def test_residue_three_term_rows_fail_on_wrong_constant():
+    g = get_group("24.6.1^6")
+    rep = detect_basis(g, 7, bound=500, three_term_n_bound=40)
+    for w in "ab":
+        values = congruence._BasisForm(g, w, 7, 500, (7,)).values
+        c = rep.constants[w]
+        right = congruence._three_term_mod_p2(values, c, 7, 40)
+        assert right.rows == rep.three_term[w].rows and right.ok
+        wrong = congruence._three_term_mod_p2(values, (c + 1) % 49, 7, 40)
+        # a_{7n} = c a_n on every row, so c + 1 is off by exactly a_n
+        assert wrong.failures == [n for n in range(1, 41) if values[n] % 49]
+        assert wrong.failures and not wrong.ok
+
+
+def test_residue_three_term_rows_are_mod_p2():
+    primes = tuple(q for q in primes_upto(47) if q >= 5)
+    rows = [row for g in GROUPS.values()
+            for rep in detect_bases(g, primes, 500, three_term_n_bound=50)
+            for report in rep.three_term.values() for row in report.rows]
+    assert {kind for _, _, kind, _ in rows} == {"mod p^2"}
+    # rows with p | n need p^4 or p^6 and are still certified mod p^2 only
+    assert {need for _, need, _, _ in rows} == {2, 4, 6}
+
+
 # --- the residue path against the exact sequences ---------------------------------------
 
 class _ExactForm:
@@ -265,7 +291,7 @@ class _ExactForm:
 
     def __init__(self, group, which, p, bound, primes):
         self.exact = coefficient_sequence(group, which, bound)
-        self.values = {n: reduce_mod_p2(x, p).value for n, x in self.exact.items()}
+        self.values = {n: reduce_mod_p2(x, p) for n, x in self.exact.items()}
 
     def any_nonzero(self, indices):
         return any(self.exact[n] != 0 for n in indices)
@@ -311,7 +337,7 @@ def test_live_flag_falls_back_to_exact_when_residues_vanish(monkeypatch):
     form = congruence._BasisForm(g, "a", 5, 500, (5,))
     const, tested = congruence._constancy(form.values, form.values, 5, 500)
     # a_{5n} = 0 mod 25 on every tested n, so only the fallback can decide
-    assert const.value == 0 and all(form.values[n] == 0 for n in tested)
+    assert const == 0 and all(form.values[n] == 0 for n in tested)
     assert form.any_nonzero(tested) is any(exact[n] != 0 for n in tested) is True
     assert calls == [(g, "a", 500)]
     # indices off the lattice of exponents are zero without the fallback

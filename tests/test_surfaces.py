@@ -298,9 +298,3 @@ def test_isogeny_catalog_data_attached_to_groups():
     assert g8.isogeny_data()["d"] == 8
     assert "sqrt(-1)" in g8.isogeny_data()["field"]
 
-
-def test_rational_function_evaluate():
-    f = (1 + T) / (1 - T)
-    assert f.evaluate(Fraction(1, 2)) == 3
-    with pytest.raises(ZeroDivisionError, match="pole"):
-        f.evaluate(1)

@@ -19,7 +19,7 @@ from noncong.traces import (BadPrimeError, FIBER_VALUE, PrimeField,
                             count_points_short, fiber_trace_table, field_for,
                             frobenius_trace, local_trace, quadratic_character,
                             SurfaceFamily, surface_families, trace_pair,
-                            trace_fingerprint_equal, trace_rows, rows_to_csv)
+                            trace_rows, rows_to_csv)
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -270,16 +270,16 @@ def test_fingerprints_of_isogenous_pairs():
     for na, ia, nb, ib in pairs:
         fa = surface_families(GROUPS[na])[ia]
         fb = surface_families(GROUPS[nb])[ib]
-        rep = trace_fingerprint_equal(fa, fb, TABLE8_PRIMES)
-        assert all(v["tr_p_equal"] and v["tr_p2_equal"] for v in rep.values())
+        for p in TABLE8_PRIMES:
+            assert trace_pair(fa, p) == trace_pair(fb, p), (na, nb, p)
 
 
 def test_fingerprint_of_row_pair_1a_1b():
     fa = surface_families(GROUPS["gamma_24.6.1^6"])[0]
     fb = surface_families(GROUPS["gamma_8^3.2^3.3^2"])[0]
-    rep = trace_fingerprint_equal(fa, fb, TABLE8_PRIMES)
-    assert all(v["tr_p2_equal"] for v in rep.values())
-    differs = {p for p, v in rep.items() if not v["tr_p_equal"]}
+    pairs = {p: (trace_pair(fa, p), trace_pair(fb, p)) for p in TABLE8_PRIMES}
+    assert all(ta2 == tb2 for (_, ta2), (_, tb2) in pairs.values())
+    differs = {p for p, ((ta, _), (tb, _)) in pairs.items() if ta != tb}
     assert differs == {7, 19}
 
 
@@ -299,8 +299,8 @@ def test_twist_rows_sign_pattern():
 
 def test_family_vs_itself_equal():
     fam = surface_families(GROUPS["gamma_24.6.1^6"])[0]
-    rep = trace_fingerprint_equal(fam, fam, (5, 7))
-    assert all(v["tr_p_equal"] and v["tr_p2_equal"] for v in rep.values())
+    for p in (5, 7):
+        assert trace_pair(fam, p) == trace_pair(fam, p)
 
 
 def test_nonresidue_choice_does_not_change_trace():
@@ -427,10 +427,18 @@ def test_traces_against_newform_coefficients():
                     k = 2 * kronecker_symbol(3, p) if group.newform == "L432" else 2
                 assert tr2 == k * (ap_squared(ap) - 2 * chi * p * p), (fam.label, p)
                 checks += 1
-                if ap.is_rational and ap.c[0]:
+                if group.newform in ("L243", "L486"):
+                    # exact: Tr_p = k A_p with A_p rational at p = 1 mod 3,
+                    # and Tr_p = 0 at p = 2 mod 3
+                    if p % 3 == 1:
+                        assert ap.is_rational and tr == k * ap.c[0], (fam.label, p)
+                    else:
+                        assert tr == 0, (fam.label, p)
+                    checks += 1
+                elif ap.is_rational and ap.c[0]:
                     assert tr / ap.c[0] in (1, -1, 2, -2), (fam.label, p)
                     checks += 1
-    assert checks == 372
+    assert checks == 414
 
 
 def test_bad_primes_refused():
