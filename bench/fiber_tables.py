@@ -47,12 +47,12 @@ def child(kind: str, p: int) -> dict:
         families = [fam for name in noncong.MAIN_GROUPS
                     for fam in traces.surface_families(noncong.GROUPS[name])]
         for level in ("E8", "E6"):
-            traces.fiber_trace_table(level, p, True, None)
-        traces.field_for(p, True, None).inv_table()
+            traces.fiber_trace_table(level, p, True)
+        traces.field_for(p, True).inv_table()
 
         def run():
             for fam in families:
-                traces.frobenius_trace(fam, p, True, None)
+                traces.frobenius_trace(fam, p, True)
     else:
         levels = ("E8", "E6") if kind == "pair_p2" else ("E8",)
 
@@ -60,7 +60,7 @@ def child(kind: str, p: int) -> dict:
             traces.field_for.cache_clear()
             traces.fiber_trace_table.cache_clear()
             for level in levels:
-                traces.fiber_trace_table(level, p, kind != "table_p", None)
+                traces.fiber_trace_table(level, p, kind != "table_p")
     runs = []
     while len(runs) < 3 or (sum(runs) < 1.0 and len(runs) < 25):
         t0 = time.perf_counter()

@@ -22,7 +22,7 @@ from math import gcd
 
 from .series import (EtaQuotient, PuiseuxSeries, _convolve, cube_root_mod,
                      eisenstein_e6_ints, eta_product_ints, eta_product_mod)
-from .surfaces import RationalFunction, rf, T, ISOGENY_BY_INVOLUTION
+from .surfaces import RationalFunction, T, ISOGENY_BY_INVOLUTION
 
 # ---------------------------------------------------------------------------
 # small number-theory utilities

@@ -293,11 +293,13 @@ def cmd_isogeny(args) -> int:
             raise InputRefused(f"{g.name} carries no involution data")
     primes = _parse_primes(args.primes, limit=traces.PRIME_LIMIT) \
         if args.primes else (101, 103)
+    if primes[0] < 5:
+        raise InputRefused(f"--primes selects {primes[0]}; the isogeny check needs p >= 5")
     try:
         ok = surfaces.isogeny_relation_check(
             rel, mode=args.mode, primes=primes, samples=args.samples,
             modpoly_path=args.modpoly)
-    except surfaces.MissingPolynomialData as e:
+    except (surfaces.MissingPolynomialData, ValueError) as e:   # no data, or no sample point
         raise InputRefused(str(e)) from None
     print("pass" if ok else "FAIL")
     return 0 if ok else 1

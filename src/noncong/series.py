@@ -718,23 +718,18 @@ class EtaQuotient:
     def weight(self) -> Fraction:
         return Fraction(sum(e for _, e in self.factors), 2)
 
-    def expansion(self, order: int, mu: int | None = None) -> PuiseuxSeries:
+    def expansion(self, order: int) -> PuiseuxSeries:
         """Exact expansion including the q^(sum m*e / 24) prefactor.
 
         ``order`` is the number of q-integer coefficients of the eta product
         carried (the result is valid through q^(prefactor + order)).
         """
         pre = Fraction(self.prefactor24, 24)
-        mu0 = pre.denominator
-        if mu is not None:
-            if mu % mu0:
-                raise ValueError(
-                    f"prefactor q^{pre} not representable at ramification 1/{mu}")
-            mu0 = mu
+        mu = pre.denominator
         prod = eta_product_ints(self.factors, order)
-        lo = int(pre * mu0)
-        coeffs = _stride([Fraction(c) for c in prod], mu0)
-        return PuiseuxSeries(mu0, lo, coeffs, lo + mu0 * order)
+        lo = pre.numerator
+        coeffs = _stride([Fraction(c) for c in prod], mu)
+        return PuiseuxSeries(mu, lo, coeffs, lo + mu * order)
 
     def root_expansion(self, n: int, order: int) -> PuiseuxSeries:
         """n-th root of the quotient, valid through `order` coefficients of

@@ -17,7 +17,8 @@ ENV_MODPOLY_PATH = "NONCONG_MODPOLY_PATH"
 
 
 class MissingPolynomialData(LookupError):
-    """A modular polynomial that is not built in was requested."""
+    """A modular polynomial that is not built in was requested, and no
+    usable data file holds it."""
 
 
 # ---------------------------------------------------------------------------
@@ -552,25 +553,29 @@ _BUILTIN_PHI = {1: PHI1, 2: PHI2, 3: PHI3}
 
 def load_modular_polynomial_file(path: str) -> ModularPolynomial:
     """Plain-text format: first line d, then `i j c` terms (one per line);
-    a line `sym` means symmetric pairs may be listed once."""
+    a line `sym` means symmetric pairs may be listed once, and `#` starts a
+    comment.  A line that is none of these raises ValueError naming it."""
     terms: dict[tuple[int, int], int] = {}
     sym = False
     d = None
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        for number, raw in enumerate(fh, 1):
+            line = raw.partition("#")[0].strip()
+            if not line:
                 continue
-            if d is None:
-                d = int(line)
-                continue
-            if line == "sym":
-                sym = True
-                continue
-            i, j, c = line.split()
-            terms[(int(i), int(j))] = int(c)
+            try:
+                if d is None:
+                    d = int(line)
+                elif line == "sym":
+                    sym = True
+                else:
+                    i, j, c = map(int, line.split())
+                    terms[(i, j)] = c
+            except ValueError:
+                want = "the degree d" if d is None else "a term 'i j c'"
+                raise ValueError(f"line {number}: {line!r} is not {want}") from None
     if d is None:
-        raise ValueError(f"{path}: empty modular polynomial file")
+        raise ValueError("no degree line: the file holds no data")
     if sym:
         for (i, j), c in list(terms.items()):
             terms.setdefault((j, i), c)
@@ -579,18 +584,28 @@ def load_modular_polynomial_file(path: str) -> ModularPolynomial:
 
 def modular_polynomial(d: int, path: str | None = None) -> ModularPolynomial:
     """Phi_d: built in for d <= 3, otherwise read from `path` or the file
-    named by the NONCONG_MODPOLY_PATH environment variable."""
+    named by the NONCONG_MODPOLY_PATH environment variable.  A missing,
+    unreadable or malformed file, or one holding another Phi, raises
+    MissingPolynomialData naming the file."""
     if d in _BUILTIN_PHI:
         return _BUILTIN_PHI[d]
     path = path or os.environ.get(ENV_MODPOLY_PATH)
-    if path and os.path.exists(path):
+    if not path:
+        raise MissingPolynomialData(
+            f"polynomial data required: Phi_{d} is not built in; supply a data file")
+    try:
         mp = load_modular_polynomial_file(path)
+    except OSError as e:
+        reason = e.strerror
+    except UnicodeDecodeError:
+        reason = "not UTF-8 text"
+    except ValueError as e:
+        reason = str(e)
+    else:
         if mp.d == d:
             return mp
-        raise MissingPolynomialData(
-            f"polynomial data required: file {path} holds Phi_{mp.d}, not Phi_{d}")
-    raise MissingPolynomialData(
-        f"polynomial data required: Phi_{d} is not built in; supply a data file")
+        reason = f"it holds Phi_{mp.d}, not Phi_{d}"
+    raise MissingPolynomialData(f"polynomial data file {path}: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +659,8 @@ def isogeny_relation_check(rel: dict, mode: str = "sampled",
                            primes=(101, 103), samples: int = 50,
                            modpoly_path: str | None = None) -> bool:
     """Check Phi_d(j1(t), j2(t)) = 0 for a relation, symbolically in Q(t) or
-    sampled over F_p at `samples` non-pole points per prime."""
+    sampled over F_p at up to `samples` non-pole points t = 1, 2, ... per
+    prime; a prime without one is refused with ValueError."""
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, not {samples}")
     if "i" in rel:  # self relation from ISOGENY_BY_INVOLUTION
@@ -659,18 +675,18 @@ def isogeny_relation_check(rel: dict, mode: str = "sampled",
         raise ValueError("mode must be 'symbolic' or 'sampled'")
     for p in primes:
         tested = 0
-        t0 = 1
-        while tested < samples and t0 < p:
+        for t0 in range(1, p):
             try:
-                xa = _eval_mod(ja, t0, p)
-                xb = _eval_mod(jb, t0, p)
-            except ZeroDivisionError:
-                t0 += 1
+                xa, xb = _eval_mod(ja, t0, p), _eval_mod(jb, t0, p)
+            except (ZeroDivisionError, ValueError):     # a pole, or p | a denominator
                 continue
             if phi.evaluate_mod(xa, xb, p) != 0:
                 return False
             tested += 1
-            t0 += 1
+            if tested == samples:
+                break
+        if not tested:
+            raise ValueError(f"no point t = 1..{p - 1} can be sampled mod p = {p}")
     return True
 
 

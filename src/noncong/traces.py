@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd, isqrt, lcm
 
@@ -142,32 +142,12 @@ def _power(field, x: int, e: int) -> int:
     return field.mul_vec(half, x) if e & 1 else half
 
 
-def _cache_on(key, maxsize: int):
-    """lru_cache on key(*args, **kwargs), so that every spelling of one
-    call (a default given or left out, positional or keyword) shares an
-    entry; cache_clear and cache_info are those of the cache."""
-    def decorate(fn):
-        cached = lru_cache(maxsize)(lambda k: fn(*k))
-
-        @wraps(fn)
-        def call(*args, **kwargs):
-            return cached(key(*args, **kwargs))
-        call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
-        return call
-    return decorate
-
-
-def _field_key(p: int, squared: bool, nonresidue: int | None = None):
-    """F_p takes no nonresidue."""
-    return p, bool(squared), nonresidue if squared else None
-
-
-# room for F_p and F_{p^2} of two primes
-@_cache_on(_field_key, maxsize=4)
-def field_for(p: int, squared: bool, nonresidue: int | None = None):
+# room for F_p and F_{p^2} of two primes; positional arguments, one key per field
+@lru_cache(maxsize=4)
+def field_for(p: int, squared: bool, /):
     """F_{p^2} (squared) or F_p, one shared object per field, so its log,
     character, inverse and character-sum tables are built once."""
-    return QuadExtField(p, nonresidue) if squared else PrimeField(p)
+    return QuadExtField(p) if squared else PrimeField(p)
 
 
 def _poly_eval(field, coeffs, x):
@@ -267,10 +247,8 @@ def surface_families(group) -> list[SurfaceFamily]:
 @lru_cache(maxsize=None)
 def _level_poly_coeffs(level: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     sw = beauville_short(level)
-    A = tuple(int(c) for c in sw.A.num)
-    B = tuple(int(c) for c in sw.B.num)
-    assert sw.A.den == (Fraction(1),) and sw.B.den == (Fraction(1),)
-    return A, B
+    assert sw.A.den == sw.B.den == (Fraction(1),)
+    return tuple(int(c) for c in sw.A.num), tuple(int(c) for c in sw.B.num)
 
 
 def _infinity_model(level: str) -> tuple[int, int]:
@@ -290,9 +268,8 @@ PRIME_LIMIT = 2003
 
 
 # room for the four tables of one prime (E8 and E6, over F_p and F_{p^2}) twice
-@_cache_on(lambda level, *field, **kw: (level, *_field_key(*field, **kw)), maxsize=8)
-def fiber_trace_table(level: str, p: int, squared: bool,
-                      nonresidue: int | None = None):
+@lru_cache(maxsize=8)
+def fiber_trace_table(level: str, p: int, squared: bool, /):
     """Local trace of the level family at every parameter value of F_q (a
     read-only int32 array indexed by element), plus the trace at the
     parameter point at infinity.
@@ -303,7 +280,7 @@ def fiber_trace_table(level: str, p: int, squared: bool,
     B / u^3 and chi(u) are sums of log indices.  Singular fibers take
     chi(-2AB).
     """
-    field = field_for(p, squared, nonresidue)
+    field = field_for(p, squared)
     n = field.q - 1
     E, L, chi, const = field.exp, field.log, field.chi_table, field.constant
     S = field.character_sums()
@@ -336,7 +313,7 @@ def _poly_grid(field, coeffs) -> np.ndarray:
     a = np.arange(p, dtype=np.int64)
     if field.q == p:
         return _poly_eval(field, coeffs, a)
-    base = field_for(p, False, None)       # F_p, cached under frobenius_trace's key
+    base = field_for(p, False)
     D = np.array([_poly_eval(base, [comb(i, k) * c for i, c in enumerate(coeffs)][k:], a)
                   * pow(field.nu, k // 2, p) % p for k in range(len(coeffs))])
     V = np.ones_like(D)
@@ -405,12 +382,11 @@ def _mobius_on_cubes(field, mobius) -> np.ndarray:
     return f
 
 
-def frobenius_trace(family: SurfaceFamily, p: int, squared: bool = False,
-                    nonresidue: int | None = None) -> int:
+def frobenius_trace(family: SurfaceFamily, p: int, squared: bool = False) -> int:
     """Tr(Frob_q) = - sum of local traces over P^1(F_q), q = p or p^2."""
     _check_good_prime(family, p)
-    field = field_for(p, squared, nonresidue)
-    tau, tau_inf = fiber_trace_table(family.level, p, squared, nonresidue)
+    field = field_for(p, squared)
+    tau, tau_inf = fiber_trace_table(family.level, p, squared)
     if (field.q - 1) % 3:                   # r -> r^3 and f permute P^1(F_q)
         return -int(tau.sum()) - tau_inf
 
@@ -470,7 +446,5 @@ def trace_rows(groups, primes=TABLE8_PRIMES):
 
 
 def rows_to_csv(rows) -> str:
-    lines = ["group,parameterization,p,tr_p,tr_p2"]
-    for name, label, p, tr, tr2 in rows:
-        lines.append(f"{name},{label},{p},{tr},{tr2}")
+    lines = ["group,parameterization,p,tr_p,tr_p2", *(",".join(map(str, row)) for row in rows)]
     return "\n".join(lines) + "\n"

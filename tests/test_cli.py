@@ -169,6 +169,21 @@ def test_isogeny_missing_data(capsys, monkeypatch):
     assert err.startswith("refused: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("make,reason", [
+    (lambda path: path.write_text("8\n1 0 abc\n"), "line 2: '1 0 abc' is not a term 'i j c'"),
+    (lambda path: path.write_text(""), "no degree line: the file holds no data"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: None, "No such file or directory"),
+], ids=["malformed-line", "empty", "directory", "missing"])
+def test_bad_modpoly_file_refused(capsys, tmp_path, make, reason):
+    """Phi_8 (relation 1a) is not built in, so --modpoly is read."""
+    path = tmp_path / "phi8.txt"
+    make(path)
+    rc, out, err = run(capsys, "--modpoly", str(path), "isogeny", "--pair", "1a")
+    assert (rc, out) == (2, "")
+    assert err == f"refused: polynomial data file {path}: {reason}\n"
+
+
 def test_isogeny_self_relation(capsys):
     rc, out, _ = run(capsys, "isogeny", "--self", "gamma_18.6.3^3.1^3",
                      "--mode", "symbolic")
@@ -264,7 +279,10 @@ README = str(GOLDEN.parent / "README.md")
     (["expand", "eta", "1:24", "--root", "3", "--order", "100000"],
      "--order 100000 is above the limit 2000"),
     (["expand", "E6", "--order", "100000"], "--order 100000 is above the limit 2000"),
-    (["expand", "eta", "1:24", "--root", "25"], "--root 25 is above the limit 24"),
+    (["expand", "eta", "1:24", "--root", "25"], "--root 25 is above the limit 24"),    (["isogeny", "--pair", "4a", "--primes", "2"],
+     "--primes selects 2; the isogeny check needs p >= 5"),
+    (["isogeny", "--self", "gamma_24.6.1^6", "--primes", "2"],
+     "--primes selects 2; the isogeny check needs p >= 5"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)

@@ -179,8 +179,8 @@ def test_eta_quotient_fractional_prefactor():
     eq = EtaQuotient.of({2: 20, 4: -6, 8: 4})
     s = eq.expansion(4)
     assert s.valuation == 2  # q^2 prefactor
-    with pytest.raises(ValueError, match="not representable"):
-        EtaQuotient.of({1: 1}).expansion(4, mu=2)  # prefactor 1/24 needs mu=24
+    eta = EtaQuotient.of({1: 1}).expansion(4)
+    assert (eta.mu, eta.valuation) == (24, Fraction(1, 24))
 
 
 def test_cube_root_eta_quotient_known_values():

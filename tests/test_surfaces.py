@@ -242,6 +242,13 @@ def test_modular_polynomial_file_round_trip(tmp_path):
     assert loaded.terms == PHI2.terms
 
 
+def test_modular_polynomial_file_comments(tmp_path):
+    path = tmp_path / "phi2.txt"
+    path.write_text("# Phi_2\n2   # first line: d\nsym\n"
+                    + "".join(f"{i} {j} {c}  # c X^i Y^j\n" for i, j, c in PHI2.terms))
+    assert load_modular_polynomial_file(str(path)).terms == PHI2.terms
+
+
 def test_missing_polynomial_data(monkeypatch):
     monkeypatch.delenv("NONCONG_MODPOLY_PATH", raising=False)
     with pytest.raises(MissingPolynomialData, match="polynomial data required"):
@@ -266,6 +273,13 @@ def test_sampled_relation_check_needs_a_sample(samples):
     rel = ISOGENY_BY_INVOLUTION["E8:-t"]
     with pytest.raises(ValueError, match="samples must be a positive integer"):
         isogeny_relation_check(rel, mode="sampled", samples=samples)
+
+
+@pytest.mark.parametrize("rel", [INTER_FAMILY_RELATIONS["4a"], ISOGENY_BY_INVOLUTION["E8:-t"]],
+                         ids=["4a", "E8:-t"])
+def test_sampled_relation_check_needs_a_point_per_prime(rel):
+    with pytest.raises(ValueError, match="mod p = 2"):
+        isogeny_relation_check(rel, mode="sampled", primes=(2,))
 
 
 def test_self_relation_degree_three_symbolic():

@@ -303,20 +303,10 @@ def test_family_vs_itself_equal():
         assert trace_pair(fam, p) == trace_pair(fam, p)
 
 
-def test_nonresidue_choice_does_not_change_trace():
-    fam = surface_families(GROUPS["gamma_24.6.1^6"])[0]
-    p = 13
-    base = QuadExtField(p)
-    others = [n for n in range(2, p)
-              if quadratic_character(PrimeField(p), n) == -1 and n != base.nu]
-    alt = others[0]
-    assert frobenius_trace(fam, p, True) == frobenius_trace(fam, p, True, nonresidue=alt)
-
-
 @pytest.mark.parametrize("p,squared,nonresidue", [
     (5, False, None), (7, False, None), (13, False, None), (13, True, 5)])
 def test_log_tables(p, squared, nonresidue):
-    field = field_for(p, squared, nonresidue)
+    field = QuadExtField(p, nonresidue) if nonresidue else field_for(p, squared)
     q, E, L = field.q, field.exp, field.log
     nu = field.nu if squared else 0
     pair = (lambda i: divmod(i, p)) if squared else (lambda i: (i, 0))
@@ -351,23 +341,43 @@ def oracle_trace(fam, field):
 ALL_FAMILIES = [fam for name in MAIN_GROUPS for fam in surface_families(GROUPS[name])]
 
 
-@pytest.mark.parametrize("p,squared,nonresidue", [
-    (7, False, None), (13, False, None), (11, False, None), (17, False, None),
-    (5, True, None), (7, True, None), (13, True, 5), (1009, False, None)])
-def test_cube_cover_sum_matches_scalar_oracle(p, squared, nonresidue):
-    field = field_for(p, squared, nonresidue)
+def default_model_ids(cases):
+    """Ids p-squared-None for (p, squared) cases: the fast path builds F_q
+    on the default nonresidue only."""
+    return [f"{p}-{squared}-None" for p, squared in cases]
+
+
+CUBE_COVER_CASES = [(7, False), (13, False), (11, False), (17, False),
+                    (5, True), (7, True), (1009, False)]
+
+
+@pytest.mark.parametrize("p,squared", CUBE_COVER_CASES,
+                         ids=default_model_ids(CUBE_COVER_CASES))
+def test_cube_cover_sum_matches_scalar_oracle(p, squared):
+    field = field_for(p, squared)
     for fam in ALL_FAMILIES:
-        assert frobenius_trace(fam, p, squared, nonresidue) == oracle_trace(fam, field), fam.label
+        assert frobenius_trace(fam, p, squared) == oracle_trace(fam, field), fam.label
+
+
+def test_nonresidue_choice_does_not_change_trace():
+    """The traces are invariants of the surfaces: the scalar oracle on
+    F_13(sqrt(nu)) for a second nonresidue nu agrees with the fast path."""
+    p = 13
+    alt = next(n for n in range(2, p) if quadratic_character(PrimeField(p), n) == -1
+               and n != field_for(p, True).nu)
+    field = QuadExtField(p, alt)
+    for fam in ALL_FAMILIES:
+        assert frobenius_trace(fam, p, True) == oracle_trace(fam, field), fam.label
 
 
 def test_cube_cover_sum_at_211_squared_sampled():
     """The cube-cover sum equals the sum over every r of the table read at
     num(r) / den(r); a sample of those reads equals the scalar oracle."""
     p = 211
-    field = field_for(p, True, None)
+    field = field_for(p, True)
     r = np.arange(field.q, dtype=np.int64)
     for level in ("E8", "E6"):
-        tau, tau_inf = fiber_trace_table(level, p, True, None)
+        tau, tau_inf = fiber_trace_table(level, p, True)
         for fam in [f for f in ALL_FAMILIES if f.level == level]:
             a, b, c, d = fam.mobius
             num = _poly_eval(field, (b, 0, 0, a), r)
@@ -488,15 +498,15 @@ def scalar_fiber_trace(field, Acoef, Bcoef, s):
         return FIBER_VALUE[classify_singular_fiber(field, A, B)]
 
 
+FIBER_TABLE_CASES = [(p, squared) for squared in (False, True) for p in (5, 7, 11, 13)]
+
+
 @pytest.mark.parametrize("level", ["E8", "E6"])
-@pytest.mark.parametrize("p,squared,nonresidue", [
-    (5, False, None), (7, False, None), (11, False, None), (13, False, None),
-    (5, True, None), (7, True, None), (11, True, None), (13, True, None),
-    (13, True, 5),
-])
-def test_fiber_table_matches_scalar_oracle(level, p, squared, nonresidue):
-    field = field_for(p, squared, nonresidue)
-    tau, _ = fiber_trace_table(level, p, squared, nonresidue)
+@pytest.mark.parametrize("p,squared", FIBER_TABLE_CASES,
+                         ids=default_model_ids(FIBER_TABLE_CASES))
+def test_fiber_table_matches_scalar_oracle(level, p, squared):
+    field = field_for(p, squared)
+    tau, _ = fiber_trace_table(level, p, squared)
     assert tau.dtype == np.int32 and len(tau) == field.q
     assert tau.tolist() == scalar_fiber_traces(level, field, range(field.q))
 
@@ -552,14 +562,13 @@ def test_character_sums_computed_once_per_field(monkeypatch):
 def test_cache_keys_do_not_depend_on_spelling():
     field_for.cache_clear()
     fiber_trace_table.cache_clear()
-    table = fiber_trace_table("E8", 13, True)
-    assert fiber_trace_table("E8", 13, True, None) is table
-    assert fiber_trace_table("E8", 13, squared=True, nonresidue=None) is table
-    assert fiber_trace_table("E8", 13, 1) is table
+    assert fiber_trace_table("E8", 13, 1) is fiber_trace_table("E8", 13, True)
+    with pytest.raises(TypeError):
+        fiber_trace_table("E8", 13, squared=True)
     assert fiber_trace_table.cache_info().currsize == 1
-    assert field_for(13, False, 2) is field_for(13, False) is field_for(p=13, squared=False)
-    assert field_for(13, True, None) is field_for(13, True)
-    assert field_for.cache_info().currsize == 2
+    with pytest.raises(TypeError):
+        field_for(13, squared=True)
+    assert field_for.cache_info().currsize == 2         # F_13 and F_169
 
 
 def test_fiber_tables_built_once_per_key():
