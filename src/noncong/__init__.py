@@ -5,7 +5,7 @@ congruence newforms.
 """
 
 from .series import (ExactRational, PuiseuxSeries, EtaQuotient, PrecisionError,
-                     eta_expansion, divisor_sigma, eisenstein_e6, parse_series)
+                     eta_expansion, eisenstein_e6, parse_series)
 from .surfaces import (RationalFunction, WeierstrassFamily, ShortWeierstrass,
                        ModularPolynomial, long_to_short, j_invariant,
                        substitute_parameter, involution_identity_check,

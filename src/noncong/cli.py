@@ -120,6 +120,9 @@ def cmd_traces(args) -> int:
     primes = _parse_primes(args.primes, limit=traces.PRIME_LIMIT)
     groups = [GROUPS[n] for n in MAIN_GROUPS] if args.group in (None, "all") \
         else [_group(args.group)]
+    for g in groups:
+        if not g.parameterizations:
+            raise InputRefused(f"{g.name} carries no surface parameterization")
     golden = _read_golden(args.golden, *TRACES_GOLDEN) if args.golden else None
     try:
         rows = traces.trace_rows(groups, primes)
@@ -299,7 +302,7 @@ def cmd_isogeny(args) -> int:
         ok = surfaces.isogeny_relation_check(
             rel, mode=args.mode, primes=primes, samples=args.samples,
             modpoly_path=args.modpoly)
-    except (surfaces.MissingPolynomialData, ValueError) as e:   # no data, or no sample point
+    except (surfaces.MissingPolynomialData, ValueError) as e:   # no data, or too few sample points
         raise InputRefused(str(e)) from None
     print("pass" if ok else "FAIL")
     return 0 if ok else 1

@@ -760,27 +760,6 @@ class EtaQuotient:
 # divisor sums and the weight-3 Eisenstein series used by the level-432 newform
 
 
-def divisor_sigma(n: int) -> int:
-    """Sum of the positive divisors of n."""
-    if n < 1:
-        raise ValueError("divisor_sigma needs a positive integer")
-    total = 1
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            power, term = 1, 1
-            while m % d == 0:
-                m //= d
-                power *= d
-                term += power
-            total *= term
-        d += 1
-    if m > 1:
-        total *= 1 + m
-    return total
-
-
 def sigma_table(order: int) -> list[int]:
     """sigma(n) for 0 <= n < order by sieve (index 0 unused)."""
     sig = [0] * order

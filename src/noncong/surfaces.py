@@ -659,8 +659,8 @@ def isogeny_relation_check(rel: dict, mode: str = "sampled",
                            primes=(101, 103), samples: int = 50,
                            modpoly_path: str | None = None) -> bool:
     """Check Phi_d(j1(t), j2(t)) = 0 for a relation, symbolically in Q(t) or
-    sampled over F_p at up to `samples` non-pole points t = 1, 2, ... per
-    prime; a prime without one is refused with ValueError."""
+    sampled over F_p at the first `samples` non-pole points t = 1, 2, ... of
+    each prime; a prime with fewer is refused with ValueError."""
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, not {samples}")
     if "i" in rel:  # self relation from ISOGENY_BY_INVOLUTION
@@ -685,8 +685,9 @@ def isogeny_relation_check(rel: dict, mode: str = "sampled",
             tested += 1
             if tested == samples:
                 break
-        if not tested:
-            raise ValueError(f"no point t = 1..{p - 1} can be sampled mod p = {p}")
+        if tested < samples:
+            raise ValueError(f"{samples} samples asked, but only {tested} points "
+                             f"t = 1..{p - 1} can be sampled mod p = {p}")
     return True
 
 

@@ -1,5 +1,5 @@
-"""Smoke test of bench/fiber_tables.py: each measurement's child mode runs
-against this checkout's library and reports a timing as one JSON line."""
+"""Smoke test of bench/layers.py: each measurement's child mode runs against
+this checkout's library at size 7 and reports a timing as one JSON line."""
 
 import json
 import os
@@ -10,13 +10,29 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPT = ROOT / "bench" / "fiber_tables.py"
+SCRIPT = ROOT / "bench" / "layers.py"
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+# all but the nine aswd processes, which take seconds
+CHILD_MODES = ["import", "import_compiled", "eta_powers", "residues", "aswd_row_block",
+               "table_p2", "table_p", "pair_p2", "family_sums_p2", "newform_L48",
+               "newform_L432", "basis"]
 
 
-@pytest.mark.parametrize("kind", ["table_p", "table_p2", "pair_p2", "family_sums_p2"])
-def test_fiber_tables_child_runs(kind):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(SCRIPT), "--child", kind, "7"], cwd=ROOT,
-                          env=env, capture_output=True, text=True, timeout=120)
+def layers(*argv):
+    return subprocess.run([sys.executable, str(SCRIPT), *argv], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", CHILD_MODES)
+def test_layers_child_runs(name):
+    done = layers("--child", name, "7")
     assert done.returncode == 0, done.stderr
     assert "time_s" in json.loads(done.stdout)
+
+
+def test_unknown_measurement_refused():
+    done = layers("--only", "nosuch")
+    assert done.returncode == 2 and done.stdout == ""
+    assert "unknown measurement nosuch" in done.stderr
+    assert all(name in done.stderr for name in CHILD_MODES + ["aswd"])

@@ -279,10 +279,17 @@ README = str(GOLDEN.parent / "README.md")
     (["expand", "eta", "1:24", "--root", "3", "--order", "100000"],
      "--order 100000 is above the limit 2000"),
     (["expand", "E6", "--order", "100000"], "--order 100000 is above the limit 2000"),
-    (["expand", "eta", "1:24", "--root", "25"], "--root 25 is above the limit 24"),    (["isogeny", "--pair", "4a", "--primes", "2"],
+    (["expand", "eta", "1:24", "--root", "25"], "--root 25 is above the limit 24"),
+    (["isogeny", "--pair", "4a", "--primes", "2"],
      "--primes selects 2; the isogeny check needs p >= 5"),
     (["isogeny", "--self", "gamma_24.6.1^6", "--primes", "2"],
      "--primes selects 2; the isogeny check needs p >= 5"),
+    (["isogeny", "--pair", "4a", "--primes", "5"],
+     "50 samples asked, but only 2 points t = 1..4 can be sampled mod p = 5"),
+    (["isogeny", "--self", "gamma_24.6.1^6", "--primes", "5"],
+     "50 samples asked, but only 2 points t = 1..4 can be sampled mod p = 5"),
+    (["traces", "gamma_24.3.2^3.1^3B", "--primes", "5..13"],
+     "gamma_24.3.2^3.1^3B carries no surface parameterization"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)

@@ -12,7 +12,7 @@ from noncong.catalog import GROUPS
 from noncong.series import (EtaQuotient, MODULUS_LIMIT, PrecisionError,
                             PuiseuxSeries, _convolve, _limbs, _miller_frac_power,
                             _miller_power, _mul_mod, _scale_exponents,
-                            cube_root_mod, divisor_sigma, eisenstein_e6, eta_expansion,
+                            cube_root_mod, eisenstein_e6, eta_expansion,
                             eta_power_coeffs, eta_product_ints, eta_product_mod,
                             parse_series)
 
@@ -299,9 +299,9 @@ def test_eta_powers_match_fraction_recurrence_at_every_scale(m):
 
 
 def test_divisor_sigma():
-    assert divisor_sigma(6) == 12
-    assert divisor_sigma(1) == 1
-    assert divisor_sigma(12) == 28
+    """sigma_table, the sieve behind E6, against a brute-force divisor sum."""
+    brute = [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(1, 200)]
+    assert series.sigma_table(200) == [0] + brute
 
 
 def test_eisenstein_values():
