@@ -22,10 +22,12 @@ The measurements, with the N each is taken at (N = 1 where none applies):
 * ``eta_powers`` (N = 501 .. 4001): ``eta_power_coeffs(k, e, N)`` for every
   factor (k, e) of every basis form (scales divided by their gcd), from an
   empty store;
-* ``residues`` (same N): ``coefficient_residues`` of both basis forms of
-  gamma_24.6.1^6 through printed index N, mod p^2 for 5 <= p <= 97 and mod
+* ``residues`` (same N): ``coefficient_residues`` of gamma_24.6.1^6, both
+  basis forms through printed index N, mod p^2 for 5 <= p <= 97 and mod
   65521 (the batch of one ``aswd --pmax 97`` run); the set-up builds the
-  exact eta powers, so this times the mod-p^2 kernel alone;
+  exact eta powers, so this times the mod-p^2 kernel alone.  A library
+  whose ``coefficient_residues`` takes one form (``which``) is called once
+  per form;
 * ``aswd``: the nine processes ``noncong aswd <group> --pmax 97 --pn-bound
   1000``, spawn to exit, from a copy with compiled bytecode;
 * ``aswd_row_block`` (N = 4, 8, 24): ``aswd gamma_24.6.1^6 --pmax 97
@@ -53,6 +55,7 @@ import compileall
 import contextlib
 import functools
 import importlib.util
+import inspect
 import io
 import json
 import math
@@ -136,13 +139,13 @@ def _residues(name, n):
     from noncong import catalog
     group = catalog.get_group(GROUP)
     moduli = tuple(p * p for p in catalog.primes_upto(97) if p >= 5) + (65521,)
-    for which in "ab":          # the exact eta powers and first-call imports
-        catalog.coefficient_residues(group, which, n, moduli[:1])
-
-    def run():
-        for which in "ab":
-            catalog.coefficient_residues(group, which, n, moduli)
-    return run
+    batch = catalog.coefficient_residues
+    if "which" in inspect.signature(batch).parameters:
+        def batch(group, n, moduli):
+            for which in "ab":
+                catalog.coefficient_residues(group, which, n, moduli)
+    batch(group, n, moduli[:1])     # the exact eta powers and first-call imports
+    return lambda: batch(group, n, moduli)
 
 
 @measurement((1,), "aswd")

@@ -6,10 +6,11 @@ cube-root basis construction, newform coefficient access and Hecke checks.
 
 The basis coefficients come two ways: exactly (``basis_q_expansions``,
 ``coefficient_sequence``), and mod a batch of moduli
-(``coefficient_residues``, one cached int64 matrix per form) from the eta
-factors' integer coefficients and one Newton cube root, for the mod-p^2
-congruence tests.  The exact path is the reference the residues are tested
-against.  The L48 and L432 newform coefficients come from integer
+(``coefficient_residues``, one cached pair of int64 matrices per group)
+from the eta factors' integer coefficients, for the mod-p^2 congruence
+tests.  As h1 h2 is an eta quotient for every catalog group, one Newton
+cube root gives both forms.  The exact path is the reference the residues
+are tested against.  The L48 and L432 newform coefficients come from integer
 coefficient lists of their eta products (and E6).
 """
 
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .series import (EtaQuotient, PuiseuxSeries, _convolve, cube_root_mod,
+from .series import (EtaQuotient, PuiseuxSeries, _convolve, cube_roots_mod,
                      eisenstein_e6_ints, eta_product_ints, eta_product_mod)
 from .surfaces import RationalFunction, T, ISOGENY_BY_INVOLUTION
 
@@ -69,9 +70,9 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 
 def character_value(discriminants, p: int) -> int:
-    """Product of Kronecker symbols (d/p) at an odd prime p coprime to all d."""
-    if p == 2 or p < 2:
-        raise ValueError("character values are defined here at odd primes only")
+    """Product of Kronecker symbols (d/p) at a prime p coprime to all d."""
+    if p < 2:
+        raise ValueError("character values are defined here at primes only")
     val = 1
     for d in discriminants:
         if d % p == 0:
@@ -207,6 +208,9 @@ class GroupRecord:
     construction: tuple[str, str, int] | None = None   # (radicand, form, h1 power)
     parameterizations: tuple[tuple[str, RationalFunction], ...] = ()
     isogeny_key: str | None = None
+
+    def __hash__(self):     # the per-group caches key on records; names are unique
+        return hash(self.name)
 
     def isogeny_data(self) -> dict | None:
         return ISOGENY_BY_INVOLUTION.get(self.isogeny_key) if self.isogeny_key else None
@@ -496,12 +500,6 @@ def lattice_indices(group: GroupRecord, which: str, bound: int) -> tuple[int | N
     return tuple(out)
 
 
-def residue_length(group: GroupRecord, which: str, bound: int) -> int:
-    """Number of coefficients of P(x)^(1/3) behind a_1..a_bound."""
-    _, _, step, shift, den = _lattice(group, which)
-    return max((step * bound - shift) // den + 1, 0)
-
-
 # Rows of the residue batch transformed together.  On one aswd run at
 # pmax 97, pn-bound 1000 (BENCH_6.json), all 24 rows at once peak 4.1 MiB
 # above the per-modulus products, blocks of 8 at 1.9 MiB and blocks of 4 at
@@ -509,30 +507,41 @@ def residue_length(group: GroupRecord, which: str, bound: int) -> int:
 ROW_BLOCK = 8
 
 
-# room for the two basis forms of one run
-@lru_cache(maxsize=2)
-def coefficient_residues(group: GroupRecord, which: str, bound: int,
-                         moduli: tuple[int, ...]):
-    """a_n mod m for n = 1..bound and every m in moduli (each prime to 3),
-    without the exact series: a read-only int64 matrix, one row per
-    modulus, column n - 1 holding a_n.  The eta factors are reduced mod
-    every modulus and the batch takes one Newton cube root
-    (``cube_root_mod``), ROW_BLOCK rows at a time; the matrix is cached
-    per (group, form, bound, moduli)."""
+@lru_cache(maxsize=1)
+def coefficient_residues(group: GroupRecord, bound: int, moduli: tuple[int, ...]):
+    """(a, b): a_n and b_n mod m for n = 1..bound and every m in moduli (each
+    prime to 3), without the exact series: two read-only int64 matrices,
+    one row per modulus, column n - 1 holding the n-th coefficient.
+
+    The exponents of h1 and h2 add up to multiples of 3 at every scale, so
+    P1 P2 = G^3 for the integer eta product G = prod (1 - x^(k n))^((e1_k +
+    e2_k)/3), all in x = q^g for the scale gcd g the two forms share.  The
+    eta factors are reduced mod every modulus and one Newton
+    (``cube_roots_mod``, ROW_BLOCK rows at a time) gives both forms:
+    h1 = P1 w^2 and h2 = G w with w = P1^(-1/3).  A group without these
+    properties is refused with ValueError."""
     import numpy as np
-    eq, g, *_ = _lattice(group, which)
-    length = max(residue_length(group, which, bound), 1)
-    factors = [(k // g, e) for k, e in eq.factors]
-    lattice = lattice_indices(group, which, bound)
-    cols = [n for n, j in enumerate(lattice) if j is not None]
-    js = [lattice[n] for n in cols]
-    out = np.zeros((len(moduli), bound), dtype=np.int64)
+    (eq1, g, *_), (eq2, g2, *_) = _lattice(group, "a"), _lattice(group, "b")
+    e1, e2 = dict(eq1.factors), dict(eq2.factors)
+    total = {k: e1.get(k, 0) + e2.get(k, 0) for k in sorted(e1.keys() | e2.keys())}
+    if g != g2 or any(e % 3 for e in total.values()):
+        raise ValueError(f"{group.name}: h1 h2 is not the cube of an eta "
+                         "product on the scale gcd of both forms")
+    p1 = [(k // g, e) for k, e in eq1.factors]
+    cofactor = [(k // g, e // 3) for k, e in total.items() if e]
+    lattices = [lattice_indices(group, w, bound) for w in "ab"]
+    length = 1 + max((j for lat in lattices for j in lat if j is not None), default=0)
+    # a_n zero by construction reads column `length`, a zero padded onto each root
+    cols = [[length if j is None else j for j in lat] for lat in lattices]
+    out = np.zeros((2, len(moduli), bound), dtype=np.int64)
     for r in range(0, len(moduli), ROW_BLOCK):
         block = moduli[r:r + ROW_BLOCK]
-        h = cube_root_mod(eta_product_mod(factors, length, block), block)
-        out[r:r + len(block), cols] = h[:, js]
+        roots = cube_roots_mod(eta_product_mod(p1, length, block),
+                               eta_product_mod(cofactor, length, block), block)
+        for rows, h, js in zip(out, roots, cols):
+            rows[r:r + len(block)] = np.pad(h, ((0, 0), (0, 1)))[:, js]
     out.flags.writeable = False
-    return out
+    return out[0], out[1]
 
 
 # radicand builders for the cube-root construction, from parent-level data
@@ -753,13 +762,11 @@ def newform_expansion(tag: str, order: int, strict: bool = True):
             missing.add(p)
             continue
         coeffs[p] = ap
-        chi = kronecker_symbol_product(rec.character, p)
+        # at a prime of the level the recursion has no character term
+        chi = character_value(rec.character, p) if rec.level % p else 0
         prev, cur, pk = one, ap, p * p
         while pk <= order:
-            if rec.level % p == 0:
-                nxt = ap * cur
-            else:
-                nxt = ap * cur - chi * p * p * prev
+            nxt = ap * cur - chi * p * p * prev
             coeffs[pk] = nxt
             prev, cur, pk = cur, nxt, pk * p
     for n in range(2, order + 1):
@@ -773,13 +780,6 @@ def newform_expansion(tag: str, order: int, strict: bool = True):
                 val = val * coeffs[p ** k]
             coeffs[n] = val
     return coeffs[1:]
-
-
-def kronecker_symbol_product(discs, n: int) -> int:
-    val = 1
-    for d in discs:
-        val *= kronecker_symbol(d, n)
-    return val
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -830,7 +830,7 @@ def hecke_check(tag: str, prime_bound: int, n_bound: int,
     for p in primes_upto(prime_bound):
         if rec.level % p == 0:
             continue
-        chi = kronecker_symbol_product(discs, p)
+        chi = character_value(discs, p)
         ap = an_of(p)
         for n in range(1, n_bound + 1):
             lhs = an_of(n * p) - ap * an_of(n)

@@ -194,8 +194,11 @@ def cmd_aswd(args) -> int:
         raise InputRefused(f"--three-term {args.three_term} is negative")
     golden = _read_golden(args.golden, *ASWD_GOLDEN)[1] if args.golden else None
     primes = [p for p in catalog.primes_upto(pmax) if p >= 5]
-    reports = congruence.detect_bases(g, primes, bound=bound,
-                                      three_term_n_bound=args.three_term)
+    try:
+        reports = congruence.detect_bases(g, primes, bound=bound,
+                                          three_term_n_bound=args.three_term)
+    except congruence.InsufficientDataError as e:
+        raise InputRefused(f"--pn-bound {bound} is too small for {g.name}: {e}") from None
     if args.format == "json":
         print("[" + ",".join(r.to_json() for r in reports) + "]")
     elif args.format == "csv":

@@ -10,14 +10,16 @@ a common factor of p must be cancelled first.
 ``detect_basis`` works on the basis coefficients mod p^2 only
 (``catalog.coefficient_residues``); no exact series is built.  A run over
 many primes (``detect_bases``, what ``noncong aswd`` calls) computes the
-residues of each basis form once, as one batch mod p^2 for every prime plus
-AUX_PRIME (65521); ``detect_basis`` alone is the batch of its one prime.
-The one question residues cannot settle alone -- whether every tested
-numerator is exactly zero -- is answered by the AUX_PRIME row, by the
-lattice of exponents the form can carry, and only then by the exact
-sequence.
+residues once per group: one batch holding both basis forms mod p^2 for
+every prime plus AUX_PRIME (65521), from one Newton cube root;
+``detect_basis`` alone is the batch of its one prime.  The ratio tests read
+the batch rows directly, one array expression per test.  The one question
+residues cannot settle alone -- whether every tested numerator is exactly
+zero -- is answered by the AUX_PRIME row, by the lattice of exponents the
+form can carry, and only then by the exact sequence.
 
-Every residue is a plain int reduced mod p^2, with p passed alongside it.
+Every residue is reduced mod p^2, with p passed alongside it: int64 batch
+rows in the ratio tests, plain ints for the constants they yield.
 The three-term rows that ``detect_basis`` attaches are certified mod p^2
 only, where the tail chi(p) p^2 a_{n/p} vanishes; ``aswd_three_term_check``
 is the exact p-adic check on rational coefficients.
@@ -40,7 +42,7 @@ from .catalog import (BiquadraticNumber, GroupRecord, coefficient_residues,
 AUX_PRIME = 65521
 
 # Largest --pmax and --pn-bound the CLI accepts.  At both limits one aswd
-# process takes 25-27 s and peaks at 101 MiB (2-vCPU x86_64 host).
+# process takes about 10 s and peaks at 100 MiB (2-vCPU x86_64 host).
 PRIME_LIMIT = 2003
 PN_BOUND_LIMIT = 10000
 
@@ -96,65 +98,41 @@ def sqrt_mod_p2(a: int, p: int):
 # ratio tests
 
 
-def _test_indices(num: dict[int, int], den: dict[int, int], p: int,
-                  bound: int) -> list[int]:
-    """n prime to p with np <= bound, a numerator at np and a unit den_n."""
-    return [n for n in sorted(den)
-            if n % p and n * p <= bound and n * p in num and den[n] % p]
-
-
-def _constancy(num: dict[int, int], den: dict[int, int], p: int, bound: int):
-    """(constant or None, tested numerator indices): the constant of
-    num_{np}/den_n mod p^2 over the test set, for sequences of residues
-    mod p^2.  All-zero numerators give the constant 0.  An empty test set
-    is an error, never a vacuous success."""
-    test = _test_indices(num, den, p, bound)
-    if not test:
+def _constancy(num, den, p: int):
+    """(constant or None, tested numerator indices): the c with
+    num_{np} = c den_n mod p^2 over every n <= len(num)/p with p not
+    dividing n and den_n a unit, for rows of residues mod p^2 (column
+    n - 1 holding index n); c is read at the first such n.  All-zero
+    numerators give the constant 0.  An empty test set is an error, never
+    a vacuous success."""
+    import numpy as np
+    n = np.arange(1, len(num) // p + 1)
+    n = n[(n % p != 0) & (den[n - 1] % p != 0)]
+    if not n.size:
         raise InsufficientDataError(
             f"insufficient data: no usable ratio indices for p={p}")
     m = p * p
-    const = None
-    for n in test:
-        v = num[n * p] * pow(den[n], -1, m) % m
-        if const is None:
-            const = v
-        elif v != const:
-            return None, None
-    return const, [n * p for n in test]
+    c = int(num[n[0] * p - 1]) * pow(int(den[n[0] - 1]), -1, m) % m
+    if ((num[n * p - 1] - c * den[n - 1]) % m).any():
+        return None, None
+    return c, n * p
 
 
-def _moduli(primes: tuple[int, ...]) -> tuple[int, ...]:
-    """The residue batch of a run: p^2 for every prime, then AUX_PRIME."""
-    return tuple(p * p for p in primes) + (AUX_PRIME,)
-
-
-class _BasisForm:
-    """One basis form's printed coefficients mod p^2, with a sound test of
-    whether coefficients vanish over Q.  The residues are one row of the
-    batch computed for all of ``primes`` together."""
-
-    def __init__(self, group: GroupRecord, which: str, p: int, bound: int,
-                 primes: tuple[int, ...]):
-        self.group, self.which, self.bound = group, which, bound
-        rows = coefficient_residues(group, which, bound, _moduli(primes))
-        self.values = dict(enumerate(rows[primes.index(p)].tolist(), 1))
-        self.aux = rows[-1]
-
-    def any_nonzero(self, indices: list[int]) -> bool:
-        """Whether a_n != 0 for some n in indices.  A nonzero residue mod p^2
-        or mod AUX_PRIME proves it; an index off the lattice of the form's
-        exponents is zero by construction; anything else is read from the
-        exact sequence."""
-        if any(self.values[n] for n in indices):
-            return True
-        if any(self.aux[n - 1] for n in indices):
-            return True
-        lattice = lattice_indices(self.group, self.which, self.bound)
-        open_ = [n for n in indices if lattice[n - 1] is not None]
-        if not open_:
-            return False
-        exact = coefficient_sequence(self.group, self.which, self.bound)
-        return any(exact[n] != 0 for n in open_)
+def _any_nonzero(group: GroupRecord, which: str, rows, indices) -> bool:
+    """Whether a_n != 0 over Q for some n in indices, for the basis form
+    `which` whose batch rows mod p^2 and mod AUX_PRIME are `rows`.  A
+    nonzero residue proves it; an index off the lattice of the form's
+    exponents is zero by construction; anything else is read from the exact
+    sequence."""
+    if rows[:, indices - 1].any():
+        return True
+    bound = rows.shape[1]
+    lattice = lattice_indices(group, which, bound)
+    open_ = [n for n in indices.tolist() if lattice[n - 1] is not None]
+    if not open_:
+        return False
+    exact = coefficient_sequence(group, which, bound)
+    return any(exact[n] != 0 for n in open_)
 
 
 def solve_alpha_ap(c1: int, c2: int, p: int):
@@ -282,19 +260,14 @@ def aswd_three_term_check(coeffs: dict[int, Fraction], ap, chi_p: int, p: int,
     return report
 
 
-def _three_term_mod_p2(values: dict[int, int], c: int, p: int,
-                       n_bound: int) -> ThreeTermReport:
-    """The three-term rows of residues mod p^2 against the constant c, each
-    certified mod p^2 only: there the tail chi(p) p^2 a_{n/p} vanishes, so a
-    row tests a_{np} = c a_n."""
-    m = p * p
-    report = ThreeTermReport(p, n_bound, [], [])
-    for n in range(1, n_bound + 1):
-        ok = (values[n * p] - c * values[n]) % m == 0
-        report.rows.append((n, 2 * (1 + padic_valuation(n, p)), "mod p^2", ok))
-        if not ok:
-            report.failures.append(n)
-    return report
+def _three_term_mod_p2(values, c: int, p: int, n_bound: int) -> ThreeTermReport:
+    """The three-term rows of a residue row mod p^2 (column n - 1 holding
+    a_n) against the constant c, each certified mod p^2 only: there the
+    tail chi(p) p^2 a_{n/p} vanishes, so a row tests a_{np} = c a_n."""
+    oks = ((values[p - 1:n_bound * p:p] - c * values[:n_bound]) % (p * p) == 0).tolist()
+    rows = [(n, 2 * (1 + padic_valuation(n, p)), "mod p^2", ok)
+            for n, ok in enumerate(oks, 1)]
+    return ThreeTermReport(p, n_bound, rows, [n for n, *_, ok in rows if not ok])
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +311,9 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
     ratios; attach catalog newform matches up to a sixth root of unity.
     The tests run on the printed coefficients mod p^2 for pn <= bound.
 
-    The residues come from one batch over ``primes`` (p alone by default):
-    the primes of a run share it, and ``detect_bases`` passes them all.
+    The residues of both forms come from one batch over ``primes`` (p
+    alone by default): the primes of a run share it, and ``detect_bases``
+    passes them all.
 
     A constant whose every tested numerator is the exact rational zero is a
     support artifact (the form has no coefficients at those indices at all);
@@ -351,26 +325,30 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
     primes = (p,) if primes is None else tuple(primes)
     if p not in primes:
         raise ValueError(f"p = {p} is not among the batch primes {primes}")
-    a = _BasisForm(group, "a", p, bound, primes)
-    b = _BasisForm(group, "b", p, bound, primes)
+    i = primes.index(p)
+    batch = dict(zip("ab", coefficient_residues(
+        group, bound, tuple(q * q for q in primes) + (AUX_PRIME,))))
+    a, b = batch["a"][i], batch["b"][i]
+
+    def live(which, tested):
+        return _any_nonzero(group, which, batch[which][[i, -1]], tested)
+
     rep = CongruenceReport(group.name, p, "indeterminate")
-    ca, a_tested = _constancy(a.values, a.values, p, bound)
-    cb, b_tested = _constancy(b.values, b.values, p, bound)
+    ca, a_tested = _constancy(a, a, p)
+    cb, b_tested = _constancy(b, b, p)
     case1 = ca is not None and cb is not None
     c1 = c2 = None
-    if not (case1 and (a.any_nonzero(a_tested) or b.any_nonzero(b_tested))):
-        c1, x_tested = _constancy(a.values, b.values, p, bound)
-        c2 = _constancy(b.values, a.values, p, bound)[0] if c1 is not None else None
-        if c1 is not None and c2 is not None and a.any_nonzero(x_tested):
+    if not (case1 and (live("a", a_tested) or live("b", b_tested))):
+        c1, x_tested = _constancy(a, b, p)
+        c2 = _constancy(b, a, p)[0] if c1 is not None else None
+        if c1 is not None and c2 is not None and live("a", x_tested):
             return _fill_case2(rep, group, c1, c2)
     if case1:
         _fill_case1(rep, group, ca, cb)
         if three_term_n_bound:
             nb = min(three_term_n_bound, bound // p)
-            rep.three_term = {
-                "a": _three_term_mod_p2(a.values, ca, p, nb),
-                "b": _three_term_mod_p2(b.values, cb, p, nb),
-            }
+            rep.three_term = {"a": _three_term_mod_p2(a, ca, p, nb),
+                              "b": _three_term_mod_p2(b, cb, p, nb)}
         return rep
     if c1 is not None and c2 is not None:
         return _fill_case2(rep, group, c1, c2)
@@ -380,8 +358,8 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
 def detect_bases(group: GroupRecord, primes, bound: int = 500,
                  three_term_n_bound: int | None = None) -> list[CongruenceReport]:
     """``detect_basis`` for every prime of a run, in order, on one batch of
-    residues: every basis form takes one Newton cube root for all the
-    moduli p^2 and AUX_PRIME together."""
+    residues: one Newton cube root gives both basis forms mod every p^2 and
+    AUX_PRIME together."""
     primes = tuple(primes)
     return [detect_basis(group, p, bound, three_term_n_bound, primes)
             for p in primes]

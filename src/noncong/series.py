@@ -9,11 +9,13 @@ The module also provides Dedekind eta expansions (pentagonal number
 theorem), eta quotients with fractional q-power prefactors, formal n-th
 roots, and the weight-3 Eisenstein series 1 + 12*sum((sigma(3n)-3*sigma(n))q^n.
 
-Beside the series over Q, ``eta_product_mod`` and ``cube_root_mod`` work
+Beside the series over Q, ``eta_product_mod`` and ``cube_roots_mod`` work
 over Z/m (m prime to 3): eta products, and cube roots of power series with
 constant term 1.  Newton iteration for w = u^(-1/3) divides only by 3
 (Brent-Kung, JACM 1978), so it runs mod p^2 where the Miller recurrence,
-which divides by every index n, cannot.  Both take a batch: an int64 matrix
+which divides by every index n, cannot.  One Newton gives two roots: u w^2
+is the cube root of u and, for v with u v = g^3, g w is that of v; the two
+basis forms of a group are such a pair.  Both take a batch: an int64 matrix
 with one row of residues per modulus, so one run multiplies the series mod
 every p^2 at once.  Each product is one float64 rfft/irfft along the rows,
 made exact by a rounding guard (``exact_integers``, shared with the
@@ -642,12 +644,14 @@ def _modulus_column(moduli) -> np.ndarray:
     return np.array(moduli, dtype=np.int64).reshape(-1, 1)
 
 
-def cube_root_mod(u: np.ndarray, moduli) -> np.ndarray:
-    """u^(1/3) mod (m, x^n) for each row u of a residue matrix with
-    u_0 = 1, the row's modulus m prime to 3, n = u.shape[1].
+def cube_roots_mod(u: np.ndarray, g: np.ndarray, moduli) -> tuple[np.ndarray, np.ndarray]:
+    """(u^(1/3), g u^(-1/3)) mod (m, x^n) for each row of two residue
+    matrices with u_0 = 1, the row's modulus m prime to 3, n = u.shape[1]:
+    the cube root of u with constant term 1 and, where u v = g^3, that of v.
 
     Newton doubles the precision of w = u^(-1/3) with
-    w <- w + w(1 - u w^3)/3, for every row at once; the root is u w^2.
+    w <- w + w(1 - u w^3)/3, for every row at once; the roots are u w^2
+    and g w.
     """
     import numpy as np
     m = _modulus_column(moduli)
@@ -663,7 +667,7 @@ def cube_root_mod(u: np.ndarray, moduli) -> np.ndarray:
         uw3 = _mul_mod(u[:, :k], _mul_mod(_mul_mod(wk, wk, m), wk, m), m)
         w[:, k0:k] = _mul_mod(uw3[:, k0:], wk, m) * minus_third % m
         k0 = k
-    return _mul_mod(u, _mul_mod(w, w, m), m)
+    return _mul_mod(u, _mul_mod(w, w, m), m), _mul_mod(g, w, m)
 
 
 def eta_product_ints(factors, length: int) -> list[int]:

@@ -9,6 +9,7 @@ are runtime targets).
 """
 
 import csv
+import math
 import random
 import time
 from fractions import Fraction
@@ -17,10 +18,10 @@ from pathlib import Path
 import published_tables
 from noncong.catalog import (ETA_L48, GROUPS, MAIN_GROUPS, NEWFORMS,
                              basis_q_expansions, construct_basis,
-                             derived_cusp_counts, dim_cusp_forms, hecke_check,
-                             kronecker_symbol_product, newform_an,
-                             newform_coefficients, noncongruence_test,
-                             primes_upto)
+                             character_value, derived_cusp_counts,
+                             dim_cusp_forms, hecke_check, kronecker_symbol,
+                             newform_an, newform_coefficients,
+                             noncongruence_test, primes_upto)
 from noncong.congruence import detect_basis, sqrt_mod_p2
 from noncong.series import PuiseuxSeries, eta_expansion
 from noncong.surfaces import involution_identity_check
@@ -174,16 +175,16 @@ def test_criterion5c_hecke_literal_printed_character():
         s *= Fraction(delta) ** r
     assert k == 3 and s == 2 ** 12 * 3 ** 3
     good = [p for p in primes_upto(31) if rec.level % p]
-    assert all(kronecker_symbol_product([(-1) ** int(k) * int(s)], p)
-               == kronecker_symbol_product(verified, p) for p in good)
-    assert kronecker_symbol_product(verified, -1) == -1
-    assert kronecker_symbol_product(printed, -1) == 1
+    assert all(character_value([(-1) ** int(k) * int(s)], p)
+               == character_value(verified, p) for p in good)
+    # the parity chi(-1) is the sign of the product of the discriminants
+    assert kronecker_symbol(math.prod(verified), -1) == -1
+    assert kronecker_symbol(math.prod(printed), -1) == 1
 
     assert hecke_check("L48", 31, 15).ok
     predicted = [(p, n) for p in good for n in range(1, 16)
                  if n % p == 0
-                 and kronecker_symbol_product(printed, p)
-                 != kronecker_symbol_product(verified, p)
+                 and character_value(printed, p) != character_value(verified, p)
                  and newform_an("L48", n // p) != 0]
     rep = hecke_check("L48", 31, 15, character=printed)
     report("5c-literal (Hecke for L48 with the published character (-3/p)(-4/p))",

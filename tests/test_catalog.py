@@ -1,7 +1,9 @@
 """Group catalog: structure, basis construction, coefficient goldens, newforms."""
 
 import csv
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, basis_q_expansions,
                              newform_expansion, noncongruence_test,
                              primes_upto)
 from noncong.congruence import AUX_PRIME
+from noncong.series import EtaQuotient
 
 ALL_NAMES = tuple(GROUPS)
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -135,9 +138,8 @@ def _exact_mod(seq, m):
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_coefficient_residues_match_exact_mod_p2(name):
     g = GROUPS[name]
-    for which in "ab":
+    for which, rows in zip("ab", coefficient_residues(g, 500, MODULI)):
         exact = coefficient_sequence(g, which, 500)
-        rows = coefficient_residues(g, which, 500, MODULI)
         assert rows.shape == (len(MODULI), 500)
         for m, row in zip(MODULI, rows.tolist()):
             assert row == _exact_mod(exact, m), (which, m)
@@ -149,11 +151,45 @@ def test_coefficient_residues_match_exact_mod_p2(name):
 def test_coefficient_residues_match_exact_at_1000():
     g = GROUPS["gamma_24.6.1^6"]
     assert g.mu == 1
-    for which in "ab":
+    for which, rows in zip("ab", coefficient_residues(g, 1000, MODULI)):
         exact = coefficient_sequence(g, which, 1000)
-        rows = coefficient_residues(g, which, 1000, MODULI)
         for m, row in zip(MODULI, rows.tolist()):
             assert row == _exact_mod(exact, m), (which, m)
+
+
+# h1 h2 = G^3 with G = prod eta(k z)^(g_k); see notes/decisions.md
+BASIS_CUBE_ROOTS = {
+    "gamma_24.6.1^6": {4: 12},
+    "gamma_8^3.2^3.3^2": {2: 12},
+    "gamma_8^3.6.3.1^3": {1: 4, 2: 2, 4: 2, 8: 4},
+    "gamma_24.3.2^3.1^3": {1: -4, 2: 14, 4: -2, 8: 4},
+    "gamma_24.3.2^3.1^3B": {1: 4, 2: -2, 4: 14, 8: -4},
+    "gamma_18.6.3^3.1^3": {2: 6, 6: 6},
+    "gamma_9.6^3.3.2^3": {1: 6, 3: 6},
+    "gamma_9.6^4.1^3": {1: 9, 2: -3, 3: -3, 6: 9},
+    "gamma_18.3^4.2^3": {1: -3, 2: 9, 3: 9, 6: -3},
+}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_basis_product_is_a_cube_of_an_eta_quotient(name):
+    g = GROUPS[name]
+    e1, e2 = dict(g.h1.factors), dict(g.h2.factors)
+    total = {k: e1.get(k, 0) + e2.get(k, 0) for k in e1.keys() | e2.keys()}
+    assert all(e % 3 == 0 for e in total.values())
+    assert {k: e // 3 for k, e in total.items() if e} == BASIS_CUBE_ROOTS[name]
+    assert gcd(*e1) == gcd(*e2)
+
+
+@pytest.mark.parametrize("h1,h2", [
+    ({1: 4, 2: -6, 4: 20}, {1: -4, 2: 6, 4: 17}),   # 4: 37 is not a multiple of 3
+    ({1: 3, 2: 3}, {2: 3}),                          # scale gcds 1 and 2
+])
+def test_coefficient_residues_refuse_a_pair_without_common_cube(h1, h2):
+    g = replace(GROUPS["gamma_24.6.1^6"], name="no common cube",
+                h1=EtaQuotient.of(h1), h2=EtaQuotient.of(h2))
+    with pytest.raises(ValueError, match="not the cube of an eta product"):
+        coefficient_residues(g, 50, (25,))
 
 
 @pytest.mark.parametrize("name", MAIN_GROUPS)
@@ -185,8 +221,12 @@ def test_character_values():
     assert character_value((-3,), 7) == 1
     assert character_value((-4,), 5) == 1
     assert character_value((-4,), 7) == -1
-    with pytest.raises(ValueError):
-        character_value((-3,), 3)
+    # at p = 2 the Kronecker symbol of an odd discriminant is defined
+    assert character_value((-3,), 2) == -1
+    assert character_value((-7,), 2) == 1
+    for discs, p in (((-3,), 3), ((-4,), 2), ((-3, -4), 2), ((-3,), 1)):
+        with pytest.raises(ValueError):
+            character_value(discs, p)
 
 
 def test_kronecker_symbol_basics():

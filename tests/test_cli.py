@@ -290,6 +290,13 @@ README = str(GOLDEN.parent / "README.md")
      "50 samples asked, but only 2 points t = 1..4 can be sampled mod p = 5"),
     (["traces", "gamma_24.3.2^3.1^3B", "--primes", "5..13"],
      "gamma_24.3.2^3.1^3B carries no surface parameterization"),
+    # a_1 = 0 by construction, so n = 1, the only n <= pn-bound/p, tests nothing
+    (["aswd", "gamma_24.3.2^3.1^3B", "--pmax", "7", "--pn-bound", "7"],
+     "--pn-bound 7 is too small for gamma_24.3.2^3.1^3B: "
+     "insufficient data: no usable ratio indices for p=5"),
+    (["aswd", "gamma_24.3.2^3.1^3B", "--pmax", "7", "--pn-bound", "12"],
+     "--pn-bound 12 is too small for gamma_24.3.2^3.1^3B: "
+     "insufficient data: no usable ratio indices for p=7"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)

@@ -4,16 +4,19 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from noncong import cli, congruence
-from noncong.catalog import (GROUPS, character_value, coefficient_residues,
-                             coefficient_sequence, get_group, newform_an,
-                             newform_expansion, primes_upto)
-from noncong.congruence import (InsufficientDataError, NotPIntegralError,
-                                aswd_three_term_check, detect_basis,
-                                detect_bases, match_constant, padic_valuation,
-                                reduce_mod_p2, solve_alpha_ap, sqrt_mod_p2)
+from noncong import catalog, cli, congruence
+from noncong.catalog import (GROUPS, ROW_BLOCK, character_value,
+                             coefficient_residues, coefficient_sequence,
+                             get_group, newform_an, newform_expansion,
+                             primes_upto)
+from noncong.congruence import (AUX_PRIME, InsufficientDataError,
+                                NotPIntegralError, aswd_three_term_check,
+                                detect_basis, detect_bases, match_constant,
+                                padic_valuation, reduce_mod_p2, solve_alpha_ap,
+                                sqrt_mod_p2)
 
 
 # --- residues -----------------------------------------------------------------
@@ -106,13 +109,14 @@ def test_sixth_roots():
 
 # --- ratio machinery ---------------------------------------------------------------
 
-def _reduced(seq, p):
-    return {n: reduce_mod_p2(x, p) for n, x in seq.items()}
+def _reduced(seq, p, bound=500):
+    """The residue row of a_1..a_bound mod p^2."""
+    return np.array([reduce_mod_p2(seq[n], p) for n in range(1, bound + 1)])
 
 
 def _ratio(seq, p, bound):
-    r = _reduced(seq, p)
-    return congruence._constancy(r, r, p, bound)[0]
+    r = _reduced(seq, p, bound)
+    return congruence._constancy(r, r, p)[0]
 
 
 def test_ratio_constancy_on_catalog_group():
@@ -125,7 +129,7 @@ def test_ratio_constancy_on_catalog_group():
 
 def test_ratio_constancy_empty_test_set_is_error():
     with pytest.raises(InsufficientDataError, match="insufficient data"):
-        congruence._constancy({1: 1}, {1: 1}, 7, 500)
+        congruence._constancy(np.ones(6), np.ones(6), 7)
 
 
 def test_ratio_constancy_detects_nonconstant():
@@ -141,8 +145,8 @@ def test_cross_ratio_on_catalog_group():
     assert _ratio(a, 5, 500) is None          # case 1 fails at p = 2 mod 3
     for p, want in ((5, (3, 1)), (11, (84, 32))):
         ra, rb = _reduced(a, p), _reduced(b, p)
-        c1 = congruence._constancy(ra, rb, p, 500)[0]
-        c2 = congruence._constancy(rb, ra, p, 500)[0]
+        c1 = congruence._constancy(ra, rb, p)[0]
+        c2 = congruence._constancy(rb, ra, p)[0]
         assert (c1, c2) == want
 
 
@@ -263,14 +267,14 @@ def test_detect_basis_attaches_three_term_rows():
 def test_residue_three_term_rows_fail_on_wrong_constant():
     g = get_group("24.6.1^6")
     rep = detect_basis(g, 7, bound=500, three_term_n_bound=40)
-    for w in "ab":
-        values = congruence._BasisForm(g, w, 7, 500, (7,)).values
+    for w, rows in zip("ab", coefficient_residues(g, 500, (49, AUX_PRIME))):
+        values = rows[0]
         c = rep.constants[w]
         right = congruence._three_term_mod_p2(values, c, 7, 40)
         assert right.rows == rep.three_term[w].rows and right.ok
         wrong = congruence._three_term_mod_p2(values, (c + 1) % 49, 7, 40)
         # a_{7n} = c a_n on every row, so c + 1 is off by exactly a_n
-        assert wrong.failures == [n for n in range(1, 41) if values[n] % 49]
+        assert wrong.failures == [n for n in range(1, 41) if values[n - 1] % 49]
         assert wrong.failures and not wrong.ok
 
 
@@ -286,15 +290,19 @@ def test_residue_three_term_rows_are_mod_p2():
 
 # --- the residue path against the exact sequences ---------------------------------------
 
-class _ExactForm:
-    """Oracle for congruence._BasisForm, built from the exact sequence."""
+def _exact_residues(group, bound, moduli):
+    """Oracle for catalog.coefficient_residues, reduced from the exact
+    sequences."""
+    return tuple(np.array([[x.numerator * pow(x.denominator, -1, m) % m
+                            for x in coefficient_sequence(group, w, bound).values()]
+                           for m in moduli]) for w in "ab")
 
-    def __init__(self, group, which, p, bound, primes):
-        self.exact = coefficient_sequence(group, which, bound)
-        self.values = {n: reduce_mod_p2(x, p) for n, x in self.exact.items()}
 
-    def any_nonzero(self, indices):
-        return any(self.exact[n] != 0 for n in indices)
+def _exact_constancy(num, den, p, bound):
+    """congruence._constancy as a loop over exact coefficients."""
+    tested = [n * p for n in range(1, bound // p + 1) if n % p and den[n].numerator % p]
+    ratios = {reduce_mod_p2(num[k] / den[k // p], p) for k in tested}
+    return (ratios.pop(), tested) if len(ratios) == 1 else (None, None)
 
 
 def test_live_flag_equals_exact_flag(monkeypatch):
@@ -303,19 +311,20 @@ def test_live_flag_equals_exact_flag(monkeypatch):
                         lambda *a: fallbacks.append(a) or coefficient_sequence(*a))
     checks = 0
     primes = tuple(q for q in primes_upto(97) if q >= 5)
+    moduli = tuple(q * q for q in primes) + (AUX_PRIME,)
     for g in GROUPS.values():
-        for p in primes:
-            forms = {w: congruence._BasisForm(g, w, p, 500, primes) for w in "ab"}
-            oracle = {w: _ExactForm(g, w, p, 500, primes) for w in "ab"}
+        batch = dict(zip("ab", coefficient_residues(g, 500, moduli)))
+        exact = {w: coefficient_sequence(g, w, 500) for w in "ab"}
+        for i, p in enumerate(primes):
             for num, den in ("aa", "bb", "ab", "ba"):
-                const, tested = congruence._constancy(
-                    forms[num].values, forms[den].values, p, 500)
-                want, want_tested = congruence._constancy(
-                    oracle[num].values, oracle[den].values, p, 500)
-                assert (const, tested) == (want, want_tested)
+                const, tested = congruence._constancy(batch[num][i], batch[den][i], p)
+                want = _exact_constancy(exact[num], exact[den], p, 500)
+                assert (const, tested if tested is None else tested.tolist()) == want, \
+                    (g.name, p, num + den)
                 if tested is not None:
-                    assert forms[num].any_nonzero(tested) == \
-                        oracle[num].any_nonzero(tested), (g.name, p, num + den)
+                    live = congruence._any_nonzero(g, num, batch[num][[i, -1]], tested)
+                    assert live == any(exact[num][n] != 0 for n in want[1]), \
+                        (g.name, p, num + den)
                 checks += 1
     assert checks == 9 * 23 * 4
     assert fallbacks == []
@@ -325,25 +334,34 @@ def test_live_flag_falls_back_to_exact_when_residues_vanish(monkeypatch):
     g = get_group("24.6.1^6")
     exact = coefficient_sequence(g, "a", 500)
     calls = []
-
-    def without_aux(*args):
-        rows = coefficient_residues(*args).copy()
-        rows[-1] = 0
-        return rows
-
-    monkeypatch.setattr(congruence, "coefficient_residues", without_aux)
     monkeypatch.setattr(congruence, "coefficient_sequence",
                         lambda *a: calls.append(a) or coefficient_sequence(*a))
-    form = congruence._BasisForm(g, "a", 5, 500, (5,))
-    const, tested = congruence._constancy(form.values, form.values, 5, 500)
+    rows = coefficient_residues(g, 500, (25, AUX_PRIME))[0].copy()
+    rows[-1] = 0                                    # without the AUX_PRIME row
+    const, tested = congruence._constancy(rows[0], rows[0], 5)
     # a_{5n} = 0 mod 25 on every tested n, so only the fallback can decide
-    assert const == 0 and all(form.values[n] == 0 for n in tested)
-    assert form.any_nonzero(tested) is any(exact[n] != 0 for n in tested) is True
+    assert const == 0 and not rows[0, tested - 1].any()
+    assert congruence._any_nonzero(g, "a", rows, tested) is \
+        any(exact[n] != 0 for n in tested.tolist()) is True
     assert calls == [(g, "a", 500)]
     # indices off the lattice of exponents are zero without the fallback
-    off = congruence._BasisForm(get_group("9.6^3.3.2^3"), "a", 5, 500, (5,))
-    assert off.any_nonzero([2, 3, 5, 6]) is False
+    off = get_group("9.6^3.3.2^3")
+    rows = coefficient_residues(off, 500, (25, AUX_PRIME))[0]
+    assert congruence._any_nonzero(off, "a", rows, np.array([2, 3, 5, 6])) is False
     assert len(calls) == 1
+
+
+def test_one_newton_per_row_block(monkeypatch):
+    calls = []
+    newton = catalog.cube_roots_mod
+    monkeypatch.setattr(catalog, "cube_roots_mod",
+                        lambda *args: calls.append(len(args[2])) or newton(*args))
+    coefficient_residues.cache_clear()
+    primes = [q for q in primes_upto(97) if q >= 5]
+    detect_bases(get_group("24.6.1^6"), primes, 1000)
+    # 23 moduli p^2 and AUX_PRIME in blocks of ROW_BLOCK = 8: both forms
+    # come from 3 Newton iterations, not 6
+    assert calls == [ROW_BLOCK, ROW_BLOCK, len(primes) + 1 - 2 * ROW_BLOCK]
 
 
 @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
@@ -357,5 +375,5 @@ def test_aswd_output_equals_exact_reports(capsys, monkeypatch, fmt):
         return out
 
     residue = outputs()
-    monkeypatch.setattr(congruence, "_BasisForm", _ExactForm)
+    monkeypatch.setattr(congruence, "coefficient_residues", _exact_residues)
     assert residue == outputs()

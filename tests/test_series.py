@@ -12,7 +12,7 @@ from noncong.catalog import GROUPS
 from noncong.series import (EtaQuotient, MODULUS_LIMIT, PrecisionError,
                             PuiseuxSeries, _convolve, _limbs, _miller_frac_power,
                             _miller_power, _mul_mod, _scale_exponents,
-                            cube_root_mod, eisenstein_e6, eta_expansion,
+                            cube_roots_mod, eisenstein_e6, eta_expansion,
                             eta_power_coeffs, eta_product_ints, eta_product_mod,
                             parse_series)
 
@@ -391,11 +391,14 @@ def _python_product(a, b, m):
 def test_cube_root_mod_cubes_back():
     rng = random.Random(5)
     moduli = (25, 49, 9409, 65521, 1000003, 2003 ** 2, MODULUS_LIMIT - 1)
-    u = np.array([[1] + [rng.randrange(m) for _ in range(199)] for m in moduli],
-                 dtype=np.int64)
-    r = cube_root_mod(u, moduli)
+    u, g = (np.array([[1] + [rng.randrange(m) for _ in range(199)] for m in moduli],
+                     dtype=np.int64) for _ in "ug")
+    r, s = cube_roots_mod(u, g, moduli)
     m = _column(moduli)
     assert (_mul_mod(_mul_mod(r, r, m), r, m) == u).all()
+    # s is the cube root of v = g^3 / u: u s^3 = g^3
+    assert (_mul_mod(u, _mul_mod(_mul_mod(s, s, m), s, m), m)
+            == _mul_mod(_mul_mod(g, g, m), g, m)).all()
 
 
 def test_mul_mod_matches_python_integers():
@@ -430,7 +433,7 @@ def test_rounding_guard_refuses_perturbed_product(monkeypatch):
 def test_modulus_limit_is_refused():
     ones = np.ones((1, 3), dtype=np.int64)
     with pytest.raises(ValueError, match="moduli must lie in"):
-        cube_root_mod(ones, (MODULUS_LIMIT,))
+        cube_roots_mod(ones, ones, (MODULUS_LIMIT,))
     with pytest.raises(ValueError, match="moduli must lie in"):
         eta_product_mod([(1, 1)], 3, (25, MODULUS_LIMIT + 1))
 

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, get_group,
-                             kronecker_symbol, kronecker_symbol_product,
-                             newform_an, primes_upto)
+from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, character_value,
+                             get_group, kronecker_symbol, newform_an,
+                             primes_upto)
 from noncong.series import exact_integers
 from noncong.surfaces import beauville_short, rf
 from noncong.traces import (BadPrimeError, FIBER_VALUE, PrimeField,
@@ -429,7 +429,7 @@ def test_traces_against_newform_coefficients():
                 except KeyError:            # past the stored L243/L486 tables
                     continue
                 tr, tr2 = trace_pair(fam, p)
-                chi = kronecker_symbol_product(NEWFORMS[group.newform].character, p)
+                chi = character_value(NEWFORMS[group.newform].character, p)
                 if p % 3 == 1:
                     c = CUBE_CONSTANT.get(fam.label, 1)
                     k = 2 if pow(c, (p - 1) // 3, p) == 1 else -1
