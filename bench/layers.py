@@ -16,9 +16,9 @@ The measurements, with the N each is taken at (N = 1 where none applies):
 
 * ``import``, ``import_compiled``: ``import noncong, noncong.cli`` in
   a fresh interpreter with numpy and the standard library already loaded,
-  from a copy of the tree with its bytecode compiled once; or from a copy
-  without bytecode under PYTHONDONTWRITEBYTECODE=1, as in a fresh checkout,
-  so every module compiles at each start;
+  from a copy without bytecode under PYTHONDONTWRITEBYTECODE=1, as in a
+  fresh checkout, so every module it loads compiles at each start; or from
+  a copy of the tree with its bytecode compiled once;
 * ``eta_powers`` (N = 501 .. 4001): ``eta_power_coeffs(k, e, N)`` for every
   factor (k, e) of every basis form (scales divided by their gcd), from an
   empty store;
@@ -28,8 +28,10 @@ The measurements, with the N each is taken at (N = 1 where none applies):
   exact eta powers, so this times the mod-p^2 kernel alone.  A library
   whose ``coefficient_residues`` takes one form (``which``) is called once
   per form;
-* ``aswd``: the nine processes ``noncong aswd <group> --pmax 97 --pn-bound
-  1000``, spawn to exit, from a copy with compiled bytecode;
+* ``aswd``, ``aswd_cold``: the nine processes ``noncong aswd <group>
+  --pmax 97 --pn-bound 1000``, spawn to exit, from a copy with compiled
+  bytecode; or from the copy without bytecode under
+  PYTHONDONTWRITEBYTECODE=1, as ``import`` and perfbench's children start;
 * ``aswd_row_block`` (N = 4, 8, 24): ``aswd gamma_24.6.1^6 --pmax 97
   --pn-bound 1000`` in the child with ``catalog.ROW_BLOCK = N``, the
   measurement behind that constant;
@@ -108,7 +110,7 @@ def tree_copy(compiled: bool) -> tempfile.TemporaryDirectory:
 
 @measurement((1,), "import", "import_compiled")
 def _import(name, n):
-    env = {**os.environ, "PYTHONPATH": tree_copy(name == "import").name,
+    env = {**os.environ, "PYTHONPATH": tree_copy(name == "import_compiled").name,
            "PYTHONDONTWRITEBYTECODE": "1"}
     code = (f"import {PRELOAD}, time\nt0 = time.perf_counter()\n"
             "import noncong, noncong.cli\nprint(time.perf_counter() - t0)")
@@ -148,10 +150,11 @@ def _residues(name, n):
     return lambda: batch(group, n, moduli)
 
 
-@measurement((1,), "aswd")
+@measurement((1,), "aswd", "aswd_cold")
 def _aswd(name, n):
     from noncong import GROUPS
-    env = {**os.environ, "PYTHONPATH": tree_copy(True).name}
+    env = {**os.environ, "PYTHONPATH": tree_copy(name == "aswd").name,
+           "PYTHONDONTWRITEBYTECODE": "1"}
 
     def run():
         for group in GROUPS:

@@ -6,9 +6,9 @@ irregular cusp split and hence dim S_3 = 2, and the base involutions lift to
 the covers: (iota(cbrt m(t)))^3 = m(i(t)) holds as an exact identity in Q(t).
 """
 
-from noncong import (GROUPS, MAIN_GROUPS, cusp_regularity, derived_cusp_counts,
-                     dim_cusp_forms, involution_identity_check,
-                     noncongruence_test)
+from noncong import (COVERINGS, GROUPS, MAIN_GROUPS, cusp_regularity,
+                     derived_cusp_counts, dim_cusp_forms,
+                     involution_identity_check, noncongruence_test)
 
 for name, g in GROUPS.items():
     verdict = noncongruence_test(g.cusp_widths)
@@ -23,16 +23,16 @@ for name, g in GROUPS.items():
 print()
 print("Involution identities (iota(r)^3 = m(i(t)) with r^3 = m(t)):")
 for name in MAIN_GROUPS:
-    g = GROUPS[name]
-    ok = involution_identity_check(g)
-    print(f"   {name}: i(t) = {g.involution_base}, iota(r) = {g.involution_cover}"
+    ok = involution_identity_check(GROUPS[name])
+    cover = COVERINGS[name]
+    print(f"   {name}: i(t) = {cover.involution_base}, iota(r) = {cover.involution_cover}"
           f"  -> {'verified' if ok else 'FAILED'}")
 
 print()
 print("Isogeny data carried by each base involution:")
 seen = set()
 for name in MAIN_GROUPS:
-    data = GROUPS[name].isogeny_data()
+    data = COVERINGS[name].isogeny_data()
     key = (data["d"], data["kernel"])
     if key in seen:
         continue

@@ -3,6 +3,8 @@ subgroups (plus the conjugate B-variant), and the four associated weight-3
 congruence newforms, together with the group-theoretic operations: the
 dimension formula, cusp regularity, the cusp-width noncongruence test, the
 cube-root basis construction, newform coefficient access and Hecke checks.
+The groups' covering maps, involutions and surface parameterizations are
+surface geometry and live in ``surfaces.COVERINGS``, keyed by group name.
 
 The basis coefficients come two ways: exactly (``basis_q_expansions``,
 ``coefficient_sequence``), and mod a batch of moduli
@@ -23,7 +25,6 @@ from math import gcd
 
 from .series import (EtaQuotient, PuiseuxSeries, _convolve, cube_roots_mod,
                      eisenstein_e6_ints, eta_product_ints, eta_product_mod)
-from .surfaces import RationalFunction, T, ISOGENY_BY_INVOLUTION
 
 # ---------------------------------------------------------------------------
 # small number-theory utilities
@@ -201,26 +202,15 @@ class GroupRecord:
     h1_unit: int                     # printed index n <-> series index n*unit
     h2_unit: int
     newform: str
-    covering_m: RationalFunction | None = None
-    covering_m_inv: RationalFunction | None = None
-    involution_base: RationalFunction | None = None
-    involution_cover: RationalFunction | None = None
     construction: tuple[str, str, int] | None = None   # (radicand, form, h1 power)
-    parameterizations: tuple[tuple[str, RationalFunction], ...] = ()
-    isogeny_key: str | None = None
 
     def __hash__(self):     # the per-group caches key on records; names are unique
         return hash(self.name)
-
-    def isogeny_data(self) -> dict | None:
-        return ISOGENY_BY_INVOLUTION.get(self.isogeny_key) if self.isogeny_key else None
 
 
 def _g(rows):
     return tuple(((a, b), (c, d)) for a, b, c, d in rows)
 
-
-_x = T  # the catalog writes covering data in one formal variable
 
 GROUPS: dict[str, GroupRecord] = {}
 
@@ -238,11 +228,7 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: 4, 2: -6, 4: 20}),
     h2=EtaQuotient.of({1: -4, 2: 6, 4: 16}),
     h1_unit=1, h2_unit=1, newform="L48",
-    covering_m=_x, covering_m_inv=_x,
-    involution_base=-_x, involution_cover=-_x,
     construction=("t", "Ea", 2),
-    parameterizations=(("E8(r^3)", _x ** 3),),
-    isogeny_key="E8:-t",
 ))
 
 _add(GroupRecord(
@@ -254,11 +240,7 @@ _add(GroupRecord(
     h1=EtaQuotient.of({2: 20, 4: -6, 8: 4}),
     h2=EtaQuotient.of({2: 16, 4: 6, 8: -4}),
     h1_unit=2, h2_unit=1, newform="L48",
-    covering_m=(1 + _x) / (1 - _x), covering_m_inv=(_x - 1) / (_x + 1),
-    involution_base=1 / _x, involution_cover=-_x,
     construction=("4(t+1)/(1-t)", "Eb", 1),
-    parameterizations=(("E8((r^3-1)/(r^3+1))", (_x ** 3 - 1) / (_x ** 3 + 1)),),
-    isogeny_key="E8:1/t",
 ))
 
 _add(GroupRecord(
@@ -270,13 +252,7 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: 4, 2: 10, 4: -4, 8: 8}),
     h2=EtaQuotient.of({1: 8, 2: -4, 4: 10, 8: 4}),
     h1_unit=1, h2_unit=1, newform="L432",
-    covering_m=(_x + 1) / 4, covering_m_inv=4 * _x - 1,
-    involution_base=(1 - _x) / (1 + _x), involution_cover=1 / (2 * _x),
     construction=("(t+1)/2", "Eb", 1),
-    parameterizations=(("E8(r^3-1)", _x ** 3 - 1),
-                       ("E8(2r^3-1)", 2 * _x ** 3 - 1),
-                       ("E8(4r^3-1)", 4 * _x ** 3 - 1)),
-    isogeny_key="E8:(1-t)/(1+t)",
 ))
 
 _add(GroupRecord(
@@ -288,11 +264,7 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: -4, 2: 22, 4: -8, 8: 8}),
     h2=EtaQuotient.of({1: -8, 2: 20, 4: 2, 8: 4}),
     h1_unit=1, h2_unit=1, newform="L432",
-    covering_m=2 * (1 + _x) / _x, covering_m_inv=2 / (_x - 2),
-    involution_base=(_x + 1) / (_x - 1), involution_cover=2 / _x,
     construction=("(t+1)/(2t)", "Eb", 1),
-    parameterizations=(("E8(2/(r^3-2))", 2 / (_x ** 3 - 2)),),
-    isogeny_key="E8:(t+1)/(t-1)",
 ))
 
 # Conjugate variant of gamma_24.3.2^3.1^3 by (0 -1; 8 0); generators obtained
@@ -317,11 +289,7 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: 4, 2: 7, 3: -4, 6: 11}),
     h2=EtaQuotient.of({1: -4, 2: 11, 3: 4, 6: 7}),
     h1_unit=1, h2_unit=1, newform="L243",
-    covering_m=_x / 9, covering_m_inv=9 * _x,
-    involution_base=1 / (9 * _x), involution_cover=1 / (9 * _x),
     construction=("b/d", "acd", 1),
-    parameterizations=(("E6(3r^3)", 3 * _x ** 3), ("E6(9r^3)", 9 * _x ** 3)),
-    isogeny_key="E6:1/(9t)",
 ))
 
 _add(GroupRecord(
@@ -333,12 +301,7 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: 7, 2: 4, 3: 11, 6: -4}),
     h2=EtaQuotient.of({1: 11, 2: -4, 3: 7, 6: 4}),
     h1_unit=1, h2_unit=1, newform="L243",
-    covering_m=(1 - 9 * _x) / (3 - 3 * _x), covering_m_inv=(1 - 3 * _x) / (9 - 3 * _x),
-    involution_base=1 / (9 * _x), involution_cover=1 / _x,
     construction=("a/c", "bcd", 1),
-    parameterizations=(("E6((1-3r^3)/(9-3r^3))",
-                        (1 - 3 * _x ** 3) / (9 - 3 * _x ** 3)),),
-    isogeny_key="E6:1/(9t)",
 ))
 
 _add(GroupRecord(
@@ -350,12 +313,7 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: 13, 2: -2, 3: -7, 6: 14}),
     h2=EtaQuotient.of({1: 14, 2: -7, 3: -2, 6: 13}),
     h1_unit=1, h2_unit=1, newform="L486",
-    covering_m=8 / (3 - 3 * _x), covering_m_inv=1 - 8 / (3 * _x),
-    involution_base=(1 - 9 * _x) / (9 - 9 * _x), involution_cover=2 / _x,
     construction=("b/c", "acd", 1),
-    parameterizations=(("E6(1-24/r^3)", 1 - 24 / _x ** 3),
-                       ("E6(1-8/(3r^3))", 1 - 8 / (3 * _x ** 3))),
-    isogeny_key="E6:(1-9t)/(9-9t)",
 ))
 
 _add(GroupRecord(
@@ -367,11 +325,7 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: -2, 2: 13, 3: 14, 6: -7}),
     h2=EtaQuotient.of({1: -7, 2: 14, 3: 13, 6: -2}),
     h1_unit=1, h2_unit=1, newform="L486",
-    covering_m=(1 - 9 * _x) / (24 * _x), covering_m_inv=1 / (24 * _x + 9),
-    involution_base=(1 - 9 * _x) / (9 - 9 * _x), involution_cover=1 / (2 * _x),
     construction=("a/d", "bcd", 1),
-    parameterizations=(("E6(1/(24r^3+9))", 1 / (24 * _x ** 3 + 9)),),
-    isogeny_key="E6:(1-9t)/(9-9t)",
 ))
 
 MAIN_GROUPS = tuple(n for n in GROUPS if not n.endswith("B"))
@@ -847,7 +801,9 @@ def hecke_check(tag: str, prime_bound: int, n_bound: int,
 
 
 def export_text() -> str:
-    """The whole catalog as key/value record blocks."""
+    """The whole catalog as key/value record blocks, with each group's
+    covering data from ``surfaces.COVERINGS``."""
+    from .surfaces import COVERINGS     # only the export reads surface geometry
     lines = []
     for name, g in GROUPS.items():
         lines.append(f"[group {name}]")
@@ -859,17 +815,16 @@ def export_text() -> str:
         lines.append(f"h1 = cbrt[{g.h1}] unit {g.h1_unit}")
         lines.append(f"h2 = cbrt[{g.h2}] unit {g.h2_unit}")
         lines.append(f"newform = {g.newform}")
-        if g.covering_m is not None:
-            lines.append(f"m(t) = {g.covering_m}")
-            lines.append(f"m_inv(x) = {g.covering_m_inv}")
-            lines.append(f"i(t) = {g.involution_base}")
-            lines.append(f"iota(r) = {g.involution_cover}")
-        iso = g.isogeny_data()
-        if iso:
+        cover = COVERINGS.get(name)
+        if cover is not None:
+            iso = cover.isogeny_data()
+            lines.append(f"m(t) = {cover.covering_m}")
+            lines.append(f"m_inv(x) = {cover.covering_m_inv}")
+            lines.append(f"i(t) = {cover.involution_base}")
+            lines.append(f"iota(r) = {cover.involution_cover}")
             lines.append(f"isogeny = degree {iso['d']}, kernel {iso['kernel']}, "
                          f"field {iso['field']}")
-        for label, sub in g.parameterizations:
-            lines.append(f"parameterization = {label}")
+            lines.extend(f"parameterization = {label}" for label, _ in cover.parameterizations)
         lines.append("")
     for tag, rec in NEWFORMS.items():
         lines.append(f"[newform {tag}]")

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import catalog, congruence, surfaces, traces
+from . import catalog, congruence
 from .series import EtaQuotient, eisenstein_e6
 from .catalog import GROUPS, MAIN_GROUPS, get_group
 
@@ -117,11 +117,12 @@ def cmd_expand(args) -> int:
 
 
 def cmd_traces(args) -> int:
+    from . import surfaces, traces
     primes = _parse_primes(args.primes, limit=traces.PRIME_LIMIT)
     groups = [GROUPS[n] for n in MAIN_GROUPS] if args.group in (None, "all") \
         else [_group(args.group)]
     for g in groups:
-        if not g.parameterizations:
+        if g.name not in surfaces.COVERINGS:
             raise InputRefused(f"{g.name} carries no surface parameterization")
     golden = _read_golden(args.golden, *TRACES_GOLDEN) if args.golden else None
     try:
@@ -286,17 +287,21 @@ def cmd_noncongruence(args) -> int:
 
 
 def cmd_isogeny(args) -> int:
+    from . import surfaces, traces
     if args.samples < 1:
         raise InputRefused(f"--samples {args.samples} is not a positive integer")
     if args.pair:
-        rel = surfaces.INTER_FAMILY_RELATIONS[args.pair]
+        rel = surfaces.INTER_FAMILY_RELATIONS.get(args.pair)
+        if rel is None:
+            raise InputRefused(f"--pair {args.pair!r} is not a known relation; known: "
+                               + ", ".join(surfaces.INTER_FAMILY_RELATIONS))
     elif args.self_group is None:
         raise InputRefused("give --pair or --self")
     else:
         g = _group(args.self_group)
-        rel = g.isogeny_data()
-        if rel is None:
+        if g.name not in surfaces.COVERINGS:
             raise InputRefused(f"{g.name} carries no involution data")
+        rel = surfaces.COVERINGS[g.name].isogeny_data()
     primes = _parse_primes(args.primes, limit=traces.PRIME_LIMIT) \
         if args.primes else (101, 103)
     if primes[0] < 5:
@@ -311,9 +316,13 @@ def cmd_isogeny(args) -> int:
     return 0 if ok else 1
 
 
+# every output format; each command lists the ones it writes
+FORMATS = ("human", "csv", "json")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="noncong")
-    ap.add_argument("--format", choices=("human", "csv", "json"), default="human")
+    ap.add_argument("--format", choices=FORMATS, default="human")
     ap.add_argument("--modpoly", default=None, help="modular polynomial data file")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -323,14 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="h1/h2 for groups; 'm:e,...' spec after 'eta'")
     p.add_argument("--order", type=int, default=12)
     p.add_argument("--root", type=int, default=1)
-    p.set_defaults(fn=cmd_expand)
+    p.set_defaults(fn=cmd_expand, formats=("human", "csv"))
 
     p = sub.add_parser("traces", help="Frobenius traces over F_p and F_{p^2}")
     p.add_argument("group", nargs="?", default=None)
     p.add_argument("--all", dest="group", action="store_const", const="all")
     p.add_argument("--primes", default="5..23,73")
     p.add_argument("--golden", default=None)
-    p.set_defaults(fn=cmd_traces)
+    p.set_defaults(fn=cmd_traces, formats=FORMATS)
 
     p = sub.add_parser("aswd", help="mod p^2 congruence reports for one group")
     p.add_argument("group")
@@ -342,35 +351,38 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attach three-term checks for case-1 rows up to this n")
     p.add_argument("--strict", action="store_true",
                    help="nonzero exit when a constant matches no newform")
-    p.set_defaults(fn=cmd_aswd)
+    p.set_defaults(fn=cmd_aswd, formats=FORMATS)
 
     p = sub.add_parser("catalog", help="dump the machine-readable catalog")
-    p.set_defaults(fn=cmd_catalog)
+    p.set_defaults(fn=cmd_catalog, formats=("human",))
 
     p = sub.add_parser("dim", help="cusp-form dimensions with derived (u, u')")
     p.add_argument("--group", default=None)
     p.add_argument("--all", dest="group", action="store_const", const="all")
-    p.set_defaults(fn=cmd_dim)
+    p.set_defaults(fn=cmd_dim, formats=("human",))
 
     p = sub.add_parser("noncongruence", help="width-multiset noncongruence verdicts")
     p.add_argument("--group", default=None)
     p.add_argument("--all", dest="group", action="store_const", const="all")
-    p.set_defaults(fn=cmd_noncongruence)
+    p.set_defaults(fn=cmd_noncongruence, formats=("human",))
 
     p = sub.add_parser("isogeny", help="modular-polynomial isogeny relations")
-    p.add_argument("--pair", choices=tuple(surfaces.INTER_FAMILY_RELATIONS), default=None)
+    p.add_argument("--pair", default=None, help="an inter-family relation, e.g. 4a")
     p.add_argument("--self", dest="self_group", default=None,
                    help="check a group's own involution relation")
     p.add_argument("--mode", choices=("sampled", "symbolic"), default="sampled")
     p.add_argument("--primes", default=None)
     p.add_argument("--samples", type=int, default=50)
-    p.set_defaults(fn=cmd_isogeny)
+    p.set_defaults(fn=cmd_isogeny, formats=("human",))
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.format not in args.formats:
+            raise InputRefused(f"--format {args.format} does not apply to {args.command}, "
+                               f"which writes {' and '.join(args.formats)} output")
         return args.fn(args)
     except InputRefused as e:
         print(f"refused: {e}", file=sys.stderr)

@@ -1,6 +1,8 @@
 """Rational functions over Q, the Weierstrass families over the two genus-0
-base curves, short-model conversion, j-invariants, involution identities and
-modular-polynomial isogeny relations.
+base curves, short-model conversion, j-invariants, the covering data of the
+catalog groups (``COVERINGS``: covering maps, involutions, surface
+parameterizations), involution identities and modular-polynomial isogeny
+relations.
 
 Polynomials are dense coefficient tuples (low degree first) with Fraction
 entries; rational functions keep a monic denominator coprime to the
@@ -426,21 +428,94 @@ def beauville_short(level_label: str) -> ShortWeierstrass:
 
 
 # ---------------------------------------------------------------------------
+# covering data of the catalog groups
+
+
+@dataclass(frozen=True)
+class Covering:
+    """How one catalog group's modular curve covers its parent's base curve:
+    r^3 = covering_m(t) and its inverse, the base involution t -> i(t) with
+    its lift r -> iota(r) to the cover, the surface parameterizations (the
+    base family at sub(r)) and the key of the involution's isogeny in
+    ISOGENY_BY_INVOLUTION."""
+    covering_m: RationalFunction
+    covering_m_inv: RationalFunction
+    involution_base: RationalFunction
+    involution_cover: RationalFunction
+    parameterizations: tuple[tuple[str, RationalFunction], ...]
+    isogeny_key: str
+
+    def isogeny_data(self) -> dict:
+        return ISOGENY_BY_INVOLUTION[self.isogeny_key]
+
+
+_x = T  # the table writes every map in one formal variable
+
+# Keyed by catalog group name; the conjugate variant gamma_24.3.2^3.1^3B
+# carries no covering data.
+COVERINGS: dict[str, Covering] = {
+    "gamma_24.6.1^6": Covering(
+        covering_m=_x, covering_m_inv=_x,
+        involution_base=-_x, involution_cover=-_x,
+        parameterizations=(("E8(r^3)", _x ** 3),),
+        isogeny_key="E8:-t"),
+    "gamma_8^3.2^3.3^2": Covering(
+        covering_m=(1 + _x) / (1 - _x), covering_m_inv=(_x - 1) / (_x + 1),
+        involution_base=1 / _x, involution_cover=-_x,
+        parameterizations=(("E8((r^3-1)/(r^3+1))", (_x ** 3 - 1) / (_x ** 3 + 1)),),
+        isogeny_key="E8:1/t"),
+    "gamma_8^3.6.3.1^3": Covering(
+        covering_m=(_x + 1) / 4, covering_m_inv=4 * _x - 1,
+        involution_base=(1 - _x) / (1 + _x), involution_cover=1 / (2 * _x),
+        parameterizations=(("E8(r^3-1)", _x ** 3 - 1),
+                           ("E8(2r^3-1)", 2 * _x ** 3 - 1),
+                           ("E8(4r^3-1)", 4 * _x ** 3 - 1)),
+        isogeny_key="E8:(1-t)/(1+t)"),
+    "gamma_24.3.2^3.1^3": Covering(
+        covering_m=2 * (1 + _x) / _x, covering_m_inv=2 / (_x - 2),
+        involution_base=(_x + 1) / (_x - 1), involution_cover=2 / _x,
+        parameterizations=(("E8(2/(r^3-2))", 2 / (_x ** 3 - 2)),),
+        isogeny_key="E8:(t+1)/(t-1)"),
+    "gamma_18.6.3^3.1^3": Covering(
+        covering_m=_x / 9, covering_m_inv=9 * _x,
+        involution_base=1 / (9 * _x), involution_cover=1 / (9 * _x),
+        parameterizations=(("E6(3r^3)", 3 * _x ** 3), ("E6(9r^3)", 9 * _x ** 3)),
+        isogeny_key="E6:1/(9t)"),
+    "gamma_9.6^3.3.2^3": Covering(
+        covering_m=(1 - 9 * _x) / (3 - 3 * _x), covering_m_inv=(1 - 3 * _x) / (9 - 3 * _x),
+        involution_base=1 / (9 * _x), involution_cover=1 / _x,
+        parameterizations=(("E6((1-3r^3)/(9-3r^3))",
+                            (1 - 3 * _x ** 3) / (9 - 3 * _x ** 3)),),
+        isogeny_key="E6:1/(9t)"),
+    "gamma_9.6^4.1^3": Covering(
+        covering_m=8 / (3 - 3 * _x), covering_m_inv=1 - 8 / (3 * _x),
+        involution_base=(1 - 9 * _x) / (9 - 9 * _x), involution_cover=2 / _x,
+        parameterizations=(("E6(1-24/r^3)", 1 - 24 / _x ** 3),
+                           ("E6(1-8/(3r^3))", 1 - 8 / (3 * _x ** 3))),
+        isogeny_key="E6:(1-9t)/(9-9t)"),
+    "gamma_18.3^4.2^3": Covering(
+        covering_m=(1 - 9 * _x) / (24 * _x), covering_m_inv=1 / (24 * _x + 9),
+        involution_base=(1 - 9 * _x) / (9 - 9 * _x), involution_cover=1 / (2 * _x),
+        parameterizations=(("E6(1/(24r^3+9))", 1 / (24 * _x ** 3 + 9)),),
+        isogeny_key="E6:(1-9t)/(9-9t)"),
+}
+
+
+# ---------------------------------------------------------------------------
 # involution identities
 
 
 def involution_identity_check(group) -> bool:
-    """Verify (iota(cbrt(m(t))))^3 == m(i(t)) in Q(t).
+    """Verify (iota(cbrt(m(t))))^3 == m(i(t)) in Q(t) for a catalog group.
 
     Every catalog iota is monomial, iota(r) = c*r or c/r, so the cube lives
     in Q(t) after substituting r^3 = m(t).
     """
-    m = group.covering_m
-    i = group.involution_base
-    iota = group.involution_cover
-    if m is None or i is None or iota is None:
+    cover = COVERINGS.get(group.name)
+    if cover is None:
         raise ValueError(f"{group.name}: no involution data")
-    c, e = _monomial_form(iota)
+    m, i = cover.covering_m, cover.involution_base
+    c, e = _monomial_form(cover.involution_cover)
     lhs = RationalFunction.const(c ** 3) * (m ** e)
     rhs = m.compose(i)
     return lhs == rhs

@@ -27,11 +27,13 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd, isqrt, lcm
 
-import numpy as np
-
 from .catalog import _factorize
 from .series import exact_integers
-from .surfaces import RationalFunction, beauville_short
+from .surfaces import COVERINGS, RationalFunction, beauville_short
+
+# numpy after the package's modules: compiling `surfaces` with numpy already
+# loaded raised the peak RSS of perfbench's ap-scan process by 0.4 MiB
+import numpy as np
 
 
 class BadPrimeError(ValueError):
@@ -236,8 +238,12 @@ class SurfaceFamily:
 
 
 def surface_families(group) -> list[SurfaceFamily]:
+    """The families of a catalog group's surface parameterizations; none
+    for a group without covering data."""
     level = "E8" if group.parent == "G8" else "E6"
-    return [SurfaceFamily(label, level, sub) for label, sub in group.parameterizations]
+    cover = COVERINGS.get(group.name)
+    return [SurfaceFamily(label, level, sub)
+            for label, sub in (cover.parameterizations if cover else ())]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "bench" / "layers.py"
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
-# all but the nine aswd processes, which take seconds
+# all but the two measurements of nine aswd processes, which take seconds
 CHILD_MODES = ["import", "import_compiled", "eta_powers", "residues", "aswd_row_block",
                "table_p2", "table_p", "pair_p2", "family_sums_p2", "newform_L48",
                "newform_L432", "basis"]
@@ -35,4 +35,4 @@ def test_unknown_measurement_refused():
     done = layers("--only", "nosuch")
     assert done.returncode == 2 and done.stdout == ""
     assert "unknown measurement nosuch" in done.stderr
-    assert all(name in done.stderr for name in CHILD_MODES + ["aswd"])
+    assert all(name in done.stderr for name in CHILD_MODES + ["aswd", "aswd_cold"])

@@ -81,21 +81,6 @@ def test_dimension_formula_values():
         dim_cusp_forms(3, 0, 7, 0)
 
 
-def test_covering_maps_invert():
-    from noncong.surfaces import T
-    for name in MAIN_GROUPS:
-        g = GROUPS[name]
-        assert g.covering_m.compose(g.covering_m_inv) == T, name
-
-
-def test_involution_is_involution():
-    from noncong.surfaces import T
-    for name in MAIN_GROUPS:
-        g = GROUPS[name]
-        assert g.involution_base.compose(g.involution_base) == T, name
-        assert g.involution_cover.compose(g.involution_cover) == T, name
-
-
 def test_b_variant_generators_lie_in_parent():
     # conjugates of the gamma_24.3.2^3.1^3 generators by (0 -1; 8 0):
     # lower-left divisible by 8, diagonal 1 mod 4

@@ -297,11 +297,37 @@ README = str(GOLDEN.parent / "README.md")
     (["aswd", "gamma_24.3.2^3.1^3B", "--pmax", "7", "--pn-bound", "12"],
      "--pn-bound 12 is too small for gamma_24.3.2^3.1^3B: "
      "insufficient data: no usable ratio indices for p=7"),
+    (["isogeny", "--self", "gamma_24.3.2^3.1^3B"],
+     "gamma_24.3.2^3.1^3B carries no involution data"),
+    (["isogeny", "--pair", "5a"], "--pair '5a' is not a known relation; known: 1a, 2a, 3a, 4a"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert err == f"refused: {message}\n"
+
+
+# (format, command line, the formats the command writes)
+FORMAT_REFUSALS = [
+    ("json", ["expand", "E6"], "human and csv"),
+    ("json", ["dim", "--all"], "human"),
+    ("csv", ["dim", "--all"], "human"),
+    ("json", ["noncongruence", "--all"], "human"),
+    ("csv", ["noncongruence", "--all"], "human"),
+    ("json", ["catalog"], "human"),
+    ("csv", ["catalog"], "human"),
+    ("json", ["isogeny", "--pair", "4a"], "human"),
+    ("csv", ["isogeny", "--pair", "4a"], "human"),
+]
+
+
+@pytest.mark.parametrize("fmt,argv,writes", FORMAT_REFUSALS,
+                         ids=[f"{fmt}-{argv[0]}" for fmt, argv, _ in FORMAT_REFUSALS])
+def test_format_the_command_does_not_write_is_refused(capsys, fmt, argv, writes):
+    rc, out, err = run(capsys, "--format", fmt, *argv)
+    assert (rc, out) == (2, "")
+    assert err == (f"refused: --format {fmt} does not apply to {argv[0]}, "
+                   f"which writes {writes} output\n")
 
 
 @pytest.mark.parametrize("argv,row", [

@@ -1,0 +1,89 @@
+"""The package namespace: names resolve lazily to their defining modules, and
+each command loads only the modules it runs."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import noncong
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SUBMODULES = ("series", "surfaces", "catalog", "traces", "congruence", "cli")
+
+
+def test_every_exported_name_is_the_object_of_its_defining_module():
+    for name in noncong.__all__:
+        home = importlib.import_module(noncong._MODULE_OF[name])
+        assert getattr(noncong, name) is vars(home)[name], name
+
+
+def test_star_import():
+    namespace = {}
+    exec("from noncong import *", namespace)
+    assert set(noncong.__all__) <= namespace.keys()
+    assert namespace["get_group"] is noncong.catalog.get_group
+    assert namespace["COVERINGS"] is noncong.surfaces.COVERINGS
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        noncong.no_such_name
+    assert not hasattr(noncong, "_factorize")     # module-private, not exported
+
+
+def test_dir_lists_the_exported_names():
+    assert set(noncong.__all__) <= set(dir(noncong))
+    assert "__version__" in dir(noncong)
+
+
+def test_resolving_names_leaves_the_package_namespace_unchanged():
+    for module in SUBMODULES:
+        importlib.import_module(f"noncong.{module}")
+    before = dict(vars(noncong))
+    for name in noncong.__all__:
+        getattr(noncong, name)
+    after = vars(noncong)
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+
+
+# A command must not load what it does not run: `aswd` needs neither the
+# surface geometry nor the trace kernels, and the structural commands need
+# no numpy.  Each case runs in a fresh interpreter.
+LOADED = """
+import contextlib, io, sys
+from noncong.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(sys.argv[1:])
+print(rc, *sorted(name for name in sys.modules
+                  if name == "numpy" or name.startswith("noncong.")))
+"""
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["aswd", "gamma_24.6.1^6", "--pmax", "13"], {"noncong.surfaces", "noncong.traces"}),
+    (["dim", "--all"], {"numpy", "noncong.surfaces", "noncong.traces"}),
+    (["noncongruence", "--all"], {"numpy", "noncong.surfaces", "noncong.traces"}),
+    (["catalog"], {"numpy", "noncong.traces"}),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_command_loads_only_its_layers(argv, absent):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", LOADED, *argv], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    rc, *loaded = done.stdout.split()
+    assert rc == "0"
+    assert "noncong.cli" in loaded
+    assert not absent & set(loaded)
+
+
+def test_import_noncong_loads_no_submodule():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = ("import sys, noncong; print(*sorted(n for n in sys.modules "
+            "if n == 'numpy' or n.startswith('noncong')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == ["noncong"]

@@ -7,7 +7,7 @@ import pytest
 
 from noncong.catalog import GROUPS, MAIN_GROUPS
 from noncong.series import PuiseuxSeries, eta_power_coeffs
-from noncong.surfaces import (BEAUVILLE, INTER_FAMILY_RELATIONS,
+from noncong.surfaces import (BEAUVILLE, COVERINGS, INTER_FAMILY_RELATIONS,
                               ISOGENY_BY_INVOLUTION, MissingPolynomialData,
                               ModularPolynomial, PHI1, PHI2, PHI3,
                               ShortWeierstrass, T,
@@ -110,7 +110,29 @@ def test_substitute_parameter():
     assert substitute_parameter(sw, T).A == sw.A
 
 
-# --- involutions ---------------------------------------------------------------
+# --- covering data and involutions ------------------------------------------------
+
+def test_covering_data_for_every_main_group_in_catalog_order():
+    assert tuple(COVERINGS) == MAIN_GROUPS
+
+
+def test_covering_maps_invert():
+    for name in MAIN_GROUPS:
+        cover = COVERINGS[name]
+        assert cover.covering_m.compose(cover.covering_m_inv) == T, name
+
+
+def test_involution_is_involution():
+    for name in MAIN_GROUPS:
+        cover = COVERINGS[name]
+        assert cover.involution_base.compose(cover.involution_base) == T, name
+        assert cover.involution_cover.compose(cover.involution_cover) == T, name
+
+
+def test_involution_identity_needs_covering_data():
+    with pytest.raises(ValueError, match="no involution data"):
+        involution_identity_check(GROUPS["gamma_24.3.2^3.1^3B"])
+
 
 @pytest.mark.parametrize("name", MAIN_GROUPS)
 def test_involution_identity_all_groups(name):
@@ -303,12 +325,11 @@ def test_relations_requiring_data_files_raise(monkeypatch):
 
 
 def test_isogeny_catalog_data_attached_to_groups():
-    g = GROUPS["gamma_18.6.3^3.1^3"]
-    data = g.isogeny_data()
+    data = COVERINGS["gamma_18.6.3^3.1^3"].isogeny_data()
     assert data["d"] == 3
     assert data["kernel"] == "x - t^2 + t"
     assert "sqrt(-3)" in data["field"]
-    g8 = GROUPS["gamma_8^3.6.3.1^3"]
+    g8 = COVERINGS["gamma_8^3.6.3.1^3"]
     assert g8.isogeny_data()["d"] == 8
     assert "sqrt(-1)" in g8.isogeny_data()["field"]
 
