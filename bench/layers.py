@@ -32,6 +32,9 @@ The measurements, with the N each is taken at (N = 1 where none applies):
   --pmax 97 --pn-bound 1000``, spawn to exit, from a copy with compiled
   bytecode; or from the copy without bytecode under
   PYTHONDONTWRITEBYTECODE=1, as ``import`` and perfbench's children start;
+* ``traces_cold``: one process ``noncong --format csv traces --all
+  --primes 5..23,73,101``, spawn to exit, from the copy without bytecode,
+  as ``aswd_cold``;
 * ``aswd_row_block`` (N = 4, 8, 24): ``aswd gamma_24.6.1^6 --pmax 97
   --pn-bound 1000`` in the child with ``catalog.ROW_BLOCK = N``, the
   measurement behind that constant;
@@ -150,15 +153,17 @@ def _residues(name, n):
     return lambda: batch(group, n, moduli)
 
 
-@measurement((1,), "aswd", "aswd_cold")
-def _aswd(name, n):
+@measurement((1,), "aswd", "aswd_cold", "traces_cold")
+def _processes(name, n):
     from noncong import GROUPS
     env = {**os.environ, "PYTHONPATH": tree_copy(name == "aswd").name,
            "PYTHONDONTWRITEBYTECODE": "1"}
+    commands = [["--format", "csv", "traces", "--all", "--primes", "5..23,73,101"]] \
+        if name == "traces_cold" else [["aswd", group, *ASWD] for group in GROUPS]
 
     def run():
-        for group in GROUPS:
-            subprocess.run([sys.executable, "-c", CLI, "aswd", group, *ASWD],
+        for argv in commands:
+            subprocess.run([sys.executable, "-c", CLI, *argv],
                            env=env, check=True, stdout=subprocess.DEVNULL)
     return run
 
@@ -289,7 +294,11 @@ def main(argv=None) -> int:
     if args.child:
         print(json.dumps(child(args.child[0], int(args.child[1]))))
         return 0
+    # a BLAS thread count set here reaches the processes of both checkouts,
+    # so neither starts a thread pool and the record hides that difference
     record = {"host": f"{platform.machine()}, {os.cpu_count()} CPUs",
+              "threads_env": {k: os.environ.get(k)
+                              for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
               "python": platform.python_version()}
     if args.before:
         record["before"] = measure(args.before, names)

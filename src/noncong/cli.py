@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import catalog, congruence
@@ -31,7 +32,8 @@ def _group(name: str):
 
 def _parse_primes(text: str, limit: int | None = None) -> list[int]:
     """'5..23,73' -> primes in [5,23] plus 73.  Malformed parts, non-primes,
-    bounds above ``limit`` and an empty selection are refused."""
+    reversed ranges, bounds above ``limit`` and an empty selection are
+    refused."""
     out = []
     for part in text.split(","):
         lo, dots, hi = part.partition("..")
@@ -39,6 +41,8 @@ def _parse_primes(text: str, limit: int | None = None) -> list[int]:
             bounds = (int(lo), int(hi)) if dots else (int(part),)
         except ValueError:
             raise InputRefused(f"{part!r} is neither a prime nor a range a..b") from None
+        if dots and bounds[0] > bounds[1]:
+            raise InputRefused(f"range {part!r} runs downward; write {bounds[1]}..{bounds[0]}")
         if limit is not None and max(bounds) > limit:
             raise InputRefused(f"{max(bounds)} is above the prime limit {limit}")
         if dots:
@@ -67,6 +71,11 @@ def _print_series(series, fmt: str, limit: int | None = None):
         parts.append(f"{coeff}*{expo}" if e != 0 else f"{coeff}")
     print(" + ".join(parts) if parts else "0")
 
+
+# Largest prime `traces` and `isogeny` accept in --primes: building the
+# F_{p^2} fiber-trace table takes about 4.6 s and 510 MiB at p = 2003
+# (BENCH_7.json, 2-vCPU x86_64).
+PRIME_LIMIT = 2003
 
 # Largest --order `expand` accepts.  The forms of the groups with mu = 1 cost
 # most: h1 of gamma_24.6.1^6 takes about 9.4 s and 40 MiB to order 2000 and
@@ -118,7 +127,7 @@ def cmd_expand(args) -> int:
 
 def cmd_traces(args) -> int:
     from . import surfaces, traces
-    primes = _parse_primes(args.primes, limit=traces.PRIME_LIMIT)
+    primes = _parse_primes(args.primes, limit=PRIME_LIMIT)
     groups = [GROUPS[n] for n in MAIN_GROUPS] if args.group in (None, "all") \
         else [_group(args.group)]
     for g in groups:
@@ -287,7 +296,7 @@ def cmd_noncongruence(args) -> int:
 
 
 def cmd_isogeny(args) -> int:
-    from . import surfaces, traces
+    from . import surfaces
     if args.samples < 1:
         raise InputRefused(f"--samples {args.samples} is not a positive integer")
     if args.pair:
@@ -302,7 +311,7 @@ def cmd_isogeny(args) -> int:
         if g.name not in surfaces.COVERINGS:
             raise InputRefused(f"{g.name} carries no involution data")
         rel = surfaces.COVERINGS[g.name].isogeny_data()
-    primes = _parse_primes(args.primes, limit=traces.PRIME_LIMIT) \
+    primes = _parse_primes(args.primes, limit=PRIME_LIMIT) \
         if args.primes else (101, 103)
     if primes[0] < 5:
         raise InputRefused(f"--primes selects {primes[0]}; the isogeny check needs p >= 5")
@@ -378,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         if args.format not in args.formats:

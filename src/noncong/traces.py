@@ -268,11 +268,6 @@ def _infinity_model(level: str) -> tuple[int, int]:
     return Astar, Bstar
 
 
-# Largest prime the CLI accepts for traces: building the F_{p^2} fiber-trace
-# table takes about 4.6 s and 510 MiB at p = 2003 (BENCH_7.json, 2-vCPU x86_64).
-PRIME_LIMIT = 2003
-
-
 # room for the four tables of one prime (E8 and E6, over F_p and F_{p^2}) twice
 @lru_cache(maxsize=8)
 def fiber_trace_table(level: str, p: int, squared: bool, /):

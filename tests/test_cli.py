@@ -300,6 +300,9 @@ README = str(GOLDEN.parent / "README.md")
     (["isogeny", "--self", "gamma_24.3.2^3.1^3B"],
      "gamma_24.3.2^3.1^3B carries no involution data"),
     (["isogeny", "--pair", "5a"], "--pair '5a' is not a known relation; known: 1a, 2a, 3a, 4a"),
+    (["traces", "--all", "--primes", "23..5,73"], "range '23..5' runs downward; write 5..23"),
+    (["isogeny", "--pair", "4a", "--primes", "103..101"],
+     "range '103..101' runs downward; write 101..103"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)

@@ -69,6 +69,8 @@ print(rc, *sorted(name for name in sys.modules
     (["dim", "--all"], {"numpy", "noncong.surfaces", "noncong.traces"}),
     (["noncongruence", "--all"], {"numpy", "noncong.surfaces", "noncong.traces"}),
     (["catalog"], {"numpy", "noncong.traces"}),
+    (["isogeny", "--pair", "4a", "--primes", "7", "--samples", "4"],
+     {"numpy", "noncong.traces"}),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_command_loads_only_its_layers(argv, absent):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -87,3 +89,46 @@ def test_import_noncong_loads_no_submodule():
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout.split() == ["noncong"]
+
+
+# noncong makes no BLAS call, so a CLI process starts no OpenBLAS worker
+# threads: `main` sets OPENBLAS_NUM_THREADS before any command imports numpy,
+# keeps a value the caller set, and a library process is left alone.  Fails
+# if a module-level numpy import runs ahead of `main`.
+THREADS = """
+import contextlib, io, os, sys
+if sys.argv[1] == "cli":
+    from noncong.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["aswd", "gamma_24.6.1^6", "--pmax", "13"])
+else:
+    import noncong, noncong.catalog
+    noncong.catalog.coefficient_residues(noncong.get_group("gamma_24.6.1^6"), 20, (25,))
+    rc = 0
+import numpy
+try:
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+except TypeError:       # numpy < 1.25 does not report its BLAS
+    blas = ""
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 0
+print(rc, os.environ.get("OPENBLAS_NUM_THREADS"), "openblas" in blas.lower(), threads)
+"""
+
+
+@pytest.mark.parametrize("mode,preset,setting", [
+    ("cli", None, "1"),
+    ("cli", "2", "2"),
+    ("library", None, "None"),
+])
+def test_cli_process_starts_no_blas_thread(mode, preset, setting):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(SRC)
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run([sys.executable, "-c", THREADS, mode], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    rc, read, openblas, threads = done.stdout.split()
+    assert (rc, read) == ("0", setting)
+    if setting == "1" and openblas == "True" and threads != "0":
+        assert threads == "1"
