@@ -25,17 +25,15 @@ print("Involution identities (iota(r)^3 = m(i(t)) with r^3 = m(t)):")
 for name in MAIN_GROUPS:
     ok = involution_identity_check(GROUPS[name])
     cover = COVERINGS[name]
-    print(f"   {name}: i(t) = {cover.involution_base}, iota(r) = {cover.involution_cover}"
+    print(f"   {name}: i(t) = {cover.relation.sub_b}, iota(r) = {cover.involution_cover}"
           f"  -> {'verified' if ok else 'FAILED'}")
 
 print()
 print("Isogeny data carried by each base involution:")
 seen = set()
 for name in MAIN_GROUPS:
-    data = COVERINGS[name].isogeny_data()
-    key = (data["d"], data["kernel"])
-    if key in seen:
+    rel = COVERINGS[name].relation
+    if rel in seen:
         continue
-    seen.add(key)
-    print(f"   degree {data['d']}, kernel roots of {data['kernel']}, "
-          f"defined over {data['field']}")
+    seen.add(rel)
+    print(f"   degree {rel.d}, kernel roots of {rel.kernel}, defined over {rel.field}")

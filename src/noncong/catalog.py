@@ -405,18 +405,14 @@ def _series_order_for(eq: EtaQuotient, max_index: int, mu: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _basis_cached(name: str, bound: int) -> tuple[PuiseuxSeries, PuiseuxSeries]:
-    g = GROUPS[name]
-    out = []
-    for eq, unit in ((g.h1, g.h1_unit), (g.h2, g.h2_unit)):
-        order = _series_order_for(eq, bound * unit, g.mu)
-        out.append(eq.root_expansion(3, order))
-    return tuple(out)
-
-
-def basis_q_expansions(group: GroupRecord, bound: int = 501):
+def basis_q_expansions(group: GroupRecord,
+                       bound: int = 501) -> tuple[PuiseuxSeries, PuiseuxSeries]:
     """(h1, h2) as exact Puiseux series, valid through printed index `bound`."""
-    return _basis_cached(group.name, bound)
+    out = []
+    for eq, unit in ((group.h1, group.h1_unit), (group.h2, group.h2_unit)):
+        order = _series_order_for(eq, bound * unit, group.mu)
+        out.append(eq.expansion(order).nth_root(3))
+    return tuple(out)
 
 
 def coefficient_sequence(group: GroupRecord, which: str, bound: int = 500) -> dict[int, Fraction]:
@@ -693,12 +689,11 @@ def newform_coefficients(tag: str, prime_bound: int) -> dict[int, BiquadraticNum
     return out
 
 
-def newform_expansion(tag: str, order: int, strict: bool = True):
+def newform_expansion(tag: str, order: int):
     """a_1..a_order via the multiplicative structure (Hecke recursion).
 
     For the stored-table forms only n whose prime factors are stored are
-    reachable; with strict=False those entries are left as None instead of
-    raising.
+    reachable; any other n raises KeyError.
     """
     rec = NEWFORMS[tag]
     d1, d2 = rec.biq
@@ -706,15 +701,8 @@ def newform_expansion(tag: str, order: int, strict: bool = True):
     zero = BiquadraticNumber.make(d1, d2, 0)
     coeffs: list = [zero] * (order + 1)
     coeffs[1] = one
-    missing = set()
     for p in primes_upto(order):
-        try:
-            ap = newform_an(tag, p)
-        except KeyError:
-            if strict:
-                raise
-            missing.add(p)
-            continue
+        ap = newform_an(tag, p)
         coeffs[p] = ap
         # at a prime of the level the recursion has no character term
         chi = character_value(rec.character, p) if rec.level % p else 0
@@ -725,9 +713,6 @@ def newform_expansion(tag: str, order: int, strict: bool = True):
             prev, cur, pk = cur, nxt, pk * p
     for n in range(2, order + 1):
         f = _factorize(n)
-        if missing & set(f):
-            coeffs[n] = None
-            continue
         if len(f) > 1:
             val = one
             for p, k in f.items():
@@ -767,29 +752,24 @@ def hecke_check(tag: str, prime_bound: int, n_bound: int,
     """Exact verification of a_{np} = a_p a_n - chi(p) p^2 a_{n/p} for all
     good primes p <= prime_bound and n <= n_bound (weight 3).
 
-    ``character`` overrides the catalog nebentypus (discriminant list)."""
+    ``character`` overrides the catalog nebentypus (discriminant list).
+    A stored-table form is refused with ValueError: its a_n exist only
+    through the recursion itself, so the check could not fail."""
     rec = NEWFORMS[tag]
-    discs = rec.character if character is None else tuple(character)
     if rec.source == "storedTable":
-        table = newform_expansion(tag, prime_bound * n_bound, strict=False)
-
-        def an_of(n):
-            v = table[n - 1]
-            if v is None:
-                raise KeyError(f"coefficient unknown: a_{n} of {tag}")
-            return v
-    else:
-        an_of = lambda n: newform_an(tag, n)  # noqa: E731
+        raise ValueError(f"{tag} stores A_p only: its a_n come from the Hecke "
+                         "recursion, so checking that recursion on them proves nothing")
+    discs = rec.character if character is None else tuple(character)
     report = HeckeReport(tag, prime_bound, n_bound, 0, [])
     for p in primes_upto(prime_bound):
         if rec.level % p == 0:
             continue
         chi = character_value(discs, p)
-        ap = an_of(p)
+        ap = newform_an(tag, p)
         for n in range(1, n_bound + 1):
-            lhs = an_of(n * p) - ap * an_of(n)
+            lhs = newform_an(tag, n * p) - ap * newform_an(tag, n)
             if n % p == 0:
-                lhs = lhs + chi * p * p * an_of(n // p)
+                lhs = lhs + chi * p * p * newform_an(tag, n // p)
             report.checked += 1
             if not (lhs.is_rational and lhs.rational_value() == 0):
                 report.violations.append((p, n))
@@ -817,13 +797,13 @@ def export_text() -> str:
         lines.append(f"newform = {g.newform}")
         cover = COVERINGS.get(name)
         if cover is not None:
-            iso = cover.isogeny_data()
+            rel = cover.relation
             lines.append(f"m(t) = {cover.covering_m}")
             lines.append(f"m_inv(x) = {cover.covering_m_inv}")
-            lines.append(f"i(t) = {cover.involution_base}")
+            lines.append(f"i(t) = {rel.sub_b}")
             lines.append(f"iota(r) = {cover.involution_cover}")
-            lines.append(f"isogeny = degree {iso['d']}, kernel {iso['kernel']}, "
-                         f"field {iso['field']}")
+            lines.append(f"isogeny = degree {rel.d}, kernel {rel.kernel}, "
+                         f"field {rel.field}")
             lines.extend(f"parameterization = {label}" for label, _ in cover.parameterizations)
         lines.append("")
     for tag, rec in NEWFORMS.items():

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import catalog, congruence
+from . import catalog
 from .series import EtaQuotient, eisenstein_e6
 from .catalog import GROUPS, MAIN_GROUPS, get_group
 
@@ -90,6 +90,11 @@ ORDER_LIMIT = 2000
 # 27 s and 1.27 GiB (2-vCPU x86_64).
 ROOT_LIMIT = 24
 
+# Largest --pmax and --pn-bound `aswd` accepts.  At both limits one aswd
+# process takes about 10 s and peaks at 100 MiB (2-vCPU x86_64 host).
+ASWD_PRIME_LIMIT = 2003
+PN_BOUND_LIMIT = 10000
+
 
 def cmd_expand(args) -> int:
     order = args.order
@@ -110,8 +115,9 @@ def cmd_expand(args) -> int:
         spec = args.form or ""
         try:
             eq = EtaQuotient.parse(spec)
-            s = eq.root_expansion(args.root, order + 2) if args.root > 1 \
-                else eq.expansion(order + 2)
+            s = eq.expansion(order + 2)
+            if args.root > 1:
+                s = s.nth_root(args.root)
         except ValueError as e:
             raise InputRefused(f"eta quotient {spec!r}: {e}") from None
         _print_series(s.truncate(min(s.trunc, (order + 1) * s.mu)), args.format)
@@ -187,6 +193,7 @@ def _read_golden(path: str, header: str, types) -> tuple[str, list[tuple]]:
 
 
 def cmd_aswd(args) -> int:
+    from . import congruence
     g = _group(args.group)
     pmax, bound = args.pmax, args.pn_bound
     if pmax < 5:
@@ -194,12 +201,10 @@ def cmd_aswd(args) -> int:
     if bound < pmax:
         raise InputRefused(f"--pn-bound {bound} is below --pmax {pmax}: "
                            "each p needs n*p <= pn-bound for n = 1 at least")
-    if pmax > congruence.PRIME_LIMIT:
-        raise InputRefused(f"--pmax {pmax} is above the prime limit "
-                           f"{congruence.PRIME_LIMIT}")
-    if bound > congruence.PN_BOUND_LIMIT:
-        raise InputRefused(f"--pn-bound {bound} is above the limit "
-                           f"{congruence.PN_BOUND_LIMIT}")
+    if pmax > ASWD_PRIME_LIMIT:
+        raise InputRefused(f"--pmax {pmax} is above the prime limit {ASWD_PRIME_LIMIT}")
+    if bound > PN_BOUND_LIMIT:
+        raise InputRefused(f"--pn-bound {bound} is above the limit {PN_BOUND_LIMIT}")
     if args.three_term is not None and args.three_term < 0:
         raise InputRefused(f"--three-term {args.three_term} is negative")
     golden = _read_golden(args.golden, *ASWD_GOLDEN)[1] if args.golden else None
@@ -231,12 +236,18 @@ def cmd_aswd(args) -> int:
             print(line)
     if golden is not None and _diff_golden_aswd(reports, golden):
         return 1
+    rc = 0
+    failed_rows = [[r.p, which, n] for r in reports
+                   for which, rep in sorted(r.three_term.items()) for n in rep.failures]
+    if failed_rows:
+        print(json.dumps({"threeTermFailures": failed_rows}), file=sys.stderr)
+        rc = 1
     failures = [(r.p, which) for r in reports
                 for which, m in r.matches.items() if m is None]
     if failures and args.strict:
         print(json.dumps({"unmatched": sorted(set(failures))}), file=sys.stderr)
-        return 1
-    return 0
+        rc = 1
+    return rc
 
 
 def _case_row(r) -> tuple:
@@ -310,7 +321,7 @@ def cmd_isogeny(args) -> int:
         g = _group(args.self_group)
         if g.name not in surfaces.COVERINGS:
             raise InputRefused(f"{g.name} carries no involution data")
-        rel = surfaces.COVERINGS[g.name].isogeny_data()
+        rel = surfaces.COVERINGS[g.name].relation
     primes = _parse_primes(args.primes, limit=PRIME_LIMIT) \
         if args.primes else (101, 103)
     if primes[0] < 5:

@@ -41,12 +41,6 @@ from .catalog import (BiquadraticNumber, GroupRecord, coefficient_residues,
 # products at any length up to 10^4 (series.FFT_EXACT_BOUND)
 AUX_PRIME = 65521
 
-# Largest --pmax and --pn-bound the CLI accepts.  At both limits one aswd
-# process takes about 10 s and peaks at 100 MiB (2-vCPU x86_64 host).
-PRIME_LIMIT = 2003
-PN_BOUND_LIMIT = 10000
-
-
 class InsufficientDataError(ValueError):
     pass
 

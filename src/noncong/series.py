@@ -735,11 +735,6 @@ class EtaQuotient:
         coeffs = _stride([Fraction(c) for c in prod], mu)
         return PuiseuxSeries(mu, lo, coeffs, lo + mu * order)
 
-    def root_expansion(self, n: int, order: int) -> PuiseuxSeries:
-        """n-th root of the quotient, valid through `order` coefficients of
-        the underlying q-integer product."""
-        return self.expansion(order).nth_root(n)
-
     def __str__(self):
         return ",".join(f"{m}:{e}" for m, e in self.factors)
 

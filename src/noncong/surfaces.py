@@ -1,8 +1,9 @@
 """Rational functions over Q, the Weierstrass families over the two genus-0
-base curves, short-model conversion, j-invariants, the covering data of the
-catalog groups (``COVERINGS``: covering maps, involutions, surface
-parameterizations), involution identities and modular-polynomial isogeny
-relations.
+base curves, short-model conversion, j-invariants, isogeny relations (one
+``IsogenyRelation`` record each), the covering data of the catalog groups
+(``COVERINGS``: covering maps, the self relation of each base involution,
+its lift, surface parameterizations), involution identities and
+modular-polynomial checks of the relations.
 
 Polynomials are dense coefficient tuples (low degree first) with Fraction
 entries; rational functions keep a monic denominator coprime to the
@@ -369,8 +370,6 @@ def substitute_parameter(sw: ShortWeierstrass, sub: RationalFunction) -> ShortWe
 # column is short by 2^8).  The level-3 a6 is the one forced by the
 # Hesse pencil x^3 + y^3 + z^3 = t*x*y*z in the same row.
 
-_t = T
-
 BEAUVILLE: dict[str, dict] = {
     "E3": dict(
         family=WeierstrassFamily("E3", rf([0]), rf([0, 0, 1]), rf([0]),
@@ -428,76 +427,105 @@ def beauville_short(level_label: str) -> ShortWeierstrass:
 
 
 # ---------------------------------------------------------------------------
-# covering data of the catalog groups
+# isogeny relations and covering data of the catalog groups
+
+
+@dataclass(frozen=True)
+class IsogenyRelation:
+    """Phi_d(j(level at sub_a), j(level at sub_b)) = 0 as functions of t.  A
+    self relation is the fiberwise isogeny lifting a base involution i(t):
+    sub_a = t, sub_b = i(t), with the kernel polynomial (its roots are
+    x-coordinates of the kernel) and field of definition the catalog gives."""
+    level: str
+    sub_a: RationalFunction
+    sub_b: RationalFunction
+    d: int
+    kernel: str | None = None
+    field: str | None = None
+
+
+_t = T  # the tables write every map in one formal variable
+
+# Self relations, named by level and i(t).
+ISOGENY_BY_INVOLUTION: dict[str, IsogenyRelation] = {
+    "E8:-t": IsogenyRelation("E8", _t, -_t, 1, "-", "Q"),
+    "E8:1/t": IsogenyRelation("E8", _t, 1 / _t, 4, "(x + t^2)*x", "Q"),
+    "E8:(1-t)/(1+t)": IsogenyRelation("E8", _t, (1 - _t) / (1 + _t), 8,
+                                      "(x^2 - 4*t*x - 4*t^3)*(x + t^2)*x",
+                                      "Q(sqrt(-1))"),
+    "E8:(t+1)/(t-1)": IsogenyRelation("E8", _t, (_t + 1) / (_t - 1), 8,
+                                      "(x^2 + 4*t*x + 4*t^3)*(x + t^2)*x",
+                                      "Q(sqrt(-1))"),
+    "E6:1/(9t)": IsogenyRelation("E6", _t, 1 / (9 * _t), 3, "x - t^2 + t",
+                                 "Q(sqrt(-3))"),
+    "E6:(1-9t)/(9-9t)": IsogenyRelation("E6", _t, (1 - 9 * _t) / (9 - 9 * _t), 6,
+                                        "(x - t^2 + t)*x*(x + t)", "Q(sqrt(-3))"),
+}
+
+# Relations between the covers that pair the trace-table rows.  The d=3 and
+# d=6 entries are instances of the self relations: (1-3t)/(9-3t) is the
+# degree-6 involution image of t/3, and t/(9t-24) is 1/(9*(1-8/(3t))).
+INTER_FAMILY_RELATIONS: dict[str, IsogenyRelation] = {
+    "1a": IsogenyRelation("E8", (_t - 1) / (_t + 1), 1 / _t, 8),
+    "2a": IsogenyRelation("E8", 4 * _t - 1, 2 / ((1 / _t) - 2), 8),
+    "3a": IsogenyRelation("E6", (1 - 3 * _t) / (9 - 3 * _t), _t / 3, 6),
+    "4a": IsogenyRelation("E6", 1 - 8 / (3 * _t), 1 / (9 - 24 * (1 / _t)), 3),
+}
 
 
 @dataclass(frozen=True)
 class Covering:
     """How one catalog group's modular curve covers its parent's base curve:
-    r^3 = covering_m(t) and its inverse, the base involution t -> i(t) with
-    its lift r -> iota(r) to the cover, the surface parameterizations (the
-    base family at sub(r)) and the key of the involution's isogeny in
-    ISOGENY_BY_INVOLUTION."""
+    r^3 = covering_m(t) and its inverse, the self relation of the base
+    involution t -> i(t) (its ``sub_b``), the lift r -> iota(r) of i(t) to
+    the cover and the surface parameterizations (the base family at
+    sub(r))."""
     covering_m: RationalFunction
     covering_m_inv: RationalFunction
-    involution_base: RationalFunction
+    relation: IsogenyRelation
     involution_cover: RationalFunction
     parameterizations: tuple[tuple[str, RationalFunction], ...]
-    isogeny_key: str
 
-    def isogeny_data(self) -> dict:
-        return ISOGENY_BY_INVOLUTION[self.isogeny_key]
-
-
-_x = T  # the table writes every map in one formal variable
 
 # Keyed by catalog group name; the conjugate variant gamma_24.3.2^3.1^3B
 # carries no covering data.
 COVERINGS: dict[str, Covering] = {
     "gamma_24.6.1^6": Covering(
-        covering_m=_x, covering_m_inv=_x,
-        involution_base=-_x, involution_cover=-_x,
-        parameterizations=(("E8(r^3)", _x ** 3),),
-        isogeny_key="E8:-t"),
+        covering_m=_t, covering_m_inv=_t,
+        relation=ISOGENY_BY_INVOLUTION["E8:-t"], involution_cover=-_t,
+        parameterizations=(("E8(r^3)", _t ** 3),)),
     "gamma_8^3.2^3.3^2": Covering(
-        covering_m=(1 + _x) / (1 - _x), covering_m_inv=(_x - 1) / (_x + 1),
-        involution_base=1 / _x, involution_cover=-_x,
-        parameterizations=(("E8((r^3-1)/(r^3+1))", (_x ** 3 - 1) / (_x ** 3 + 1)),),
-        isogeny_key="E8:1/t"),
+        covering_m=(1 + _t) / (1 - _t), covering_m_inv=(_t - 1) / (_t + 1),
+        relation=ISOGENY_BY_INVOLUTION["E8:1/t"], involution_cover=-_t,
+        parameterizations=(("E8((r^3-1)/(r^3+1))", (_t ** 3 - 1) / (_t ** 3 + 1)),)),
     "gamma_8^3.6.3.1^3": Covering(
-        covering_m=(_x + 1) / 4, covering_m_inv=4 * _x - 1,
-        involution_base=(1 - _x) / (1 + _x), involution_cover=1 / (2 * _x),
-        parameterizations=(("E8(r^3-1)", _x ** 3 - 1),
-                           ("E8(2r^3-1)", 2 * _x ** 3 - 1),
-                           ("E8(4r^3-1)", 4 * _x ** 3 - 1)),
-        isogeny_key="E8:(1-t)/(1+t)"),
+        covering_m=(_t + 1) / 4, covering_m_inv=4 * _t - 1,
+        relation=ISOGENY_BY_INVOLUTION["E8:(1-t)/(1+t)"], involution_cover=1 / (2 * _t),
+        parameterizations=(("E8(r^3-1)", _t ** 3 - 1),
+                           ("E8(2r^3-1)", 2 * _t ** 3 - 1),
+                           ("E8(4r^3-1)", 4 * _t ** 3 - 1))),
     "gamma_24.3.2^3.1^3": Covering(
-        covering_m=2 * (1 + _x) / _x, covering_m_inv=2 / (_x - 2),
-        involution_base=(_x + 1) / (_x - 1), involution_cover=2 / _x,
-        parameterizations=(("E8(2/(r^3-2))", 2 / (_x ** 3 - 2)),),
-        isogeny_key="E8:(t+1)/(t-1)"),
+        covering_m=2 * (1 + _t) / _t, covering_m_inv=2 / (_t - 2),
+        relation=ISOGENY_BY_INVOLUTION["E8:(t+1)/(t-1)"], involution_cover=2 / _t,
+        parameterizations=(("E8(2/(r^3-2))", 2 / (_t ** 3 - 2)),)),
     "gamma_18.6.3^3.1^3": Covering(
-        covering_m=_x / 9, covering_m_inv=9 * _x,
-        involution_base=1 / (9 * _x), involution_cover=1 / (9 * _x),
-        parameterizations=(("E6(3r^3)", 3 * _x ** 3), ("E6(9r^3)", 9 * _x ** 3)),
-        isogeny_key="E6:1/(9t)"),
+        covering_m=_t / 9, covering_m_inv=9 * _t,
+        relation=ISOGENY_BY_INVOLUTION["E6:1/(9t)"], involution_cover=1 / (9 * _t),
+        parameterizations=(("E6(3r^3)", 3 * _t ** 3), ("E6(9r^3)", 9 * _t ** 3))),
     "gamma_9.6^3.3.2^3": Covering(
-        covering_m=(1 - 9 * _x) / (3 - 3 * _x), covering_m_inv=(1 - 3 * _x) / (9 - 3 * _x),
-        involution_base=1 / (9 * _x), involution_cover=1 / _x,
+        covering_m=(1 - 9 * _t) / (3 - 3 * _t), covering_m_inv=(1 - 3 * _t) / (9 - 3 * _t),
+        relation=ISOGENY_BY_INVOLUTION["E6:1/(9t)"], involution_cover=1 / _t,
         parameterizations=(("E6((1-3r^3)/(9-3r^3))",
-                            (1 - 3 * _x ** 3) / (9 - 3 * _x ** 3)),),
-        isogeny_key="E6:1/(9t)"),
+                            (1 - 3 * _t ** 3) / (9 - 3 * _t ** 3)),)),
     "gamma_9.6^4.1^3": Covering(
-        covering_m=8 / (3 - 3 * _x), covering_m_inv=1 - 8 / (3 * _x),
-        involution_base=(1 - 9 * _x) / (9 - 9 * _x), involution_cover=2 / _x,
-        parameterizations=(("E6(1-24/r^3)", 1 - 24 / _x ** 3),
-                           ("E6(1-8/(3r^3))", 1 - 8 / (3 * _x ** 3))),
-        isogeny_key="E6:(1-9t)/(9-9t)"),
+        covering_m=8 / (3 - 3 * _t), covering_m_inv=1 - 8 / (3 * _t),
+        relation=ISOGENY_BY_INVOLUTION["E6:(1-9t)/(9-9t)"], involution_cover=2 / _t,
+        parameterizations=(("E6(1-24/r^3)", 1 - 24 / _t ** 3),
+                           ("E6(1-8/(3r^3))", 1 - 8 / (3 * _t ** 3)))),
     "gamma_18.3^4.2^3": Covering(
-        covering_m=(1 - 9 * _x) / (24 * _x), covering_m_inv=1 / (24 * _x + 9),
-        involution_base=(1 - 9 * _x) / (9 - 9 * _x), involution_cover=1 / (2 * _x),
-        parameterizations=(("E6(1/(24r^3+9))", 1 / (24 * _x ** 3 + 9)),),
-        isogeny_key="E6:(1-9t)/(9-9t)"),
+        covering_m=(1 - 9 * _t) / (24 * _t), covering_m_inv=1 / (24 * _t + 9),
+        relation=ISOGENY_BY_INVOLUTION["E6:(1-9t)/(9-9t)"], involution_cover=1 / (2 * _t),
+        parameterizations=(("E6(1/(24r^3+9))", 1 / (24 * _t ** 3 + 9)),)),
 }
 
 
@@ -514,7 +542,7 @@ def involution_identity_check(group) -> bool:
     cover = COVERINGS.get(group.name)
     if cover is None:
         raise ValueError(f"{group.name}: no involution data")
-    m, i = cover.covering_m, cover.involution_base
+    m, i = cover.covering_m, cover.relation.sub_b
     c, e = _monomial_form(cover.involution_cover)
     lhs = RationalFunction.const(c ** 3) * (m ** e)
     rhs = m.compose(i)
@@ -684,70 +712,30 @@ def modular_polynomial(d: int, path: str | None = None) -> ModularPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# isogeny relations
-
-# Degree / kernel / field of definition of the fiberwise isogeny lifting each
-# base involution i(t), keyed by the involution.  The kernel polynomials are
-# catalog data (roots are x-coordinates of the kernel).
-
-ISOGENY_BY_INVOLUTION: dict[str, dict] = {
-    "E8:-t": dict(level="E8", i=-_t, d=1, kernel="-", field="Q"),
-    "E8:1/t": dict(level="E8", i=1 / _t, d=4, kernel="(x + t^2)*x", field="Q"),
-    "E8:(1-t)/(1+t)": dict(level="E8", i=(1 - _t) / (1 + _t), d=8,
-                           kernel="(x^2 - 4*t*x - 4*t^3)*(x + t^2)*x",
-                           field="Q(sqrt(-1))"),
-    "E8:(t+1)/(t-1)": dict(level="E8", i=(_t + 1) / (_t - 1), d=8,
-                           kernel="(x^2 + 4*t*x + 4*t^3)*(x + t^2)*x",
-                           field="Q(sqrt(-1))"),
-    "E6:1/(9t)": dict(level="E6", i=1 / (9 * _t), d=3, kernel="x - t^2 + t",
-                      field="Q(sqrt(-3))"),
-    "E6:(1-9t)/(9-9t)": dict(level="E6", i=(1 - 9 * _t) / (9 - 9 * _t), d=6,
-                             kernel="(x - t^2 + t)*x*(x + t)",
-                             field="Q(sqrt(-3))"),
-}
-
-# Isogenies between the covers that pair the trace-table rows: each entry is
-# Phi_d(j(level_a at sub_a), j(level_b at sub_b)) = 0 as functions of t.
-# The d=3 and d=6 entries are instances of the self-involution relations:
-# (1-3t)/(9-3t) is the degree-6 involution image of t/3, and t/(9t-24) is
-# 1/(9*(1-8/(3t))).
-
-INTER_FAMILY_RELATIONS: dict[str, dict] = {
-    "1a": dict(level_a="E8", sub_a=(_t - 1) / (_t + 1), level_b="E8",
-               sub_b=1 / _t, d=8),
-    "2a": dict(level_a="E8", sub_a=4 * _t - 1, level_b="E8",
-               sub_b=2 / ((1 / _t) - 2), d=8),
-    "3a": dict(level_a="E6", sub_a=(1 - 3 * _t) / (9 - 3 * _t), level_b="E6",
-               sub_b=_t / 3, d=6),
-    "4a": dict(level_a="E6", sub_a=1 - 8 / (3 * _t), level_b="E6",
-               sub_b=1 / (9 - 24 * (1 / _t)), d=3),
-}
+# isogeny relation checks
 
 
-def relation_j_pair(rel: dict) -> tuple[RationalFunction, RationalFunction, int]:
-    ja = j_invariant(substitute_parameter(beauville_short(rel["level_a"]), rel["sub_a"]))
-    jb = j_invariant(substitute_parameter(beauville_short(rel["level_b"]), rel["sub_b"]))
-    return ja, jb, rel["d"]
+def relation_j_pair(rel: IsogenyRelation) -> tuple[RationalFunction, RationalFunction]:
+    """j of the relation's level composed with each of its two maps."""
+    j = j_invariant(beauville_short(rel.level))
+    return j.compose(rel.sub_a), j.compose(rel.sub_b)
 
 
-def isogeny_relation_check(rel: dict, mode: str = "sampled",
+def isogeny_relation_check(rel: IsogenyRelation, mode: str = "sampled",
                            primes=(101, 103), samples: int = 50,
                            modpoly_path: str | None = None) -> bool:
     """Check Phi_d(j1(t), j2(t)) = 0 for a relation, symbolically in Q(t) or
     sampled over F_p at the first `samples` non-pole points t = 1, 2, ... of
-    each prime; a prime with fewer is refused with ValueError."""
+    each prime; a prime with fewer is refused with ValueError.  Phi_d is
+    fetched before any algebra in Q(t)."""
     if samples < 1:
         raise ValueError(f"samples must be a positive integer, not {samples}")
-    if "i" in rel:  # self relation from ISOGENY_BY_INVOLUTION
-        j = j_invariant(beauville_short(rel["level"]))
-        ja, jb, d = j, j.compose(rel["i"]), rel["d"]
-    else:
-        ja, jb, d = relation_j_pair(rel)
-    phi = modular_polynomial(d, modpoly_path)
+    if mode not in ("symbolic", "sampled"):
+        raise ValueError("mode must be 'symbolic' or 'sampled'")
+    phi = modular_polynomial(rel.d, modpoly_path)
+    ja, jb = relation_j_pair(rel)
     if mode == "symbolic":
         return phi.vanishes_on(ja, jb)
-    if mode != "sampled":
-        raise ValueError("mode must be 'symbolic' or 'sampled'")
     for p in primes:
         tested = 0
         for t0 in range(1, p):

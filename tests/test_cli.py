@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from noncong import congruence
 from noncong.catalog import GROUPS
 from noncong.cli import main
 
@@ -363,3 +364,20 @@ def test_aswd_strict_flags_underived_rows(capsys):
     rc, _, _ = run(capsys, "aswd", "gamma_9.6^3.3.2^3", "--pmax", "37",
                    "--strict")
     assert rc == 0
+
+
+def test_aswd_failed_three_term_row_exits_one(capsys, monkeypatch):
+    original = congruence._three_term_mod_p2
+    failed = []
+
+    def one_failing_row(values, c, p, n_bound):
+        report = original(values, c, p, n_bound)
+        if p == 7 and not failed:       # the "a" rows of p = 7 come first
+            failed.append(3)
+            report.failures.append(3)
+        return report
+
+    monkeypatch.setattr(congruence, "_three_term_mod_p2", one_failing_row)
+    rc, _, err = run(capsys, "aswd", "gamma_24.6.1^6", "--pmax", "13", "--three-term", "10")
+    assert rc == 1
+    assert err == '{"threeTermFailures": [[7, "a", 3]]}\n'

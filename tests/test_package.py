@@ -66,11 +66,13 @@ print(rc, *sorted(name for name in sys.modules
 
 @pytest.mark.parametrize("argv,absent", [
     (["aswd", "gamma_24.6.1^6", "--pmax", "13"], {"noncong.surfaces", "noncong.traces"}),
-    (["dim", "--all"], {"numpy", "noncong.surfaces", "noncong.traces"}),
-    (["noncongruence", "--all"], {"numpy", "noncong.surfaces", "noncong.traces"}),
-    (["catalog"], {"numpy", "noncong.traces"}),
+    (["dim", "--all"], {"numpy", "noncong.surfaces", "noncong.traces", "noncong.congruence"}),
+    (["noncongruence", "--all"],
+     {"numpy", "noncong.surfaces", "noncong.traces", "noncong.congruence"}),
+    (["catalog"], {"numpy", "noncong.traces", "noncong.congruence"}),
     (["isogeny", "--pair", "4a", "--primes", "7", "--samples", "4"],
-     {"numpy", "noncong.traces"}),
+     {"numpy", "noncong.traces", "noncong.congruence"}),
+    (["traces", "gamma_24.6.1^6", "--primes", "7"], {"noncong.congruence"}),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_command_loads_only_its_layers(argv, absent):
     env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -184,11 +184,11 @@ def test_eta_quotient_fractional_prefactor():
 
 
 def test_cube_root_eta_quotient_known_values():
-    h1 = EtaQuotient.of({1: 4, 2: -6, 4: 20}).root_expansion(3, 8)
+    h1 = EtaQuotient.of({1: 4, 2: -6, 4: 20}).expansion(8).nth_root(3)
     want = [Fraction(1), Fraction(-4, 3), Fraction(8, 9), Fraction(-176, 81),
             Fraction(-850, 243)]
     assert [h1.coefficient(n) for n in range(1, 6)] == want
-    h = EtaQuotient.of({2: 20, 8: 4, 4: -6}).root_expansion(3, 8)
+    h = EtaQuotient.of({2: 20, 8: 4, 4: -6}).expansion(8).nth_root(3)
     assert h.valuation == Fraction(1, 3) * 2
     assert h.coefficient_at(Fraction(2, 3)) == 1
     assert h.coefficient_at(Fraction(8, 3)) == Fraction(-20, 3)
@@ -344,7 +344,7 @@ def test_eb_identity_and_level6_relations_to_order_30():
 
 
 def test_serialize_round_trip():
-    h = EtaQuotient.of({2: 16, 4: 6, 8: -4}).root_expansion(3, 10)
+    h = EtaQuotient.of({2: 16, 4: 6, 8: -4}).expansion(10).nth_root(3)
     text = h.serialize()
     assert text.splitlines()[0] == "1/3\t1/1"
     back = parse_series(text)

@@ -1,10 +1,12 @@
 """Rational functions, Weierstrass models, j-invariants, modular polynomials."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+import noncong.surfaces as surfaces
 from noncong.catalog import GROUPS, MAIN_GROUPS
 from noncong.series import PuiseuxSeries, eta_power_coeffs
 from noncong.surfaces import (BEAUVILLE, COVERINGS, INTER_FAMILY_RELATIONS,
@@ -125,8 +127,27 @@ def test_covering_maps_invert():
 def test_involution_is_involution():
     for name in MAIN_GROUPS:
         cover = COVERINGS[name]
-        assert cover.involution_base.compose(cover.involution_base) == T, name
+        assert cover.relation.sub_b.compose(cover.relation.sub_b) == T, name
         assert cover.involution_cover.compose(cover.involution_cover) == T, name
+
+
+def test_covering_involution_is_its_self_relation():
+    # each base involution i(t) is stored once, as the sub_b of a self
+    # relation (sub_a = t) over the family the group's surfaces live on
+    for name in MAIN_GROUPS:
+        rel = COVERINGS[name].relation
+        assert rel in ISOGENY_BY_INVOLUTION.values(), name
+        assert all(label.startswith(rel.level + "(")
+                   for label, _ in COVERINGS[name].parameterizations), name
+
+
+@pytest.mark.parametrize("key", ISOGENY_BY_INVOLUTION)
+def test_self_relation_name_spells_its_involution(key):
+    level, _, text = key.partition(":")
+    rel = ISOGENY_BY_INVOLUTION[key]
+    assert rel.level == level
+    assert rel.sub_a == T
+    assert eval(re.sub(r"(\d)t", r"\1*t", text), {"t": T}) == rel.sub_b
 
 
 def test_involution_identity_needs_covering_data():
@@ -310,8 +331,8 @@ def test_self_relation_degree_three_symbolic():
 
 
 def test_inter_family_relation_phi3():
-    ja, jb, d = relation_j_pair(INTER_FAMILY_RELATIONS["4a"])
-    assert d == 3
+    ja, jb = relation_j_pair(INTER_FAMILY_RELATIONS["4a"])
+    assert INTER_FAMILY_RELATIONS["4a"].d == 3
     assert PHI3.vanishes_on(ja, jb)
     assert isogeny_relation_check(INTER_FAMILY_RELATIONS["4a"], mode="sampled",
                                   primes=(101, 103), samples=50)
@@ -325,11 +346,34 @@ def test_relations_requiring_data_files_raise(monkeypatch):
 
 
 def test_isogeny_catalog_data_attached_to_groups():
-    data = COVERINGS["gamma_18.6.3^3.1^3"].isogeny_data()
-    assert data["d"] == 3
-    assert data["kernel"] == "x - t^2 + t"
-    assert "sqrt(-3)" in data["field"]
-    g8 = COVERINGS["gamma_8^3.6.3.1^3"]
-    assert g8.isogeny_data()["d"] == 8
-    assert "sqrt(-1)" in g8.isogeny_data()["field"]
+    rel = COVERINGS["gamma_18.6.3^3.1^3"].relation
+    assert rel.d == 3
+    assert rel.kernel == "x - t^2 + t"
+    assert "sqrt(-3)" in rel.field
+    g8 = COVERINGS["gamma_8^3.6.3.1^3"].relation
+    assert g8.d == 8
+    assert "sqrt(-1)" in g8.field
+
+
+@pytest.mark.parametrize("key", INTER_FAMILY_RELATIONS)
+def test_relation_j_pair_matches_weierstrass_substitution(key):
+    # oracle: substitute each map into the short model, then take j
+    rel = INTER_FAMILY_RELATIONS[key]
+    sw = beauville_short(rel.level)
+    assert relation_j_pair(rel) == (j_invariant(substitute_parameter(sw, rel.sub_a)),
+                                    j_invariant(substitute_parameter(sw, rel.sub_b)))
+
+
+@pytest.mark.parametrize("rel", [INTER_FAMILY_RELATIONS["1a"],
+                                 ISOGENY_BY_INVOLUTION["E8:(1-t)/(1+t)"]],
+                         ids=["1a", "E8:(1-t)/(1+t)"])
+def test_missing_polynomial_refused_before_j_is_built(monkeypatch, rel):
+    def no_algebra(sw):
+        raise AssertionError("j built before Phi_d was fetched")
+
+    monkeypatch.delenv("NONCONG_MODPOLY_PATH", raising=False)
+    monkeypatch.setattr(surfaces, "j_invariant", no_algebra)
+    for mode in ("sampled", "symbolic"):
+        with pytest.raises(MissingPolynomialData, match="Phi_8"):
+            isogeny_relation_check(rel, mode=mode)
 
