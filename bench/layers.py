@@ -25,9 +25,7 @@ The measurements, with the N each is taken at (N = 1 where none applies):
 * ``residues`` (same N): ``coefficient_residues`` of gamma_24.6.1^6, both
   basis forms through printed index N, mod p^2 for 5 <= p <= 97 and mod
   65521 (the batch of one ``aswd --pmax 97`` run); the set-up builds the
-  exact eta powers, so this times the mod-p^2 kernel alone.  A library
-  whose ``coefficient_residues`` takes one form (``which``) is called once
-  per form;
+  exact eta powers, so this times the mod-p^2 kernel alone;
 * ``aswd``, ``aswd_cold``: the nine processes ``noncong aswd <group>
   --pmax 97 --pn-bound 1000``, spawn to exit, from a copy with compiled
   bytecode; or from the copy without bytecode under
@@ -60,7 +58,6 @@ import compileall
 import contextlib
 import functools
 import importlib.util
-import inspect
 import io
 import json
 import math
@@ -144,13 +141,8 @@ def _residues(name, n):
     from noncong import catalog
     group = catalog.get_group(GROUP)
     moduli = tuple(p * p for p in catalog.primes_upto(97) if p >= 5) + (65521,)
-    batch = catalog.coefficient_residues
-    if "which" in inspect.signature(batch).parameters:
-        def batch(group, n, moduli):
-            for which in "ab":
-                catalog.coefficient_residues(group, which, n, moduli)
-    batch(group, n, moduli[:1])     # the exact eta powers and first-call imports
-    return lambda: batch(group, n, moduli)
+    catalog.coefficient_residues(group, n, moduli[:1])  # exact eta powers, first-call imports
+    return lambda: catalog.coefficient_residues(group, n, moduli)
 
 
 @measurement((1,), "aswd", "aswd_cold", "traces_cold")

@@ -14,8 +14,8 @@ import importlib
 import sys
 
 _EXPORTS = {
-    "series": ("ExactRational", "PuiseuxSeries", "EtaQuotient", "PrecisionError",
-               "eta_expansion", "eisenstein_e6", "parse_series"),
+    "series": ("PuiseuxSeries", "EtaQuotient", "PrecisionError", "eta_expansion",
+               "eisenstein_e6", "parse_series"),
     "surfaces": ("RationalFunction", "WeierstrassFamily", "ShortWeierstrass",
                  "ModularPolynomial", "long_to_short", "j_invariant",
                  "substitute_parameter", "involution_identity_check",
@@ -26,9 +26,8 @@ _EXPORTS = {
                 "BiquadraticNumber", "get_group", "dim_cusp_forms",
                 "cusp_regularity", "derived_cusp_counts", "noncongruence_test",
                 "construct_basis", "basis_q_expansions", "coefficient_sequence",
-                "newform_an", "newform_coefficients", "newform_expansion",
-                "hecke_check", "character_value", "kronecker_symbol",
-                "primes_upto"),
+                "newform_an", "newform_coefficients", "hecke_check",
+                "character_value", "kronecker_symbol", "primes_upto"),
     "traces": ("PrimeField", "QuadExtField", "field_for", "BadPrimeError",
                "SurfaceFamily", "quadratic_character", "count_points_short",
                "classify_singular_fiber", "local_trace", "frobenius_trace",

@@ -12,8 +12,9 @@ The basis coefficients come two ways: exactly (``basis_q_expansions``,
 from the eta factors' integer coefficients, for the mod-p^2 congruence
 tests.  As h1 h2 is an eta quotient for every catalog group, one Newton
 cube root gives both forms.  The exact path is the reference the residues
-are tested against.  The L48 and L432 newform coefficients come from integer
-coefficient lists of their eta products (and E6).
+are tested against.  Each newform's record says where its coefficients
+come from: integer coefficient lists of eta products (and E6) for L48 and
+L432, a stored A_p table and the Hecke recursion for L243 and L486.
 """
 
 from __future__ import annotations
@@ -565,42 +566,67 @@ def construct_basis(group: GroupRecord, order: int = 50):
 # newforms
 
 
+ETA_L48 = EtaQuotient.of({4: 9, 12: 9, 2: -3, 6: -3, 8: -3, 24: -3})
+assert ETA_L48.prefactor24 == 24 and all(k % 2 == 0 for k, _ in ETA_L48.factors)
+
+
 @dataclass(frozen=True)
 class NewformRecord:
+    """A newform and where its coefficients come from.
+
+    A computed form has ``pieces`` (r, eta factors, times E6, unit) and a
+    ``step``: a_n = unit * [q^k] P_r at n = r + step * k, where P_r is the
+    eta product of the piece (times E6), and a_n = 0 for an n mod step that
+    no piece has.  A stored form has its prime coefficients ``stored`` as
+    p -> (rational part, coefficient of sqrt(d1)); its a_n follow by the
+    Hecke recursion where every prime factor of n is stored or has its
+    square dividing the level: a_p = 0 there, as the character is defined
+    mod level / p (Li, Math. Ann. 212, 1975)."""
     tag: str
     level: int
     character: tuple[int, ...]          # nebentypus as Kronecker discriminants,
                                         # verified against the exact expansion
-    source: str                         # etaQuotient | etaEisenstein | storedTable
     biq: tuple[int, int]                # (d1, d2) housing the coefficients
+    step: int = 1
+    pieces: tuple = ()
+    stored: dict | None = None
     printed_character: tuple[int, ...] | None = None   # header as published,
                                         # when it differs from the verified one
+
+    @property
+    def source(self) -> str:
+        if self.stored is not None:
+            return "storedTable"
+        return "etaEisenstein" if any(p[2] for p in self.pieces) else "etaQuotient"
 
 
 # The published header for the level-48 form reads (-3/p)(-4/p); that product
 # is an even character, and a weight-3 space with even character is zero.  The
 # nebentypus verified exactly from the eta expansion is (-3/p); the published
 # product is kept in printed_character.
+#
+# L48 is ETA_L48 = q R(q^2), as every eta scale of it is even: one piece at
+# step 2, R from the eta powers at the halved scales.  L432 is comp1 +
+# 6 sqrt(2) comp5 + sqrt(-3) comp7 + 6 sqrt(-6) comp11 with comp_r =
+# q^r P_r(q^12).  The L243/L486 tables end where shown.
 NEWFORMS: dict[str, NewformRecord] = {
-    "L48": NewformRecord("L48", 48, (-3,), "etaQuotient", (2, -3),
-                         printed_character=(-3, -4)),
-    "L432": NewformRecord("L432", 432, (-4,), "etaEisenstein", (2, -3)),
-    "L243": NewformRecord("L243", 243, (-3,), "storedTable", (-1, 3)),
-    "L486": NewformRecord("L486", 486, (-3,), "storedTable", (-2, -3)),
+    "L48": NewformRecord(
+        "L48", 48, (-3,), (2, -3), step=2, printed_character=(-3, -4),
+        pieces=((1, tuple((k // 2, e) for k, e in ETA_L48.factors), False, (1, 0, 0, 0)),)),
+    "L432": NewformRecord("L432", 432, (-4,), (2, -3), step=12, pieces=(
+        (1, ((1, -1), (2, 3), (3, 1), (6, -1)), True, (1, 0, 0, 0)),
+        (5, ((1, 1), (2, 3), (3, 3), (6, -1)), False, (0, 6, 0, 0)),
+        (7, ((1, 1), (2, -1), (3, -1), (6, 3)), True, (0, 0, 1, 0)),
+        (11, ((1, 3), (2, -1), (3, 1), (6, 3)), False, (0, 0, 0, 6)))),
+    "L243": NewformRecord("L243", 243, (-3,), (-1, 3), stored={
+        2: (0, 3), 5: (0, 6), 7: (11, 0), 11: (0, 12), 13: (5, 0), 17: (0, -18),
+        19: (-19, 0), 23: (0, -30), 29: (0, 48), 31: (-13, 0), 37: (17, 0)}),
+    "L486": NewformRecord("L486", 486, (-3,), (-2, -3), stored={
+        2: (0, -1), 5: (0, 3), 7: (-7, 0), 11: (0, -3), 13: (5, 0), 17: (0, -18),
+        19: (17, 0), 23: (0, -6), 29: (0, -39), 31: (59, 0), 37: (-19, 0),
+        41: (0, 39), 43: (47, 0), 47: (0, -57), 53: (0, 27), 59: (0, -15),
+        61: (-4, 0), 67: (-46, 0)}),
 }
-
-ETA_L48 = EtaQuotient.of({4: 9, 12: 9, 2: -3, 6: -3, 8: -3, 24: -3})
-assert ETA_L48.prefactor24 == 24 and all(k % 2 == 0 for k, _ in ETA_L48.factors)
-
-# stored prime coefficients (the L243/L486 tables end where shown)
-_L243_STORED = {2: (0, 3), 5: (0, 6), 7: (11, 0), 11: (0, 12), 13: (5, 0),
-                17: (0, -18), 19: (-19, 0), 23: (0, -30), 29: (0, 48),
-                31: (-13, 0), 37: (17, 0)}
-_L486_STORED = {2: (0, -1), 5: (0, 3), 7: (-7, 0), 11: (0, -3), 13: (5, 0),
-                17: (0, -18), 19: (17, 0), 23: (0, -6), 29: (0, -39),
-                31: (59, 0), 37: (-19, 0), 41: (0, 39), 43: (47, 0),
-                47: (0, -57), 53: (0, 27), 59: (0, -15), 61: (-4, 0),
-                67: (-46, 0)}
 
 
 def _round_order(n: int) -> int:
@@ -608,117 +634,61 @@ def _round_order(n: int) -> int:
     return 1 << max(6, (n - 1).bit_length())
 
 
-# One coefficient list per newform piece, as long as the longest request so
-# far rounded up by _round_order: a shorter request reads a prefix, so a
-# list is rebuilt only when a request passes the next power of two.
-_PIECES: dict[object, tuple[int, ...]] = {}
+# One coefficient list per newform piece, keyed (tag, r), as long as the
+# longest request so far rounded up by _round_order: a shorter request reads
+# a prefix, so a list is rebuilt only when a request passes the next power
+# of two.
+_PIECES: dict[tuple[str, int], tuple[int, ...]] = {}
 
 
-def _piece(key, n: int, build) -> tuple[int, ...]:
-    """At least the first n coefficients of the piece `key`; build(length)
-    computes its first `length`."""
-    held = _PIECES.get(key, ())
+def _piece_coeffs(tag: str, piece, n: int) -> tuple[int, ...]:
+    """At least the first n coefficients of the piece's P_r."""
+    r, factors, with_e6, _ = piece
+    held = _PIECES.get((tag, r), ())
     if len(held) < n:
-        held = _PIECES[key] = tuple(build(_round_order(n)))
+        length = _round_order(n)
+        prod = eta_product_ints(factors, length)
+        if with_e6:
+            prod = _convolve(prod, eisenstein_e6_ints(length), length)
+        held = _PIECES[tag, r] = tuple(prod)
     return held
 
 
-def _l48_ints(length: int) -> list[int]:
-    """The level-48 eta product is q R(q^2), as every eta scale of ETA_L48
-    is even; these are R's coefficients, from the eta powers at the halved
-    scales."""
-    return eta_product_ints([(k // 2, e) for k, e in ETA_L48.factors], length)
-
-
-# The level-432 form is comp1 + 6 sqrt(2) comp5 + sqrt(-3) comp7 + 6 sqrt(-6)
-# comp11, with comp_r = q^r P_r(q^12) for the eta quotient P_r (times E6 for
-# r = 1, 7) below and its unit vector in the biquadratic basis.
-_L432_PIECES = {
-    1: ({2: 3, 3: 1, 6: -1, 1: -1}, True, (1, 0, 0, 0)),
-    5: ({1: 1, 2: 3, 3: 3, 6: -1}, False, (0, 6, 0, 0)),
-    7: ({6: 3, 1: 1, 2: -1, 3: -1}, True, (0, 0, 1, 0)),
-    11: ({3: 1, 1: 3, 6: 3, 2: -1}, False, (0, 0, 0, 6)),
-}
-
-
-def _l432_ints(r: int, length: int) -> list[int]:
-    """The coefficients of P_r through q^(length-1)."""
-    spec, with_e6, _ = _L432_PIECES[r]
-    prod = eta_product_ints(EtaQuotient.of(spec).factors, length)
-    if with_e6:
-        prod = _convolve(prod, eisenstein_e6_ints(length), length)
-    return prod
-
-
 def newform_an(tag: str, n: int) -> BiquadraticNumber:
-    """Exact coefficient a_n of the tagged newform.
-
-    L48 and L432 are computed from their eta/Eisenstein expressions for any n;
-    L243/L486 only carry the stored prime table.
-    """
+    """Exact coefficient a_n of the tagged newform, as its record gives it:
+    any n for a computed form, and for a stored form the n it reaches
+    (KeyError for the others)."""
     rec = NEWFORMS[tag]
     d1, d2 = rec.biq
     if n < 1:
         raise ValueError("coefficient index must be >= 1")
-    if tag == "L48":
-        c = _piece("L48", n // 2 + 1, _l48_ints)[n // 2] if n % 2 else 0
-        return BiquadraticNumber.make(d1, d2, c)
-    if tag == "L432":
-        r = n % 12
-        if r not in _L432_PIECES:
-            return BiquadraticNumber.make(d1, d2, 0)
-        c = _piece(("L432", r), n // 12 + 1, lambda length: _l432_ints(r, length))[n // 12]
-        return BiquadraticNumber.make(d1, d2, *(x * c for x in _L432_PIECES[r][2]))
-    stored = _L243_STORED if tag == "L243" else _L486_STORED
-    if n == 3:
+    if rec.stored is None:
+        k, r = divmod(n, rec.step)
+        for piece in rec.pieces:
+            if piece[0] == r:
+                c = _piece_coeffs(tag, piece, k + 1)[k]
+                return BiquadraticNumber.make(d1, d2, *(x * c for x in piece[3]))
         return BiquadraticNumber.make(d1, d2, 0)
-    if n not in stored:
-        raise KeyError(
-            f"coefficient unknown: {tag} stores primes {sorted(stored)} only")
-    c0, c1 = stored[n]
-    return BiquadraticNumber.make(d1, d2, c0, c1)
+    an = one = BiquadraticNumber.make(d1, d2, 1)
+    for p, e in _factorize(n).items():
+        if rec.level % (p * p) == 0:
+            return BiquadraticNumber.make(d1, d2, 0)
+        if p not in rec.stored:
+            raise KeyError(
+                f"coefficient unknown: {tag} stores primes {sorted(rec.stored)} only")
+        ap = BiquadraticNumber.make(d1, d2, *rec.stored[p])
+        # at a prime of the level the recursion has no character term
+        chi = character_value(rec.character, p) if rec.level % p else 0
+        prev, cur = one, ap
+        for _ in range(e - 1):
+            prev, cur = cur, ap * cur - chi * p * p * prev
+        an = an * cur
+    return an
 
 
 def newform_coefficients(tag: str, prime_bound: int) -> dict[int, BiquadraticNumber]:
-    """Table p -> A_p for odd primes p <= prime_bound."""
-    out = {}
-    for p in primes_upto(prime_bound):
-        if p < 5:
-            continue
-        out[p] = newform_an(tag, p)
-    return out
-
-
-def newform_expansion(tag: str, order: int):
-    """a_1..a_order via the multiplicative structure (Hecke recursion).
-
-    For the stored-table forms only n whose prime factors are stored are
-    reachable; any other n raises KeyError.
-    """
-    rec = NEWFORMS[tag]
-    d1, d2 = rec.biq
-    one = BiquadraticNumber.make(d1, d2, 1)
-    zero = BiquadraticNumber.make(d1, d2, 0)
-    coeffs: list = [zero] * (order + 1)
-    coeffs[1] = one
-    for p in primes_upto(order):
-        ap = newform_an(tag, p)
-        coeffs[p] = ap
-        # at a prime of the level the recursion has no character term
-        chi = character_value(rec.character, p) if rec.level % p else 0
-        prev, cur, pk = one, ap, p * p
-        while pk <= order:
-            nxt = ap * cur - chi * p * p * prev
-            coeffs[pk] = nxt
-            prev, cur, pk = cur, nxt, pk * p
-    for n in range(2, order + 1):
-        f = _factorize(n)
-        if len(f) > 1:
-            val = one
-            for p, k in f.items():
-                val = val * coeffs[p ** k]
-            coeffs[n] = val
-    return coeffs[1:]
+    """Table p -> A_p for the primes 5 <= p <= prime_bound."""
+    return {p: newform_an(tag, p) for p in primes_upto(prime_bound) if p >= 5}
 
 
 def _factorize(n: int) -> dict[int, int]:

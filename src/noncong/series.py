@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-ExactRational = Fraction
-
 
 class PrecisionError(ArithmeticError):
     """A coefficient beyond the known truncation order was requested."""

@@ -92,10 +92,10 @@ def _pgcd(a, b):
 
 
 def _pcompose_rational(p, num, den):
-    """p(num/den) cleared: returns (poly, den^deg(p)) as polynomials."""
+    """p(num/den) times den^deg(p), as a polynomial."""
     n = len(p) - 1
     if n < 0:
-        return (), (Fraction(1),)
+        return ()
     num_pows = [(Fraction(1),)]
     den_pows = [(Fraction(1),)]
     for _ in range(n):
@@ -105,7 +105,7 @@ def _pcompose_rational(p, num, den):
     for i, c in enumerate(p):
         if c:
             acc = _padd(acc, _pscale(_pmul(num_pows[i], den_pows[n - i]), c))
-    return acc, den_pows[n]
+    return acc
 
 
 def polynomial_resultant(a, b) -> Fraction:
@@ -267,8 +267,8 @@ class RationalFunction:
         if self.is_zero:
             return RationalFunction(())
         # N(A/B) = n1 / B^da,  D(A/B) = n2 / B^db
-        n1, _ = _pcompose_rational(self.num, inner.num, inner.den)
-        n2, _ = _pcompose_rational(self.den, inner.num, inner.den)
+        n1 = _pcompose_rational(self.num, inner.num, inner.den)
+        n2 = _pcompose_rational(self.den, inner.num, inner.den)
         da = len(self.num) - 1
         db = len(self.den) - 1
         if da >= db:
@@ -317,11 +317,10 @@ class WeierstrassFamily:
 
 @dataclass(frozen=True)
 class ShortWeierstrass:
-    """y^2 = x^3 + A x + B together with the scale used to reach it."""
+    """y^2 = x^3 + A x + B."""
 
     A: RationalFunction
     B: RationalFunction
-    scale: Fraction = Fraction(1)
 
     def discriminant(self) -> RationalFunction:
         return (RationalFunction.const(4) * self.A ** 3
@@ -341,7 +340,7 @@ def long_to_short(fam: WeierstrassFamily, scale=Fraction(1)) -> ShortWeierstrass
     c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
     A = c4 * Fraction(-27) / u ** 4
     B = c6 * Fraction(-54) / u ** 6
-    sw = ShortWeierstrass(A, B, u)
+    sw = ShortWeierstrass(A, B)
     if sw.discriminant().is_zero:
         raise ValueError("family has identically zero discriminant")
     return sw
@@ -359,7 +358,7 @@ def substitute_parameter(sw: ShortWeierstrass, sub: RationalFunction) -> ShortWe
     """Replace the base parameter t by sub(r)."""
     if sub.is_constant:
         raise ValueError("substitution must be nonconstant")
-    return ShortWeierstrass(sw.A.compose(sub), sw.B.compose(sub), sw.scale)
+    return ShortWeierstrass(sw.A.compose(sub), sw.B.compose(sub))
 
 
 # The two families the triple covers live over, plus the other four genus-0

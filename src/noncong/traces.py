@@ -106,18 +106,15 @@ class PrimeField:
 
 
 class QuadExtField(PrimeField):
-    """F_{p^2} = F_p(sqrt(nu)) for a quadratic nonresidue nu (by default the
-    smallest); the element a + b*sqrt(nu) has index a*p + b.  The log tables
-    and ``inv_table`` are those of PrimeField, built on this arithmetic."""
+    """F_{p^2} = F_p(sqrt(nu)) for the smallest quadratic nonresidue nu; the
+    element a + b*sqrt(nu) has index a*p + b.  The log tables and
+    ``inv_table`` are those of PrimeField, built on this arithmetic."""
 
-    def __init__(self, p: int, nonresidue: int | None = None):
+    def __init__(self, p: int):
         if p < 5:
             raise BadPrimeError("characteristic must not be 2 or 3")
-        if nonresidue is None:
-            nonresidue = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
-        if pow(nonresidue, (p - 1) // 2, p) != p - 1:
-            raise ValueError(f"{nonresidue} is a square mod {p}")
-        self.p, self.q, self.nu = p, p * p, nonresidue % p
+        self.p, self.q = p, p * p
+        self.nu = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
         self.shape = (p, p)     # the additive group, index a*p + b <-> [a, b]
         self._build_logs()
 

@@ -16,8 +16,7 @@ from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, basis_q_expansions,
                              dim_cusp_forms, export_text, get_group,
                              hecke_check, kronecker_symbol, lattice_indices,
                              newform_an, newform_coefficients,
-                             newform_expansion, noncongruence_test,
-                             primes_upto)
+                             noncongruence_test, primes_upto)
 from noncong.congruence import AUX_PRIME
 from noncong.series import EtaQuotient
 
@@ -231,7 +230,7 @@ def test_newform_an_independent_of_request_order(monkeypatch):
         runs.append({(tag, n): newform_an(tag, n).c for n in order for tag in ("L48", "L432")})
         held.append({key: len(c) for key, c in catalog._PIECES.items()})
     assert runs[0] == runs[1] and held[0] == held[1]
-    assert held[0] == {"L48": 2048, **{("L432", r): 256 for r in (1, 5, 7, 11)}}
+    assert held[0] == {("L48", 1): 2048, **{("L432", r): 256 for r in (1, 5, 7, 11)}}
     want = {}
     with open(GOLDEN / "newform_L48_primes.csv", newline="") as fh:
         for rec in csv.DictReader(fh):
@@ -272,17 +271,36 @@ def test_l432_combination_through_q29():
 
 
 def test_l243_l486_stored_tables_reproduce_expansions():
-    got = newform_expansion("L243", 11)
-    for n, c0, c1 in published_tables.L243_EXPANSION:
-        assert got[n - 1].c[:2] == (c0, c1), n
-    got = newform_expansion("L486", 34)
-    for n, c0, c1 in published_tables.L486_EXPANSION:
-        assert got[n - 1].c[:2] == (c0, c1), n
+    """Composite a_n of the stored forms, from the Hecke recursion on the
+    stored A_p, equal the published expansions; the n they omit are 0."""
+    for tag, published in (("L243", published_tables.L243_EXPANSION),
+                           ("L486", published_tables.L486_EXPANSION)):
+        want = {n: (c0, c1, 0, 0) for n, c0, c1 in published}
+        assert {n: newform_an(tag, n).c for n in range(1, max(want) + 1)} == \
+            {n: want.get(n, (0, 0, 0, 0)) for n in range(1, max(want) + 1)}
 
 
 def test_l243_outside_stored_range_errors():
-    with pytest.raises(KeyError, match="coefficient unknown"):
-        newform_an("L243", 41)
+    stored = [2, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    for n in (41, 2 * 41, 41 * 41):
+        with pytest.raises(KeyError) as err:
+            newform_an("L243", n)
+        assert err.value.args == (f"coefficient unknown: L243 stores primes {stored} only",)
+
+
+def test_primes_whose_square_divides_the_level_have_zero_coefficient():
+    # the rule the stored forms use at p = 3, checked on the computed forms
+    for tag, p in (("L48", 2), ("L432", 2), ("L432", 3)):
+        for e in (1, 2, 3):
+            assert newform_an(tag, p ** e) == 0 and newform_an(tag, 5 * p ** e) == 0
+    for tag in ("L243", "L486"):
+        assert newform_an(tag, 3) == 0 and newform_an(tag, 3 * 41) == 0
+
+
+def test_newform_sources():
+    assert {tag: rec.source for tag, rec in NEWFORMS.items()} == {
+        "L48": "etaQuotient", "L432": "etaEisenstein",
+        "L243": "storedTable", "L486": "storedTable"}
 
 
 def test_newform_single_values():

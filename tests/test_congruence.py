@@ -10,8 +10,7 @@ import pytest
 from noncong import catalog, cli, congruence
 from noncong.catalog import (GROUPS, ROW_BLOCK, character_value,
                              coefficient_residues, coefficient_sequence,
-                             get_group, newform_an, newform_expansion,
-                             primes_upto)
+                             get_group, newform_an, primes_upto)
 from noncong.congruence import (AUX_PRIME, InsufficientDataError,
                                 NotPIntegralError, aswd_three_term_check,
                                 detect_basis, detect_bases, match_constant,
@@ -164,8 +163,7 @@ def test_solve_alpha_ap():
 # --- three-term checks ----------------------------------------------------------------
 
 def test_three_term_exact_for_newform_itself():
-    coeffs = {n + 1: v.rational_value()
-              for n, v in enumerate(newform_expansion("L48", 170))}
+    coeffs = {n: newform_an("L48", n).rational_value() for n in range(1, 171)}
     rep = aswd_three_term_check(coeffs, newform_an("L48", 7).rational_value(),
                                 character_value((-3,), 7), 7, 24)
     assert rep.ok
