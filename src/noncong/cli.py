@@ -30,10 +30,11 @@ def _group(name: str):
         raise InputRefused(e.args[0]) from None
 
 
-def _parse_primes(text: str, limit: int | None = None) -> list[int]:
+def _parse_primes(text: str) -> list[int]:
     """'5..23,73' -> primes in [5,23] plus 73.  Malformed parts, non-primes,
-    reversed ranges, bounds above ``limit`` and an empty selection are
+    reversed ranges, bounds above PRIME_LIMIT and an empty selection are
     refused."""
+    primes = catalog.primes_upto(PRIME_LIMIT)
     out = []
     for part in text.split(","):
         lo, dots, hi = part.partition("..")
@@ -43,15 +44,14 @@ def _parse_primes(text: str, limit: int | None = None) -> list[int]:
             raise InputRefused(f"{part!r} is neither a prime nor a range a..b") from None
         if dots and bounds[0] > bounds[1]:
             raise InputRefused(f"range {part!r} runs downward; write {bounds[1]}..{bounds[0]}")
-        if limit is not None and max(bounds) > limit:
-            raise InputRefused(f"{max(bounds)} is above the prime limit {limit}")
+        if max(bounds) > PRIME_LIMIT:
+            raise InputRefused(f"{max(bounds)} is above the prime limit {PRIME_LIMIT}")
         if dots:
-            out.extend(p for p in catalog.primes_upto(max(bounds[1], 1)) if p >= bounds[0])
+            out.extend(p for p in primes if bounds[0] <= p <= bounds[1])
+        elif bounds[0] in primes:
+            out.append(bounds[0])
         else:
-            n = bounds[0]
-            if n < 2 or any(n % d == 0 for d in range(2, int(n ** 0.5) + 1)):
-                raise InputRefused(f"{n} is not prime")
-            out.append(n)
+            raise InputRefused(f"{bounds[0]} is not prime")
     if not out:
         raise InputRefused(f"{text!r} selects no primes")
     return sorted(set(out))
@@ -133,7 +133,7 @@ def cmd_expand(args) -> int:
 
 def cmd_traces(args) -> int:
     from . import surfaces, traces
-    primes = _parse_primes(args.primes, limit=PRIME_LIMIT)
+    primes = _parse_primes(args.primes)
     groups = [GROUPS[n] for n in MAIN_GROUPS] if args.group in (None, "all") \
         else [_group(args.group)]
     for g in groups:
@@ -322,8 +322,7 @@ def cmd_isogeny(args) -> int:
         if g.name not in surfaces.COVERINGS:
             raise InputRefused(f"{g.name} carries no involution data")
         rel = surfaces.COVERINGS[g.name].relation
-    primes = _parse_primes(args.primes, limit=PRIME_LIMIT) \
-        if args.primes else (101, 103)
+    primes = _parse_primes(args.primes) if args.primes else (101, 103)
     if primes[0] < 5:
         raise InputRefused(f"--primes selects {primes[0]}; the isogeny check needs p >= 5")
     try:

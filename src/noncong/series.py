@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 
 
 class PrecisionError(ArithmeticError):
@@ -72,9 +72,11 @@ def rational_nth_root(x: Fraction, n: int) -> Fraction | None:
 # B_n = b^(c_n) v_n is an integer for c_n = n + v_l(n!), l the least prime of
 # b (c_n = 0 for b = 1), and b^(c_n) times the recurrence reads
 #   n*B_n = sum_k ((a+b)k - nb) u_k B_{n-k} b^(c_n - c_{n-k} - 1),
-# every exponent at least k - 1.  One integer recurrence thus serves every
-# power and root of an integral unit; ``_miller_frac_power`` is left for the
-# units with non-integral coefficients.
+# every exponent at least k - 1.  A unit with denominators is first made
+# integral: for d the lcm of its denominators, u(q) = U(q/d) with the
+# integers U_k = d^k u_k, so one integer recurrence serves every inverse and
+# root of every unit, and v_n = B_n / (b^(c_n) d^n).  Positive integer
+# powers are products.
 
 
 def _scale_exponents(b: int, length: int) -> list[int]:
@@ -123,23 +125,6 @@ def _miller_power(terms: list[tuple[int, int]], a: int, b: int, length: int,
             raise ArithmeticError("power recurrence lost exactness")
         out.append(q)
     return out
-
-
-def _miller_frac_power(u: list[Fraction], alpha: Fraction, length: int) -> list[Fraction]:
-    """(1 + u_1 q + ...)^alpha over the rationals, for units with
-    non-integral coefficients."""
-    v = [Fraction(0)] * length
-    if length == 0:
-        return v
-    v[0] = Fraction(1)
-    a1 = alpha + 1
-    for n in range(1, length):
-        s = Fraction(0)
-        for k in range(1, min(n, len(u) - 1) + 1):
-            if u[k]:
-                s += (a1 * k - n) * u[k] * v[n - k]
-        v[n] = s / n
-    return v
 
 
 def _pack(coeffs: list[int], width: int) -> int:
@@ -308,7 +293,7 @@ class PuiseuxSeries:
             bound = min(bound, Fraction(through))
         m = lcm(self.mu, other.mu)
         start = min(self.lo * (m // self.mu), other.lo * (m // other.mu), 0)
-        for n in range(start, int(bound * m)):
+        for n in range(start, ceil(bound * m)):
             e = Fraction(n, m)
             if self.coefficient_at(e) != other.coefficient_at(e):
                 return False
@@ -326,12 +311,7 @@ class PuiseuxSeries:
     def _with_mu(self, m: int) -> tuple[int, list, int]:
         """(lo, dense coeffs, trunc) re-indexed in 1/m units (mu | m)."""
         k = m // self.mu
-        if k == 1:
-            return self.lo, list(self.coeffs), self.trunc
-        coeffs = [Fraction(0)] * (len(self.coeffs) * k - (k - 1) if self.coeffs else 0)
-        for i, c in enumerate(self.coeffs):
-            coeffs[i * k] = c
-        return self.lo * k, coeffs, self.trunc * k
+        return self.lo * k, _stride(list(self.coeffs), k), self.trunc * k
 
     def truncate(self, trunc: int) -> "PuiseuxSeries":
         """Restrict knowledge to exponents < trunc/mu."""
@@ -342,8 +322,8 @@ class PuiseuxSeries:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PuiseuxSeries.constant(other, self.trunc * 2)  # constants exact
+        if isinstance(other, (int, Fraction)):  # exact: known past self
+            other = PuiseuxSeries.constant(other, max(self.trunc, 0) + 1)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         m = lcm(self.mu, other.mu)
@@ -364,9 +344,7 @@ class PuiseuxSeries:
         return PuiseuxSeries(self.mu, self.lo, [-c for c in self.coeffs], self.trunc)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PuiseuxSeries.constant(other, self.trunc * 2)
-        return self.__add__(-other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -406,19 +384,19 @@ class PuiseuxSeries:
     def _power(self, a: int, b: int) -> "PuiseuxSeries":
         """self^(a/b) for nonzero self, b >= 1 prime to a: the leading
         coefficient's rational b-th root to the a-th power times the unit
-        raised by the Miller recurrence, re-indexed in 1/(b mu) units."""
+        raised by the integer Miller recurrence, re-indexed in 1/(b mu)
+        units."""
         c0 = self.coeffs[0]
         r0 = rational_nth_root(c0, b)
         if r0 is None:
             raise ValueError(f"leading coefficient {c0} is not a rational {b}-th power")
         length = self.trunc - self.lo
         unit = [c / c0 for c in self.coeffs]
-        if all(x.denominator == 1 for x in unit):
-            terms = [(k, int(x)) for k, x in enumerate(unit) if k and x]
-            out = [Fraction(v, b ** e) for v, e in zip(_miller_power(terms, a, b, length),
-                                                       _scale_exponents(b, length))]
-        else:
-            out = _miller_frac_power(unit, Fraction(a, b), length)
+        d = lcm(*(x.denominator for x in unit))
+        terms = [(k, x.numerator * (d ** k // x.denominator))
+                 for k, x in enumerate(unit) if k and x]
+        out = [Fraction(v, b ** c * d ** n) for n, (v, c) in
+               enumerate(zip(_miller_power(terms, a, b, length), _scale_exponents(b, length)))]
         scale = r0 ** a
         # exponents (lo a + b i)/(b mu); known up to relative q-order length/mu
         return PuiseuxSeries(self.mu * b, self.lo * a, _stride([scale * v for v in out], b),
@@ -433,7 +411,12 @@ class PuiseuxSeries:
             if e < 0:
                 raise ValueError("not invertible: zero leading coefficient")
             return PuiseuxSeries.zero(self.trunc + (e - 1) * self.lo, 1)
-        return self._power(e, 1)
+        if e < 0:
+            return self._power(e, 1)
+        out = self
+        for _ in range(e - 1):
+            out = out * self
+        return out
 
     def invert(self) -> "PuiseuxSeries":
         """Multiplicative inverse; requires a nonzero leading coefficient."""

@@ -654,11 +654,11 @@ _BUILTIN_PHI = {1: PHI1, 2: PHI2, 3: PHI3}
 
 
 def load_modular_polynomial_file(path: str) -> ModularPolynomial:
-    """Plain-text format: first line d, then `i j c` terms (one per line);
-    a line `sym` means symmetric pairs may be listed once, and `#` starts a
-    comment.  A line that is none of these raises ValueError naming it."""
+    """Plain-text format: first line d, then `i j c` terms (one per line),
+    and `#` starts a comment.  Phi_d is symmetric, so a pair listed once
+    stands for both (j, i) and (i, j); a line `sym` is accepted and changes
+    nothing.  A line that is none of these raises ValueError naming it."""
     terms: dict[tuple[int, int], int] = {}
-    sym = False
     d = None
     with open(path, "r", encoding="utf-8") as fh:
         for number, raw in enumerate(fh, 1):
@@ -668,9 +668,7 @@ def load_modular_polynomial_file(path: str) -> ModularPolynomial:
             try:
                 if d is None:
                     d = int(line)
-                elif line == "sym":
-                    sym = True
-                else:
+                elif line != "sym":
                     i, j, c = map(int, line.split())
                     terms[(i, j)] = c
             except ValueError:
@@ -678,9 +676,6 @@ def load_modular_polynomial_file(path: str) -> ModularPolynomial:
                 raise ValueError(f"line {number}: {line!r} is not {want}") from None
     if d is None:
         raise ValueError("no degree line: the file holds no data")
-    if sym:
-        for (i, j), c in list(terms.items()):
-            terms.setdefault((j, i), c)
     return ModularPolynomial.from_dict(d, terms)
 
 

@@ -10,11 +10,28 @@ import numpy as np
 from noncong import series
 from noncong.catalog import GROUPS
 from noncong.series import (EtaQuotient, MODULUS_LIMIT, PrecisionError,
-                            PuiseuxSeries, _convolve, _limbs, _miller_frac_power,
-                            _miller_power, _mul_mod, _scale_exponents,
+                            PuiseuxSeries, _convolve, _limbs, _miller_power,
+                            _mul_mod, _scale_exponents,
                             cube_roots_mod, eisenstein_e6, eta_expansion,
                             eta_power_coeffs, eta_product_ints, eta_product_mod,
                             parse_series)
+
+
+def _miller_frac_power(u: list[Fraction], alpha: Fraction, length: int) -> list[Fraction]:
+    """(1 + u_1 q + ...)^alpha by the Miller recurrence over the rationals:
+    the reference the integer recurrence is checked against."""
+    v = [Fraction(0)] * length
+    if length == 0:
+        return v
+    v[0] = Fraction(1)
+    a1 = alpha + 1
+    for n in range(1, length):
+        s = Fraction(0)
+        for k in range(1, min(n, len(u) - 1) + 1):
+            if u[k]:
+                s += (a1 * k - n) * u[k] * v[n - k]
+        v[n] = s / n
+    return v
 
 
 def q_series(terms, mu=1, trunc=None):
@@ -227,6 +244,34 @@ def test_integer_recurrence_matches_fraction_recurrence(b):
         assert [got.coefficient_at(i) for i in range(length)] == want, (e, b)
 
 
+@pytest.mark.parametrize("alpha", [Fraction(-6), Fraction(-1), Fraction(1, 3),
+                                   Fraction(2, 9)])
+def test_rational_unit_powers_match_fraction_recurrence(alpha):
+    """On units with denominators (made integral as U(q/d), U_k = d^k u_k),
+    the one integer recurrence behind invert, nth_root and negative powers
+    gives the Fraction recurrence's coefficients, lead and offset applied."""
+    rng = random.Random(2000 + alpha.numerator * 10 + alpha.denominator)
+    for _ in range(4):
+        length = rng.randint(10, 60)
+        unit = [Fraction(1)] + [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 4, 5, 9, 12]))
+                                for _ in range(1, length)]
+        want = _miller_frac_power(unit, alpha, length)
+        lead = (rng.choice([1, -1]) * Fraction(rng.randint(1, 4), rng.randint(1, 4))
+                ) ** alpha.denominator
+        lo = rng.randint(-2, 2) * alpha.denominator
+        s = q_series([(lo + k, lead * x) for k, x in enumerate(unit)], trunc=lo + length)
+        if alpha.denominator == 1:
+            got = s ** alpha.numerator
+            if alpha == -1:
+                assert got == s.invert()
+        else:
+            got = s.nth_root(alpha.denominator) ** alpha.numerator
+        r0 = series.rational_nth_root(lead, alpha.denominator) ** alpha.numerator
+        assert got.trunc == (lo * alpha + length) * got.mu, alpha
+        assert [got.coefficient_at(lo * alpha + k) for k in range(length)] == \
+            [r0 * x for x in want], alpha
+
+
 def test_recurrence_refuses_a_corrupted_prefix(monkeypatch):
     """Resumed from a stored eta(q) prefix whose last value is 2 instead of
     1, the step n = 6 reads 6 B_6 = 4 and is refused, at every scale that
@@ -368,6 +413,26 @@ def test_agrees_with_covers_negative_exponents():
     b = PuiseuxSeries.from_terms([(-1, 3), (0, 2)], trunc=5)
     assert not a.agrees_with(b)
     assert a.agrees_with(a)
+
+
+def test_agrees_with_through_a_fractional_bound_reaches_the_last_exponent():
+    """Exponents below through = 9/2 include 4: a difference at q^4 is seen."""
+    a = q_series([(0, 1), (4, 1)], trunc=10)
+    b = q_series([(0, 1), (4, 2)], trunc=10)
+    assert not a.agrees_with(b, through=Fraction(9, 2))
+    assert a.agrees_with(b, through=4)
+
+
+def test_adding_a_constant_keeps_a_negative_truncation():
+    """A constant is exact, so adding one keeps every coefficient known
+    below a truncation at or below q^0."""
+    s = q_series([(-3, 1), (-2, 5)], trunc=-1)
+    for t in (s + 0, s + 1, s - 1, 1 + s, Fraction(1, 2) - s):
+        assert t.trunc == -1
+    assert (s + 1).coefficient(-2) == 5 and (s - 1).coefficient(-3) == 1
+    assert (Fraction(1, 2) - s).coefficient(-2) == -5
+    n = q_series([(-4, 2), (-2, 1)], mu=3, trunc=-1)
+    assert (n + 7).trunc == -1 and (n + 7).coefficient(-4) == 2
 
 
 # --- power series mod m ------------------------------------------------------------

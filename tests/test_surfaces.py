@@ -285,6 +285,14 @@ def test_modular_polynomial_file_round_trip(tmp_path):
     assert loaded.terms == PHI2.terms
 
 
+def test_modular_polynomial_file_one_sided_without_sym(tmp_path):
+    """Every file is read as symmetric: the pairs i >= j alone, with no
+    `sym` line, load as PHI2."""
+    path = tmp_path / "phi2.txt"
+    path.write_text("2\n" + "".join(f"{i} {j} {c}\n" for i, j, c in PHI2.terms if i >= j))
+    assert load_modular_polynomial_file(str(path)).terms == PHI2.terms
+
+
 def test_modular_polynomial_file_comments(tmp_path):
     path = tmp_path / "phi2.txt"
     path.write_text("# Phi_2\n2   # first line: d\nsym\n"
