@@ -6,6 +6,8 @@ exponent k of t ~ N^k of each measurement.
 
 Each (checkout, measurement, N) runs in its own child interpreter that
 imports noncong from CHECKOUT/src (``--after`` defaults to this checkout).
+With ``--before``, the two checkouts take turns at each (measurement, N),
+in alternating order, so drift of a shared host falls on both sides.
 The child repeats, at least 3 times and then until 1 s or 25 runs: reset
 every noncong cache and store (the lru_caches, ``series._ETA_POWERS``,
 ``catalog._PIECES``), the set-up (not timed), the run (timed).  It reports
@@ -254,18 +256,34 @@ def fit_exponent(times: dict[int, float]) -> float | None:
                  / sum((x - mx) ** 2 for x in xs), 3)
 
 
-def measure(checkout: str, names: list[str]) -> dict:
+def run_child(checkout: str, name: str, n: int) -> dict:
     env = {**os.environ, "PYTHONPATH": str(Path(checkout, "src"))}
-    out = {}
+    return json.loads(subprocess.run(
+        [sys.executable, __file__, "--child", name, str(n)], env=env, check=True,
+        stdout=subprocess.PIPE, text=True).stdout)
+
+
+def measure(checkouts: dict[str, str], names: list[str]) -> dict:
+    """side -> measurement -> its record, for the sides of ``checkouts``
+    (side -> checkout).  At each (measurement, N) every side runs one
+    child, the sides in turn first."""
+    out = {side: {} for side in checkouts}
+    turn = 0
     for name in names:
-        got = {n: json.loads(subprocess.run(
-            [sys.executable, __file__, "--child", name, str(n)], env=env, check=True,
-            stdout=subprocess.PIPE, text=True).stdout) for n in MEASUREMENTS[name][0]}
-        out[name] = {"time_s": {str(n): round(r["time_s"], 4) for n, r in got.items()},
-                     "exponent": fit_exponent({n: r["time_s"] for n, r in got.items()}),
-                     "peak_rss_mib": {str(n): round(r["peak_rss_mib"], 1)
-                                      for n, r in got.items()}}
-        print(f"{checkout} {name}: {json.dumps(out[name])}", file=sys.stderr)
+        got = {side: {} for side in checkouts}
+        for n in MEASUREMENTS[name][0]:
+            order = list(checkouts)[::1 if turn % 2 == 0 else -1]
+            turn += 1
+            for side in order:
+                got[side][n] = run_child(checkouts[side], name, n)
+        for side, runs in got.items():
+            out[side][name] = {
+                "time_s": {str(n): round(r["time_s"], 4) for n, r in runs.items()},
+                "exponent": fit_exponent({n: r["time_s"] for n, r in runs.items()}),
+                "peak_rss_mib": {str(n): round(r["peak_rss_mib"], 1)
+                                 for n, r in runs.items()}}
+            print(f"{checkouts[side]} {name}: {json.dumps(out[side][name])}",
+                  file=sys.stderr)
     return out
 
 
@@ -292,9 +310,9 @@ def main(argv=None) -> int:
               "threads_env": {k: os.environ.get(k)
                               for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
               "python": platform.python_version()}
-    if args.before:
-        record["before"] = measure(args.before, names)
-    record["after"] = measure(args.after, names)
+    sides = {"before": args.before, "after": args.after} if args.before \
+        else {"after": args.after}
+    record.update(measure(sides, names))
     text = json.dumps(record, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -159,6 +159,19 @@ def _convolve(a: list[int], b: list[int], length: int) -> list[int]:
     return out
 
 
+def _rational_convolve(a, b, length: int) -> list:
+    """The product of two lists of rationals through x^(length-1), as one
+    ``_convolve``: over a common denominator of each factor, the product is
+    of integers.  Entries are ints when both factors are integral."""
+    d1 = lcm(*(x.denominator for x in a))
+    d2 = lcm(*(x.denominator for x in b))
+    prod = _convolve([x.numerator * (d1 // x.denominator) for x in a],
+                     [x.numerator * (d2 // x.denominator) for x in b], length)
+    if d1 * d2 > 1:
+        prod = [Fraction(c, d1 * d2) for c in prod]
+    return prod
+
+
 class PuiseuxSeries:
     """A truncated series sum c_i q^((lo+i)/mu), exact coefficients.
 
@@ -369,15 +382,7 @@ class PuiseuxSeries:
             lo2 = t2 if other.is_zero else lo2
             return PuiseuxSeries.zero(min(t1 + lo2, t2 + lo1), 1)
         t = min(t1 + lo2, t2 + lo1)
-        length = t - lo1 - lo2
-        # over a common denominator of each factor, the product is of integers
-        d1 = lcm(*(x.denominator for x in c1))
-        d2 = lcm(*(x.denominator for x in c2))
-        prod = _convolve([x.numerator * (d1 // x.denominator) for x in c1],
-                         [x.numerator * (d2 // x.denominator) for x in c2], length)
-        if d1 * d2 > 1:
-            prod = [Fraction(c, d1 * d2) for c in prod]
-        return PuiseuxSeries(m, lo1 + lo2, prod, t)
+        return PuiseuxSeries(m, lo1 + lo2, _rational_convolve(c1, c2, t - lo1 - lo2), t)
 
     __rmul__ = __mul__
 

@@ -5,8 +5,9 @@ base curves, short-model conversion, j-invariants, isogeny relations (one
 its lift, surface parameterizations), involution identities and
 modular-polynomial checks of the relations.
 
-Polynomials are dense coefficient tuples (low degree first) with Fraction
-entries; rational functions keep a monic denominator coprime to the
+Polynomials are dense coefficient tuples (low degree first) with rational
+entries, multiplied by the series layer's one exact product; rational
+functions hold Fractions and keep a monic denominator coprime to the
 numerator.
 """
 
@@ -15,6 +16,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .series import _rational_convolve
 
 ENV_MODPOLY_PATH = "NONCONG_MODPOLY_PATH"
 
@@ -45,15 +48,7 @@ def _pneg(a):
 
 
 def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _trim(out)
+    return _trim(_rational_convolve(a, b, len(a) + len(b) - 1))
 
 
 def _pscale(a, c):
@@ -91,20 +86,23 @@ def _pgcd(a, b):
     return _pscale(a, Fraction(1) / a[-1])  # monic
 
 
-def _pcompose_rational(p, num, den):
-    """p(num/den) times den^deg(p), as a polynomial."""
-    n = len(p) - 1
-    if n < 0:
-        return ()
+def _power_table(num, den, n):
+    """num^i den^(n-i) for i = 0..n: the terms of any polynomial of degree
+    at most n at num/den, cleared by den^n."""
     num_pows = [(Fraction(1),)]
     den_pows = [(Fraction(1),)]
     for _ in range(n):
         num_pows.append(_pmul(num_pows[-1], num))
         den_pows.append(_pmul(den_pows[-1], den))
+    return [_pmul(num_pows[i], den_pows[n - i]) for i in range(n + 1)]
+
+
+def _pcompose(p, powers):
+    """p(num/den) den^n, from powers = _power_table(num, den, n), n >= deg p."""
     acc = ()
-    for i, c in enumerate(p):
+    for c, term in zip(p, powers):
         if c:
-            acc = _padd(acc, _pscale(_pmul(num_pows[i], den_pows[n - i]), c))
+            acc = _padd(acc, _pscale(term, c))
     return acc
 
 
@@ -263,24 +261,12 @@ class RationalFunction:
         return out
 
     def compose(self, inner: "RationalFunction") -> "RationalFunction":
-        """self(inner(t)), exact in Q(t)."""
+        """self(inner(t)), exact in Q(t): N(A/B) / D(A/B) with numerator and
+        denominator both cleared by B^degree, from one power table."""
         if self.is_zero:
             return RationalFunction(())
-        # N(A/B) = n1 / B^da,  D(A/B) = n2 / B^db
-        n1 = _pcompose_rational(self.num, inner.num, inner.den)
-        n2 = _pcompose_rational(self.den, inner.num, inner.den)
-        da = len(self.num) - 1
-        db = len(self.den) - 1
-        if da >= db:
-            return RationalFunction(n1, _pmul(n2, _power(inner.den, da - db)))
-        return RationalFunction(_pmul(n1, _power(inner.den, db - da)), n2)
-
-
-def _power(p, e):
-    out = (Fraction(1),)
-    for _ in range(e):
-        out = _pmul(out, p)
-    return out
+        powers = _power_table(inner.num, inner.den, self.degree())
+        return RationalFunction(_pcompose(self.num, powers), _pcompose(self.den, powers))
 
 
 def _coerce(x):
@@ -569,6 +555,11 @@ class ModularPolynomial:
     terms: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        if not self.terms:
+            raise ValueError(f"Phi_{self.d} data has no nonzero term")
+        for i, j, _ in self.terms:
+            if i < 0 or j < 0:
+                raise ValueError(f"Phi_{self.d} data has a negative exponent at {(i, j)}")
         if self.d > 1:
             tdict = {(i, j): c for i, j, c in self.terms}
             for (i, j), c in tdict.items():
@@ -605,23 +596,18 @@ class ModularPolynomial:
         return acc
 
     def vanishes_on(self, x: RationalFunction, y: RationalFunction) -> bool:
-        """Exact identity Phi(x(t), y(t)) == 0, via cleared numerators."""
+        """Exact identity Phi(x(t), y(t)) == 0, via the cleared numerator
+        sum_i x_i * Phi_i(y), where x_i is the i-th entry of x's power table
+        and Phi_i(Y) = sum_j c_ij Y^j, read through y's."""
         dx = max(i for i, _, _ in self.terms)
         dy = max(j for _, j, _ in self.terms)
-        ax = [(Fraction(1),)]
-        bx = [(Fraction(1),)]
-        ay = [(Fraction(1),)]
-        by = [(Fraction(1),)]
-        for _ in range(dx):
-            ax.append(_pmul(ax[-1], x.num))
-            bx.append(_pmul(bx[-1], x.den))
-        for _ in range(dy):
-            ay.append(_pmul(ay[-1], y.num))
-            by.append(_pmul(by[-1], y.den))
-        acc = ()
+        rows = [[0] * (dy + 1) for _ in range(dx + 1)]
         for i, j, c in self.terms:
-            term = _pmul(_pmul(ax[i], bx[dx - i]), _pmul(ay[j], by[dy - j]))
-            acc = _padd(acc, _pscale(term, c))
+            rows[i][j] = c
+        ys = _power_table(y.num, y.den, dy)
+        acc = ()
+        for xi, row in zip(_power_table(x.num, x.den, dx), rows):
+            acc = _padd(acc, _pmul(xi, _pcompose(row, ys)))
         return not acc
 
 

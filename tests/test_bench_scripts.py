@@ -1,6 +1,8 @@
 """Smoke test of bench/layers.py: each measurement's child mode runs against
-this checkout's library at size 7 and reports a timing as one JSON line."""
+this checkout's library at size 7 and reports a timing as one JSON line, and
+two checkouts take turns at each (measurement, N)."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -36,3 +38,24 @@ def test_unknown_measurement_refused():
     assert done.returncode == 2 and done.stdout == ""
     assert "unknown measurement nosuch" in done.stderr
     assert all(name in done.stderr for name in CHILD_MODES + ["aswd", "aswd_cold"])
+
+
+def test_checkouts_take_turns(monkeypatch):
+    spec = importlib.util.spec_from_file_location("layers", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    calls = []
+
+    def fake_child(checkout, name, n):
+        calls.append((checkout, name, n))
+        return {"time_s": 0.5, "peak_rss_mib": 30.0}
+
+    monkeypatch.setattr(module, "run_child", fake_child)
+    record = module.measure({"before": "B", "after": "A"}, ["basis", "import"])
+    assert calls == [("B", "basis", 501), ("A", "basis", 501), ("A", "basis", 1001),
+                     ("B", "basis", 1001), ("B", "basis", 2001), ("A", "basis", 2001),
+                     ("A", "import", 1), ("B", "import", 1)]
+    assert list(record) == ["before", "after"]
+    assert record["after"]["basis"] == {
+        "time_s": {"501": 0.5, "1001": 0.5, "2001": 0.5}, "exponent": 0.0,
+        "peak_rss_mib": {"501": 30.0, "1001": 30.0, "2001": 30.0}}

@@ -185,6 +185,23 @@ def test_bad_modpoly_file_refused(capsys, tmp_path, make, reason):
     assert err == f"refused: polynomial data file {path}: {reason}\n"
 
 
+@pytest.mark.parametrize("text,reason", [
+    ("4\n", "Phi_4 data has no nonzero term"),
+    ("4\n0 0 0\n", "Phi_4 data has no nonzero term"),
+    ("4\n1 0 1\n-1 0 5\n", "Phi_4 data has a negative exponent at (-1, 0)"),
+], ids=["no-term", "zero-term", "negative-exponent"])
+@pytest.mark.parametrize("mode", ["sampled", "symbolic"])
+def test_modpoly_file_without_a_polynomial_refused(capsys, tmp_path, text, reason, mode):
+    """A term-less Phi_4 would vanish at every sample, and a negative
+    exponent names no power of j: both are refused, not checked."""
+    path = tmp_path / "phi4.txt"
+    path.write_text(text)
+    rc, out, err = run(capsys, "--modpoly", str(path), "isogeny",
+                       "--self", "gamma_8^3.2^3.3^2", "--mode", mode)
+    assert (rc, out) == (2, "")
+    assert err == f"refused: polynomial data file {path}: {reason}\n"
+
+
 def test_isogeny_self_relation(capsys):
     rc, out, _ = run(capsys, "isogeny", "--self", "gamma_18.6.3^3.1^3",
                      "--mode", "symbolic")

@@ -10,8 +10,9 @@ import noncong.surfaces as surfaces
 from noncong.catalog import GROUPS, MAIN_GROUPS
 from noncong.series import PuiseuxSeries, eta_power_coeffs
 from noncong.surfaces import (BEAUVILLE, COVERINGS, INTER_FAMILY_RELATIONS,
-                              ISOGENY_BY_INVOLUTION, MissingPolynomialData,
-                              ModularPolynomial, PHI1, PHI2, PHI3,
+                              ISOGENY_BY_INVOLUTION, IsogenyRelation,
+                              MissingPolynomialData, ModularPolynomial,
+                              PHI1, PHI2, PHI3, RationalFunction,
                               ShortWeierstrass, T,
                               WeierstrassFamily, beauville_short,
                               involution_identity_check, isogeny_relation_check,
@@ -45,6 +46,73 @@ def test_compose():
     f = (1 + T) / (1 - T)
     inv = (T - 1) / (T + 1)
     assert f.compose(inv) == T
+
+
+def schoolbook_pmul(a, b):
+    """The double loop over Fractions the shared product replaced: the
+    oracle for ``surfaces._pmul``."""
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def random_poly(rng, length, zeros=0.3):
+    """Rational entries, some zero (the top one too), a few large."""
+    def entry():
+        if rng.random() < zeros:
+            return Fraction(0)
+        size = 10 ** rng.choice((1, 1, 3, 30))
+        return Fraction(rng.randint(-size, size), rng.choice((1, 1, 2, 9, 10 ** 12)))
+    return tuple(entry() for _ in range(length))
+
+
+def test_pmul_matches_schoolbook():
+    rng = random.Random(22)
+    shapes = [(0, 0), (0, 3), (4, 0), (1, 1), (1, 7), (7, 1), (2, 9), (12, 5), (30, 30)]
+    for la, lb in shapes * 20:
+        a, b = random_poly(rng, la), random_poly(rng, lb)
+        assert surfaces._pmul(a, b) == schoolbook_pmul(a, b), (a, b)
+        assert surfaces._pmul(b, a) == schoolbook_pmul(a, b), (a, b)
+    assert surfaces._pmul((Fraction(0),) * 3, (Fraction(1, 3),)) == ()
+
+
+def at(f, x):
+    """f(x) for a rational function f at a rational x; None at a pole."""
+    def value(p):
+        return sum((c * x ** i for i, c in enumerate(p)), Fraction(0))
+    den = value(f.den)
+    return None if den == 0 else value(f.num) / den
+
+
+@pytest.mark.parametrize("deg_num,deg_den", [(0, 0), (0, 2), (1, 3), (3, 1), (2, 2), (4, 0)])
+def test_compose_at_sample_points(deg_num, deg_den):
+    """(f o g)(x) = f(g(x)) wherever both sides are defined, for numerator
+    degrees below, equal to and above the denominator's, on either side."""
+    rng = random.Random(100 * deg_num + deg_den)
+    shapes = [(deg_num, deg_den), (deg_den, deg_num), (1, 1), (2, 0)]
+    for _ in range(15):
+        (fn, fd), (gn, gd) = rng.choice(shapes), rng.choice(shapes)
+        f = RationalFunction(random_poly(rng, fn, 0) + (Fraction(rng.randint(1, 5)),),
+                             random_poly(rng, fd, 0) + (Fraction(1),))
+        g = RationalFunction(random_poly(rng, gn, 0) + (Fraction(rng.randint(1, 5)),),
+                             random_poly(rng, gd, 0) + (Fraction(1),))
+        h = f.compose(g)
+        tested = 0
+        for x in (Fraction(k, 7) for k in range(-20, 21)):
+            inner = at(g, x)
+            outer = None if inner is None else at(f, inner)
+            if outer is not None and at(h, x) is not None:
+                assert at(h, x) == outer, (f, g, x)
+                tested += 1
+        assert tested >= 30, (f, g)
 
 
 # --- Weierstrass models -------------------------------------------------------
@@ -331,6 +399,16 @@ def test_sampled_relation_check_needs_a_sample(samples):
 def test_sampled_relation_check_needs_a_point_per_prime(rel):
     with pytest.raises(ValueError, match="mod p = 2"):
         isogeny_relation_check(rel, mode="sampled", primes=(2,))
+
+
+@pytest.mark.parametrize("rel", [
+    IsogenyRelation("E6", T, 1 / (8 * T), 3),           # E6:1/(9t), 9 -> 8
+    IsogenyRelation("E6", 1 - 8 / (3 * T), 1 / (9 - 25 * (1 / T)), 3),   # 4a, 24 -> 25
+    IsogenyRelation("E8", T, T + 1, 1),                 # E8:-t, -t -> t + 1
+], ids=["E6:1/(8t)", "4a-perturbed", "E8:t+1"])
+def test_perturbed_relation_fails_in_both_modes(rel):
+    assert not isogeny_relation_check(rel, mode="symbolic")
+    assert not isogeny_relation_check(rel, mode="sampled")
 
 
 def test_self_relation_degree_three_symbolic():
