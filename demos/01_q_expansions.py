@@ -8,6 +8,7 @@ cube root of a hauptmodul times a weight-3 form on the parent group.
 """
 
 from noncong import GROUPS, MAIN_GROUPS, basis_q_expansions, construct_basis
+from noncong.surfaces import T
 
 
 def show(series, terms=6):
@@ -25,10 +26,15 @@ for name, group in GROUPS.items():
     print(f"   h2 = cbrt[{group.h2}] = {show(h2)}")
 
 print()
-print("Rebuilding each basis from the parent data (cube root of the")
-print("hauptmodul times the parent weight-3 form) and checking it against")
-print("the eta-quotient expansions through 50 coefficients:")
+print("Rebuilding each basis from the parent data (cube root of a Mobius")
+print("map u of the parent's hauptmodul t, times a weight-3 form on the parent)")
+print("and checking it against the eta-quotient expansions through 50")
+print("coefficients:")
+for parent in dict.fromkeys(GROUPS[name].parent for name in MAIN_GROUPS):
+    print(f"   {parent.label}: t = eta[{parent.hauptmodul}]")
 for name in MAIN_GROUPS:
-    radicand, form, power = GROUPS[name].construction
-    construct_basis(GROUPS[name], order=50)   # raises on any mismatch
-    print(f"   {name}: h1 = ({radicand})^({power}/3) * {form}  -- exact match")
+    group = GROUPS[name]
+    (a, b, c, d), form, power = group.construction
+    construct_basis(group, order=50)   # raises on any mismatch
+    u = (a * T + b) / (c * T + d)
+    print(f"   {name}: h1 = u^({power}/3) * eta[{form}], u = {u}  -- exact match")

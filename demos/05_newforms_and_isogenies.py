@@ -21,7 +21,7 @@ for tag, rec in NEWFORMS.items():
     coeffs = newform_coefficients(tag, 23)
     row = "  ".join(f"A_{p}={v}" for p, v in sorted(coeffs.items()))
     print(f"   {row}")
-    if rec.source == "storedTable":
+    if rec.stored is not None:
         print("   stored A_p table, no independent Hecke check")
     else:
         rep = hecke_check(tag, 13, 6)

@@ -3,6 +3,8 @@ subgroups (plus the conjugate B-variant), and the four associated weight-3
 congruence newforms, together with the group-theoretic operations: the
 dimension formula, cusp regularity, the cusp-width noncongruence test, the
 cube-root basis construction, newform coefficient access and Hecke checks.
+Each parent is one ``Parent`` record (printed label, Beauville family,
+hauptmodul), and every group holds its parent's record.
 The groups' covering maps, involutions and surface parameterizations are
 surface geometry and live in ``surfaces.COVERINGS``, keyed by group name.
 
@@ -176,6 +178,25 @@ ETA_A6 = EtaQuotient.of({1: 1, 6: 6, 2: -2, 3: -3})    # weight 1 forms on the
 ETA_B6 = EtaQuotient.of({2: 1, 3: 6, 1: -2, 6: -3})    # level-6 parent
 ETA_C6 = EtaQuotient.of({3: 1, 2: 6, 6: -2, 1: -3})
 ETA_D6 = EtaQuotient.of({6: 1, 1: 6, 3: -2, 2: -3})
+# X = b/d is the level-6 hauptmodul; a/c = (1-X)/(1-9X), b/c = -8X/(1-9X)
+# and a/d = (X-1)/8.  acd and bcd are the weight-3 forms.
+ETA_X6 = EtaQuotient.of({1: -8, 2: 4, 3: 8, 6: -4})
+ETA_ACD = EtaQuotient.of({1: 4, 2: 1, 3: -4, 6: 5})
+ETA_BCD = EtaQuotient.of({1: 1, 2: 4, 3: 5, 6: -4})
+
+
+@dataclass(frozen=True)
+class Parent:
+    """A congruence parent: its printed label, the key of the Beauville
+    family (``surfaces.BEAUVILLE``) over its base curve, and its hauptmodul
+    as an eta quotient."""
+    label: str
+    family: str
+    hauptmodul: EtaQuotient
+
+
+PARENT8 = Parent("Gamma0(8)^Gamma1(4)", "E8", ETA_T8)
+PARENT6 = Parent("Gamma1(6)", "E6", ETA_X6)
 
 SEBBAR_WIDTH_MULTISETS = frozenset({
     (3, 3, 3, 3, 6, 6, 6, 6),
@@ -194,7 +215,7 @@ SEBBAR_WIDTH_MULTISETS = frozenset({
 @dataclass(frozen=True)
 class GroupRecord:
     name: str
-    parent: str                      # "G8" = Gamma0(8) ^ Gamma1(4), "G6" = Gamma1(6)
+    parent: Parent
     cusp_widths: tuple[int, ...]
     generators: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     mu: int                          # cusp width at infinity
@@ -203,7 +224,10 @@ class GroupRecord:
     h1_unit: int                     # printed index n <-> series index n*unit
     h2_unit: int
     newform: str
-    construction: tuple[str, str, int] | None = None   # (radicand, form, h1 power)
+    # h1 = u^(k/3) F and h2 = u^((3-k)/3) F for u = (a x + b)/(c x + d), x the
+    # parent's hauptmodul: ((a, b, c, d), weight-3 eta quotient F, k)
+    construction: tuple[tuple[int, int, int, int], EtaQuotient, int] | None = None
+    variant_of: str | None = None    # the catalog group this one is conjugate to
 
     def __hash__(self):     # the per-group caches key on records; names are unique
         return hash(self.name)
@@ -221,7 +245,7 @@ def _add(rec: GroupRecord):
 
 
 _add(GroupRecord(
-    name="gamma_24.6.1^6", parent="G8",
+    name="gamma_24.6.1^6", parent=PARENT8,
     cusp_widths=(24, 6, 1, 1, 1, 1, 1, 1),
     generators=_g([(1, 0, 24, 1), (9, -1, 64, -7), (5, -1, 16, -3), (1, 1, 0, 1),
                    (-3, -1, 16, 5), (-7, -1, 64, 9), (-11, -1, 144, 13)]),
@@ -229,11 +253,11 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: 4, 2: -6, 4: 20}),
     h2=EtaQuotient.of({1: -4, 2: 6, 4: 16}),
     h1_unit=1, h2_unit=1, newform="L48",
-    construction=("t", "Ea", 2),
+    construction=((1, 0, 0, 1), ETA_EA, 2),
 ))
 
 _add(GroupRecord(
-    name="gamma_8^3.2^3.3^2", parent="G8",
+    name="gamma_8^3.2^3.3^2", parent=PARENT8,
     cusp_widths=(8, 8, 8, 2, 2, 2, 3, 3),
     generators=_g([(1, 3, 0, 1), (-7, -8, 8, 9), (-3, -2, 8, 5), (1, 0, 8, 1),
                    (5, -2, 8, -3), (9, -8, 8, -7), (13, -18, 8, -11)]),
@@ -241,11 +265,11 @@ _add(GroupRecord(
     h1=EtaQuotient.of({2: 20, 4: -6, 8: 4}),
     h2=EtaQuotient.of({2: 16, 4: 6, 8: -4}),
     h1_unit=2, h2_unit=1, newform="L48",
-    construction=("4(t+1)/(1-t)", "Eb", 1),
+    construction=((4, 4, -1, 1), ETA_EB, 1),
 ))
 
 _add(GroupRecord(
-    name="gamma_8^3.6.3.1^3", parent="G8",
+    name="gamma_8^3.6.3.1^3", parent=PARENT8,
     cusp_widths=(8, 8, 8, 6, 3, 1, 1, 1),
     generators=_g([(-11, 6, -24, 13), (41, -25, 64, -39), (49, -32, 72, -47),
                    (1, 1, 0, 1), (1, 0, 8, 1), (25, -9, 64, -23), (81, -32, 200, -79)]),
@@ -253,11 +277,11 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: 4, 2: 10, 4: -4, 8: 8}),
     h2=EtaQuotient.of({1: 8, 2: -4, 4: 10, 8: 4}),
     h1_unit=1, h2_unit=1, newform="L432",
-    construction=("(t+1)/2", "Eb", 1),
+    construction=((1, 1, 0, 2), ETA_EB, 1),
 ))
 
 _add(GroupRecord(
-    name="gamma_24.3.2^3.1^3", parent="G8",
+    name="gamma_24.3.2^3.1^3", parent=PARENT8,
     cusp_widths=(24, 3, 2, 2, 2, 1, 1, 1),
     generators=_g([(1, 0, 24, 1), (21, -2, 200, -19), (9, -1, 64, -7), (5, -2, 8, -3),
                    (1, 1, 0, 1), (-11, -2, 72, 13), (-7, -1, 64, 9)]),
@@ -265,24 +289,24 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: -4, 2: 22, 4: -8, 8: 8}),
     h2=EtaQuotient.of({1: -8, 2: 20, 4: 2, 8: 4}),
     h1_unit=1, h2_unit=1, newform="L432",
-    construction=("(t+1)/(2t)", "Eb", 1),
+    construction=((1, 1, 2, 0), ETA_EB, 1),
 ))
 
 # Conjugate variant of gamma_24.3.2^3.1^3 by (0 -1; 8 0); generators obtained
 # by that conjugation, basis forms as given with r = q^(1/3), h1 starting at r^2.
 _add(GroupRecord(
-    name="gamma_24.3.2^3.1^3B", parent="G8",
+    name="gamma_24.3.2^3.1^3B", parent=PARENT8,
     cusp_widths=(24, 3, 2, 2, 2, 1, 1, 1),
     generators=_g([(1, -3, 0, 1), (-19, -25, 16, 21), (-7, -8, 8, 9), (-3, -1, 16, 5),
                    (1, 0, -8, 1), (13, -9, 16, -11), (9, -8, 8, -7)]),
     mu=3,
     h1=EtaQuotient.of({1: 8, 2: -8, 4: 22, 8: -4}),
     h2=EtaQuotient.of({1: 4, 2: 2, 4: 20, 8: -8}),
-    h1_unit=1, h2_unit=1, newform="L432",
+    h1_unit=1, h2_unit=1, newform="L432", variant_of="gamma_24.3.2^3.1^3",
 ))
 
 _add(GroupRecord(
-    name="gamma_18.6.3^3.1^3", parent="G6",
+    name="gamma_18.6.3^3.1^3", parent=PARENT6,
     cusp_widths=(18, 6, 3, 3, 3, 1, 1, 1),
     generators=_g([(1, 0, 18, 1), (25, -3, 192, -23), (7, -1, 36, -5), (7, -3, 12, -5),
                    (1, 1, 0, 1), (-11, -3, 48, 13), (-5, -1, 36, 7)]),
@@ -290,11 +314,11 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: 4, 2: 7, 3: -4, 6: 11}),
     h2=EtaQuotient.of({1: -4, 2: 11, 3: 4, 6: 7}),
     h1_unit=1, h2_unit=1, newform="L243",
-    construction=("b/d", "acd", 1),
+    construction=((1, 0, 0, 1), ETA_ACD, 1),
 ))
 
 _add(GroupRecord(
-    name="gamma_9.6^3.3.2^3", parent="G6",
+    name="gamma_9.6^3.3.2^3", parent=PARENT6,
     cusp_widths=(9, 6, 6, 6, 3, 2, 2, 2),
     generators=_g([(1, 3, 0, 1), (-5, -6, 6, 7), (-11, -8, 18, 13), (1, 0, 6, 1),
                    (7, -2, 18, -5), (7, -6, 6, -5), (25, -32, 18, -23)]),
@@ -302,11 +326,11 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: 7, 2: 4, 3: 11, 6: -4}),
     h2=EtaQuotient.of({1: 11, 2: -4, 3: 7, 6: 4}),
     h1_unit=1, h2_unit=1, newform="L243",
-    construction=("a/c", "bcd", 1),
+    construction=((-1, 1, -9, 1), ETA_BCD, 1),
 ))
 
 _add(GroupRecord(
-    name="gamma_9.6^4.1^3", parent="G6",
+    name="gamma_9.6^4.1^3", parent=PARENT6,
     cusp_widths=(9, 6, 6, 6, 6, 1, 1, 1),
     generators=_g([(-17, 6, -54, 19), (127, -49, 324, -125), (61, -24, 150, -59),
                    (1, 1, 0, 1), (1, 0, 6, 1), (91, -25, 324, -89), (85, -24, 294, -83)]),
@@ -314,11 +338,11 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: 13, 2: -2, 3: -7, 6: 14}),
     h2=EtaQuotient.of({1: 14, 2: -7, 3: -2, 6: 13}),
     h1_unit=1, h2_unit=1, newform="L486",
-    construction=("b/c", "acd", 1),
+    construction=((-8, 0, -9, 1), ETA_ACD, 1),
 ))
 
 _add(GroupRecord(
-    name="gamma_18.3^4.2^3", parent="G6",
+    name="gamma_18.3^4.2^3", parent=PARENT6,
     cusp_widths=(18, 3, 3, 3, 3, 2, 2, 2),
     generators=_g([(1, 3, 0, 1), (-11, -8, 18, 13), (-5, -3, 12, 7), (7, -2, 18, -5),
                    (7, -3, 12, -5), (25, -32, 18, -23), (19, -27, 12, -17)]),
@@ -326,10 +350,10 @@ _add(GroupRecord(
     h1=EtaQuotient.of({1: -2, 2: 13, 3: 14, 6: -7}),
     h2=EtaQuotient.of({1: -7, 2: 14, 3: 13, 6: -2}),
     h1_unit=1, h2_unit=1, newform="L486",
-    construction=("a/d", "bcd", 1),
+    construction=((1, -1, 0, 8), ETA_BCD, 1),
 ))
 
-MAIN_GROUPS = tuple(n for n in GROUPS if not n.endswith("B"))
+MAIN_GROUPS = tuple(n for n, g in GROUPS.items() if g.variant_of is None)
 
 
 def get_group(name: str) -> GroupRecord:
@@ -405,22 +429,29 @@ def _series_order_for(eq: EtaQuotient, max_index: int, mu: int) -> int:
     return max(int(need) + 2, 2)
 
 
+def _form(group: GroupRecord, which: str) -> tuple[EtaQuotient, int]:
+    """(eta quotient, index unit) of h1 ('a') or h2 ('b')."""
+    return (group.h1, group.h1_unit) if which == "a" else (group.h2, group.h2_unit)
+
+
 @lru_cache(maxsize=None)
+def basis_form(group: GroupRecord, which: str, bound: int) -> PuiseuxSeries:
+    """h1 ('a') or h2 ('b') as an exact Puiseux series, valid through
+    printed index `bound`; each form is built and cached on its own."""
+    eq, unit = _form(group, which)
+    return eq.expansion(_series_order_for(eq, bound * unit, group.mu)).nth_root(3)
+
+
 def basis_q_expansions(group: GroupRecord,
                        bound: int = 501) -> tuple[PuiseuxSeries, PuiseuxSeries]:
     """(h1, h2) as exact Puiseux series, valid through printed index `bound`."""
-    out = []
-    for eq, unit in ((group.h1, group.h1_unit), (group.h2, group.h2_unit)):
-        order = _series_order_for(eq, bound * unit, group.mu)
-        out.append(eq.expansion(order).nth_root(3))
-    return tuple(out)
+    return basis_form(group, "a", bound), basis_form(group, "b", bound)
 
 
 def coefficient_sequence(group: GroupRecord, which: str, bound: int = 500) -> dict[int, Fraction]:
     """Printed coefficient sequence {n: a_n} for h1 ('a') or h2 ('b'),
     n = 1..bound in the form's own index units."""
-    h1, h2 = basis_q_expansions(group, bound + 1)
-    series, unit = (h1, group.h1_unit) if which == "a" else (h2, group.h2_unit)
+    series, unit = basis_form(group, which, bound + 1), _form(group, which)[1]
     return {n: series.coefficient(n * unit) for n in range(1, bound + 1)}
 
 
@@ -434,7 +465,7 @@ def coefficient_sequence(group: GroupRecord, which: str, bound: int = 500) -> di
 
 def _lattice(group: GroupRecord, which: str):
     """(eta quotient, g, 72 unit, s mu, 72 mu g) for one basis form."""
-    eq, unit = (group.h1, group.h1_unit) if which == "a" else (group.h2, group.h2_unit)
+    eq, unit = _form(group, which)
     g = gcd(*(k for k, _ in eq.factors))
     return eq, g, 72 * unit, eq.prefactor24 * group.mu, 72 * group.mu * g
 
@@ -495,61 +526,20 @@ def coefficient_residues(group: GroupRecord, bound: int, moduli: tuple[int, ...]
     return out[0], out[1]
 
 
-# radicand builders for the cube-root construction, from parent-level data
-
-
-def _level8_radicand(key: str, order: int) -> PuiseuxSeries:
-    t = ETA_T8.expansion(order)
-    if key == "t":
-        return t
-    if key == "(t+1)/2":
-        return (t + 1) / 2
-    if key == "(t+1)/(2t)":
-        return (t + 1) / t.scale(2)
-    if key == "4(t+1)/(1-t)":
-        return (t + 1).scale(4) / (1 - t)
-    raise KeyError(key)
-
-
-def _level6_radicand(key: str, order: int) -> PuiseuxSeries:
-    a = ETA_A6.expansion(order)
-    b = ETA_B6.expansion(order)
-    c = ETA_C6.expansion(order)
-    d = ETA_D6.expansion(order)
-    num, den = {"b/d": (b, d), "a/c": (a, c), "b/c": (b, c), "a/d": (a, d)}[key]
-    return num / den
-
-
-def _weight3_form(key: str, order: int) -> PuiseuxSeries:
-    if key == "Ea":
-        return ETA_EA.expansion(order)
-    if key == "Eb":
-        return ETA_EB.expansion(order)
-    if key == "acd":
-        return (ETA_A6.expansion(order) * ETA_C6.expansion(order)
-                * ETA_D6.expansion(order))
-    if key == "bcd":
-        return (ETA_B6.expansion(order) * ETA_C6.expansion(order)
-                * ETA_D6.expansion(order))
-    raise KeyError(key)
-
-
 def construct_basis(group: GroupRecord, order: int = 50):
-    """Build (h1, h2) as cube-root-of-hauptmodul times weight-3 form and check
-    the result against the catalog eta-quotient expansions.
+    """Build (h1, h2) as the cube root of a Mobius map of the parent's
+    hauptmodul times a weight-3 form (``GroupRecord.construction``) and
+    check the result against the catalog eta-quotient expansions.
 
     Returns the constructed pair; raises if it disagrees with the catalog.
     """
     if group.construction is None:
         raise ValueError(f"{group.name} has no cube-root construction data")
-    radicand_key, form_key, h1_pow = group.construction
+    (a, b, c, d), form, h1_pow = group.construction
     qorder = order + 6
-    if group.parent == "G8":
-        u = _level8_radicand(radicand_key, qorder)
-    else:
-        u = _level6_radicand(radicand_key, qorder)
-    form = _weight3_form(form_key, qorder)
-    root = u.nth_root(3)
+    x = group.parent.hauptmodul.expansion(qorder)
+    root = ((x.scale(a) + b) / (x.scale(c) + d)).nth_root(3)
+    form = form.expansion(qorder)
     built1 = root ** h1_pow * form
     built2 = root ** (3 - h1_pow) * form
     cat1, cat2 = basis_q_expansions(group, order + 1)
@@ -726,7 +716,7 @@ def hecke_check(tag: str, prime_bound: int, n_bound: int,
     A stored-table form is refused with ValueError: its a_n exist only
     through the recursion itself, so the check could not fail."""
     rec = NEWFORMS[tag]
-    if rec.source == "storedTable":
+    if rec.stored is not None:
         raise ValueError(f"{tag} stores A_p only: its a_n come from the Hecke "
                          "recursion, so checking that recursion on them proves nothing")
     discs = rec.character if character is None else tuple(character)
@@ -757,7 +747,7 @@ def export_text() -> str:
     lines = []
     for name, g in GROUPS.items():
         lines.append(f"[group {name}]")
-        lines.append(f"parent = {'Gamma0(8)^Gamma1(4)' if g.parent == 'G8' else 'Gamma1(6)'}")
+        lines.append(f"parent = {g.parent.label}")
         lines.append("widths = " + ",".join(map(str, g.cusp_widths)))
         gens = "; ".join(f"{a},{b},{c},{d}" for (a, b), (c, d) in g.generators)
         lines.append(f"generators = {gens}")

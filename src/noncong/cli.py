@@ -72,14 +72,14 @@ def _print_series(series, fmt: str, limit: int | None = None):
     print(" + ".join(parts) if parts else "0")
 
 
-# Largest prime `traces` and `isogeny` accept in --primes: building the
-# F_{p^2} fiber-trace table takes about 4.6 s and 510 MiB at p = 2003
-# (BENCH_7.json, 2-vCPU x86_64).
+# Largest prime `traces` and `isogeny` accept in --primes: at p = 2003 a
+# cold `traces gamma_24.6.1^6 --primes 2003`, which builds the E8 tables over
+# F_p and F_{p^2}, takes 3.2 s and peaks at 495 MiB (2-vCPU x86_64).
 PRIME_LIMIT = 2003
 
 # Largest --order `expand` accepts.  The forms of the groups with mu = 1 cost
-# most: h1 of gamma_24.6.1^6 takes about 9.4 s and 40 MiB to order 2000 and
-# 41 s to 3000 (time ~ N^3, 2-vCPU x86_64).
+# most: a cold `expand gamma_24.6.1^6 h1` takes 0.7 s and 20 MiB at order
+# 1000 and 8.8 s and 28 MiB at order 2000 (2-vCPU x86_64).
 ORDER_LIMIT = 2000
 
 # Largest --root `expand eta` accepts; it admits every eta^24^(1/k) =
@@ -90,8 +90,9 @@ ORDER_LIMIT = 2000
 # 27 s and 1.27 GiB (2-vCPU x86_64).
 ROOT_LIMIT = 24
 
-# Largest --pmax and --pn-bound `aswd` accepts.  At both limits one aswd
-# process takes about 10 s and peaks at 100 MiB (2-vCPU x86_64 host).
+# Largest --pmax and --pn-bound `aswd` accepts.  At both limits one cold aswd
+# process takes 2.8 to 13.7 s and peaks at 82 to 102 MiB, depending on the
+# group; gamma_8^3.6.3.1^3 is the slowest (2-vCPU x86_64).
 ASWD_PRIME_LIMIT = 2003
 PN_BOUND_LIMIT = 10000
 
@@ -126,8 +127,8 @@ def cmd_expand(args) -> int:
     which = args.form or "h1"
     if which not in ("h1", "h2"):
         raise InputRefused(f"form {which!r} is neither h1 nor h2")
-    h1, h2 = catalog.basis_q_expansions(g, order + 1)
-    _print_series((h1 if which == "h1" else h2), args.format, limit=order)
+    form = catalog.basis_form(g, "a" if which == "h1" else "b", order + 1)
+    _print_series(form, args.format, limit=order)
     return 0
 
 
@@ -285,7 +286,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    names = MAIN_GROUPS + tuple(n for n in GROUPS if n.endswith("B")) \
+    names = sorted(GROUPS, key=lambda n: GROUPS[n].variant_of is not None) \
         if args.group in (None, "all") else (_group(args.group).name,)
     for name in names:
         g = GROUPS[name]

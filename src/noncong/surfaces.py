@@ -643,26 +643,30 @@ def load_modular_polynomial_file(path: str) -> ModularPolynomial:
     """Plain-text format: first line d, then `i j c` terms (one per line),
     and `#` starts a comment.  Phi_d is symmetric, so a pair listed once
     stands for both (j, i) and (i, j); a line `sym` is accepted and changes
-    nothing.  A line that is none of these raises ValueError naming it."""
-    terms: dict[tuple[int, int], int] = {}
+    nothing.  A line that is none of these, or that repeats the (i, j) of an
+    earlier line, raises ValueError naming it."""
+    terms: dict[tuple[int, int], tuple[int, int]] = {}     # (i, j) -> (c, line)
     d = None
     with open(path, "r", encoding="utf-8") as fh:
         for number, raw in enumerate(fh, 1):
             line = raw.partition("#")[0].strip()
-            if not line:
+            if not line or (d is not None and line == "sym"):
                 continue
             try:
                 if d is None:
                     d = int(line)
-                elif line != "sym":
-                    i, j, c = map(int, line.split())
-                    terms[(i, j)] = c
+                    continue
+                i, j, c = map(int, line.split())
             except ValueError:
                 want = "the degree d" if d is None else "a term 'i j c'"
                 raise ValueError(f"line {number}: {line!r} is not {want}") from None
+            if (i, j) in terms:
+                raise ValueError(f"line {number}: {line!r} repeats the term ({i}, {j}) "
+                                 f"of line {terms[i, j][1]}")
+            terms[i, j] = c, number
     if d is None:
         raise ValueError("no degree line: the file holds no data")
-    return ModularPolynomial.from_dict(d, terms)
+    return ModularPolynomial.from_dict(d, {k: c for k, (c, _) in terms.items()})
 
 
 def modular_polynomial(d: int, path: str | None = None) -> ModularPolynomial:

@@ -213,7 +213,7 @@ class SurfaceFamily:
     with no common factor, are derived once, as ``mobius``; the bad primes
     are 2, 3 and those dividing ad - bc, where f stops being a bijection."""
     label: str
-    level: str                     # "E8" or "E6"
+    level: str                     # key of surfaces.BEAUVILLE, e.g. "E8"
     sub: RationalFunction
 
     def __post_init__(self):
@@ -237,9 +237,8 @@ class SurfaceFamily:
 def surface_families(group) -> list[SurfaceFamily]:
     """The families of a catalog group's surface parameterizations; none
     for a group without covering data."""
-    level = "E8" if group.parent == "G8" else "E6"
     cover = COVERINGS.get(group.name)
-    return [SurfaceFamily(label, level, sub)
+    return [SurfaceFamily(label, group.parent.family, sub)
             for label, sub in (cover.parameterizations if cover else ())]
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import published_tables
-from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, basis_q_expansions,
+from noncong.catalog import (ETA_B6, ETA_D6, GROUPS, MAIN_GROUPS, NEWFORMS,
+                             PARENT6, PARENT8, basis_form, basis_q_expansions,
                              character_value, coefficient_residues,
                              coefficient_sequence, construct_basis,
                              cusp_regularity, derived_cusp_counts,
@@ -78,6 +79,17 @@ def test_dimension_formula_values():
         dim_cusp_forms(4, 0, 8, 0)
     with pytest.raises(ValueError, match="non-integral"):
         dim_cusp_forms(3, 0, 7, 0)
+
+
+def test_parents_and_variants_are_record_fields():
+    assert {g.parent for g in GROUPS.values()} == {PARENT8, PARENT6}
+    assert (PARENT8.family, PARENT6.family) == ("E8", "E6")
+    variants = {n: g.variant_of for n, g in GROUPS.items() if g.variant_of}
+    assert variants == {"gamma_24.3.2^3.1^3B": "gamma_24.3.2^3.1^3"}
+    assert MAIN_GROUPS == tuple(n for n in GROUPS if n not in variants)
+    # the level-6 hauptmodul is X = b/d of the weight-1 forms
+    b, d = ETA_B6.expansion(30), ETA_D6.expansion(30)
+    assert PARENT6.hauptmodul.expansion(30).agrees_with(b / d, through=28)
 
 
 def test_b_variant_generators_lie_in_parent():
@@ -188,6 +200,17 @@ def test_construct_basis_equals_catalog_to_order_50(name):
 def test_construct_basis_unavailable_for_conjugate_variant():
     with pytest.raises(ValueError, match="no cube-root construction"):
         construct_basis(GROUPS["gamma_24.3.2^3.1^3B"])
+
+
+def test_one_form_is_built_alone():
+    # coefficient_sequence and `expand <group> h1` need one form, not the pair
+    g = replace(GROUPS["gamma_9.6^4.1^3"], name="one form only")
+    basis_form.cache_clear()
+    a = coefficient_sequence(g, "a", 40)
+    assert basis_form.cache_info().currsize == 1
+    h1, h2 = basis_q_expansions(g, 41)
+    assert basis_form.cache_info().currsize == 2
+    assert a == {n: h1.coefficient(n * g.h1_unit) for n in range(1, 41)}
 
 
 def test_specific_coefficients():

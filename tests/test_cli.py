@@ -173,9 +173,11 @@ def test_isogeny_missing_data(capsys, monkeypatch):
 @pytest.mark.parametrize("make,reason", [
     (lambda path: path.write_text("8\n1 0 abc\n"), "line 2: '1 0 abc' is not a term 'i j c'"),
     (lambda path: path.write_text(""), "no degree line: the file holds no data"),
+    (lambda path: path.write_text("8\n4 0 1\n4 0 2\n"),
+     "line 3: '4 0 2' repeats the term (4, 0) of line 2"),
     (lambda path: path.mkdir(), "Is a directory"),
     (lambda path: None, "No such file or directory"),
-], ids=["malformed-line", "empty", "directory", "missing"])
+], ids=["malformed-line", "empty", "repeated-term", "directory", "missing"])
 def test_bad_modpoly_file_refused(capsys, tmp_path, make, reason):
     """Phi_8 (relation 1a) is not built in, so --modpoly is read."""
     path = tmp_path / "phi8.txt"

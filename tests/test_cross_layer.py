@@ -10,14 +10,21 @@ group's own surfaces, at every prime 5 <= p <= 97:
 
 These are the targets a group's surface can supply where the stored A_p
 tables end.  Each test also counts its rows, so that a change in which
-rows are case 1 or case 2 shows as a changed count, not as fewer checks."""
+rows are case 1 or case 2 shows as a changed count, not as fewer checks.
+
+The last test ties the catalog's q-expansions to the surface families: the
+j-invariant of each parent's Beauville family at the parent's hauptmodul is
+Klein's j(q)."""
 
 from functools import cache
 
 import pytest
 
-from noncong.catalog import GROUPS, MAIN_GROUPS, NEWFORMS, character_value, primes_upto
+from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, PARENT6, PARENT8,
+                             character_value, primes_upto)
 from noncong.congruence import catalog_ap_residue, detect_bases
+from noncong.series import EtaQuotient, PuiseuxSeries, sigma_table
+from noncong.surfaces import beauville_short, j_invariant
 from noncong.traces import frobenius_trace, surface_families
 
 PRIMES = tuple(p for p in primes_upto(97) if p >= 5)
@@ -75,3 +82,37 @@ def test_case1_sum_is_the_p_trace(label):
         assert (c["a"] + c["b"] - frobenius_trace(fam, p)) % (p * p) == 0, (group.name, p)
         rows += 1
     assert rows == {"E8(r^3-1)": 12, "E6(3r^3)": 12, "E6(1-24/r^3)": 11}[label]
+
+
+def _j_of_family_at(family: str, t: PuiseuxSeries) -> PuiseuxSeries:
+    """j of the Beauville family at the parameter series t, by Horner."""
+    j = j_invariant(beauville_short(family))
+    values = []
+    for poly in (j.num, j.den):
+        value = PuiseuxSeries.constant(0, t.trunc)
+        for c in reversed(poly):
+            value = value * t + c
+        values.append(value)
+    return values[0] / values[1]
+
+
+# (parent, the Mobius map (a, b, c, d) taking its hauptmodul x to the family
+# parameter t = (a x + b)/(c x + d), whether j(t) is Klein's j)
+J_CASES = [(PARENT8, (1, 0, 0, 1), True),      # E8 at t = T8
+           (PARENT6, (0, 1, 9, 0), True),      # E6 at t = 1/(9X)
+           (PARENT6, (1, 0, 0, 1), False)]     # negative control: E6 at X is j(q^3)
+
+
+@pytest.mark.parametrize("parent,mobius,klein", J_CASES,
+                         ids=["E8-at-T8", "E6-at-1/(9X)", "E6-at-X-fails"])
+def test_family_j_at_the_hauptmodul_is_klein_j(parent, mobius, klein):
+    order = 30
+    sigma3 = [sum(d ** 3 for d in range(1, n + 1) if n % d == 0) for n in range(order)]
+    e4 = PuiseuxSeries(1, 0, [1] + [240 * s for s in sigma3[1:]], order)
+    j_q = e4 ** 3 / EtaQuotient.of({1: 24}).expansion(order)     # E4^3 / Delta
+    assert [j_q.coefficient(n) for n in (-1, 0, 1)] == [1, 744, 196884]
+    a, b, c, d = mobius
+    x = parent.hauptmodul.expansion(order)
+    j_t = _j_of_family_at(parent.family, (x.scale(a) + b) / (x.scale(c) + d))
+    assert min(j_t.truncation_exponent, j_q.truncation_exponent) > 20
+    assert j_t.agrees_with(j_q, through=21) is klein

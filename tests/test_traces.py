@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,15 @@ def test_classification_matches_tangent_slope_oracle():
         else:
             assert kind == ("splitMult" if want else "nonsplitMult")
         seen += 1
+
+
+def test_surface_families_read_the_parent_record():
+    # a group over a third parent gets that parent's Beauville family, not E6
+    g = GROUPS["gamma_18.6.3^3.1^3"]
+    other = replace(g, parent=replace(g.parent, label="Gamma1(5)", family="E5"))
+    fams = surface_families(other)
+    assert fams and all(f.level == "E5" for f in fams)
+    assert [f.sub for f in fams] == [f.sub for f in surface_families(g)]
 
 
 # --- local traces and their sum ----------------------------------------------------
