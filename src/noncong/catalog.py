@@ -5,8 +5,8 @@ dimension formula, cusp regularity, the cusp-width noncongruence test, the
 cube-root basis construction, newform coefficient access and Hecke checks.
 Each parent is one ``Parent`` record (printed label, Beauville family,
 hauptmodul), and every group holds its parent's record.
-The groups' covering maps, involutions and surface parameterizations are
-surface geometry and live in ``surfaces.COVERINGS``, keyed by group name.
+The groups' covering maps, involutions and surface twists are surface
+geometry and live in ``surfaces.COVERINGS``, keyed by group name.
 
 The basis coefficients come two ways: exactly (``basis_q_expansions``,
 ``coefficient_sequence``), and mod a batch of moduli
@@ -218,7 +218,6 @@ class GroupRecord:
     parent: Parent
     cusp_widths: tuple[int, ...]
     generators: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    mu: int                          # cusp width at infinity
     h1: EtaQuotient
     h2: EtaQuotient
     h1_unit: int                     # printed index n <-> series index n*unit
@@ -231,6 +230,14 @@ class GroupRecord:
 
     def __hash__(self):     # the per-group caches key on records; names are unique
         return hash(self.name)
+
+    @property
+    def mu(self) -> int:
+        """The cusp width at infinity: |b| of the one generator +-T^mu."""
+        widths = [abs(b) for (_, b), (c, _) in self.generators if c == 0]
+        if len(widths) != 1:
+            raise ValueError(f"{self.name}: {len(widths)} generators fix infinity, not one")
+        return widths[0]
 
 
 def _g(rows):
@@ -249,7 +256,6 @@ _add(GroupRecord(
     cusp_widths=(24, 6, 1, 1, 1, 1, 1, 1),
     generators=_g([(1, 0, 24, 1), (9, -1, 64, -7), (5, -1, 16, -3), (1, 1, 0, 1),
                    (-3, -1, 16, 5), (-7, -1, 64, 9), (-11, -1, 144, 13)]),
-    mu=1,
     h1=EtaQuotient.of({1: 4, 2: -6, 4: 20}),
     h2=EtaQuotient.of({1: -4, 2: 6, 4: 16}),
     h1_unit=1, h2_unit=1, newform="L48",
@@ -261,7 +267,6 @@ _add(GroupRecord(
     cusp_widths=(8, 8, 8, 2, 2, 2, 3, 3),
     generators=_g([(1, 3, 0, 1), (-7, -8, 8, 9), (-3, -2, 8, 5), (1, 0, 8, 1),
                    (5, -2, 8, -3), (9, -8, 8, -7), (13, -18, 8, -11)]),
-    mu=3,
     h1=EtaQuotient.of({2: 20, 4: -6, 8: 4}),
     h2=EtaQuotient.of({2: 16, 4: 6, 8: -4}),
     h1_unit=2, h2_unit=1, newform="L48",
@@ -273,7 +278,6 @@ _add(GroupRecord(
     cusp_widths=(8, 8, 8, 6, 3, 1, 1, 1),
     generators=_g([(-11, 6, -24, 13), (41, -25, 64, -39), (49, -32, 72, -47),
                    (1, 1, 0, 1), (1, 0, 8, 1), (25, -9, 64, -23), (81, -32, 200, -79)]),
-    mu=1,
     h1=EtaQuotient.of({1: 4, 2: 10, 4: -4, 8: 8}),
     h2=EtaQuotient.of({1: 8, 2: -4, 4: 10, 8: 4}),
     h1_unit=1, h2_unit=1, newform="L432",
@@ -285,21 +289,19 @@ _add(GroupRecord(
     cusp_widths=(24, 3, 2, 2, 2, 1, 1, 1),
     generators=_g([(1, 0, 24, 1), (21, -2, 200, -19), (9, -1, 64, -7), (5, -2, 8, -3),
                    (1, 1, 0, 1), (-11, -2, 72, 13), (-7, -1, 64, 9)]),
-    mu=1,
     h1=EtaQuotient.of({1: -4, 2: 22, 4: -8, 8: 8}),
     h2=EtaQuotient.of({1: -8, 2: 20, 4: 2, 8: 4}),
     h1_unit=1, h2_unit=1, newform="L432",
     construction=((1, 1, 2, 0), ETA_EB, 1),
 ))
 
-# Conjugate variant of gamma_24.3.2^3.1^3 by (0 -1; 8 0); generators obtained
-# by that conjugation, basis forms as given with r = q^(1/3), h1 starting at r^2.
+# Conjugate variant of gamma_24.3.2^3.1^3 by (0 -1; 8 0), with the widths
+# its generators give; basis forms as given with r = q^(1/3), h1 at r^2.
 _add(GroupRecord(
     name="gamma_24.3.2^3.1^3B", parent=PARENT8,
-    cusp_widths=(24, 3, 2, 2, 2, 1, 1, 1),
+    cusp_widths=(8, 8, 8, 6, 3, 1, 1, 1),
     generators=_g([(1, -3, 0, 1), (-19, -25, 16, 21), (-7, -8, 8, 9), (-3, -1, 16, 5),
                    (1, 0, -8, 1), (13, -9, 16, -11), (9, -8, 8, -7)]),
-    mu=3,
     h1=EtaQuotient.of({1: 8, 2: -8, 4: 22, 8: -4}),
     h2=EtaQuotient.of({1: 4, 2: 2, 4: 20, 8: -8}),
     h1_unit=1, h2_unit=1, newform="L432", variant_of="gamma_24.3.2^3.1^3",
@@ -310,7 +312,6 @@ _add(GroupRecord(
     cusp_widths=(18, 6, 3, 3, 3, 1, 1, 1),
     generators=_g([(1, 0, 18, 1), (25, -3, 192, -23), (7, -1, 36, -5), (7, -3, 12, -5),
                    (1, 1, 0, 1), (-11, -3, 48, 13), (-5, -1, 36, 7)]),
-    mu=1,
     h1=EtaQuotient.of({1: 4, 2: 7, 3: -4, 6: 11}),
     h2=EtaQuotient.of({1: -4, 2: 11, 3: 4, 6: 7}),
     h1_unit=1, h2_unit=1, newform="L243",
@@ -322,7 +323,6 @@ _add(GroupRecord(
     cusp_widths=(9, 6, 6, 6, 3, 2, 2, 2),
     generators=_g([(1, 3, 0, 1), (-5, -6, 6, 7), (-11, -8, 18, 13), (1, 0, 6, 1),
                    (7, -2, 18, -5), (7, -6, 6, -5), (25, -32, 18, -23)]),
-    mu=3,
     h1=EtaQuotient.of({1: 7, 2: 4, 3: 11, 6: -4}),
     h2=EtaQuotient.of({1: 11, 2: -4, 3: 7, 6: 4}),
     h1_unit=1, h2_unit=1, newform="L243",
@@ -334,7 +334,6 @@ _add(GroupRecord(
     cusp_widths=(9, 6, 6, 6, 6, 1, 1, 1),
     generators=_g([(-17, 6, -54, 19), (127, -49, 324, -125), (61, -24, 150, -59),
                    (1, 1, 0, 1), (1, 0, 6, 1), (91, -25, 324, -89), (85, -24, 294, -83)]),
-    mu=1,
     h1=EtaQuotient.of({1: 13, 2: -2, 3: -7, 6: 14}),
     h2=EtaQuotient.of({1: 14, 2: -7, 3: -2, 6: 13}),
     h1_unit=1, h2_unit=1, newform="L486",
@@ -346,7 +345,6 @@ _add(GroupRecord(
     cusp_widths=(18, 3, 3, 3, 3, 2, 2, 2),
     generators=_g([(1, 3, 0, 1), (-11, -8, 18, 13), (-5, -3, 12, 7), (7, -2, 18, -5),
                    (7, -3, 12, -5), (25, -32, 18, -23), (19, -27, 12, -17)]),
-    mu=3,
     h1=EtaQuotient.of({1: -2, 2: 13, 3: 14, 6: -7}),
     h2=EtaQuotient.of({1: -7, 2: 14, 3: 13, 6: -2}),
     h1_unit=1, h2_unit=1, newform="L486",
@@ -764,7 +762,7 @@ def export_text() -> str:
             lines.append(f"iota(r) = {cover.involution_cover}")
             lines.append(f"isogeny = degree {rel.d}, kernel {rel.kernel}, "
                          f"field {rel.field}")
-            lines.extend(f"parameterization = {label}" for label, _ in cover.parameterizations)
+            lines.extend(f"parameterization = {label}" for label, _ in cover.twists)
         lines.append("")
     for tag, rec in NEWFORMS.items():
         lines.append(f"[newform {tag}]")

@@ -110,6 +110,8 @@ def cmd_expand(args) -> int:
     if args.root != 1 and args.identifier != "eta":
         raise InputRefused(f"--root {args.root} applies to expand eta only")
     if args.identifier == "E6":
+        if args.form is not None:
+            raise InputRefused(f"expand E6 takes no form, not {args.form!r}")
         _print_series(eisenstein_e6(order), args.format)
         return 0
     if args.identifier == "eta":
@@ -140,7 +142,8 @@ def cmd_traces(args) -> int:
     for g in groups:
         if g.name not in surfaces.COVERINGS:
             raise InputRefused(f"{g.name} carries no surface parameterization")
-    golden = _read_golden(args.golden, *TRACES_GOLDEN) if args.golden else None
+    golden = _read_golden(args.golden, traces.CSV_HEADER, (str, str, int, int, int)) \
+        if args.golden else None
     try:
         rows = traces.trace_rows(groups, primes)
     except traces.BadPrimeError as e:
@@ -163,9 +166,8 @@ def _int_or_blank(text: str) -> int | None:
     return int(text) if text else None
 
 
-# header and column types of the golden CSV files (an indeterminate aswd row
+# header and column types of the aswd golden CSV files (an indeterminate row
 # has blank constants)
-TRACES_GOLDEN = ("group,parameterization,p,tr_p,tr_p2", (str, str, int, int, int))
 ASWD_GOLDEN = ("p,case,c1,c2", (int, str, _int_or_blank, _int_or_blank))
 
 

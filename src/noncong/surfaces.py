@@ -1,8 +1,8 @@
 """Rational functions over Q, the Weierstrass families over the two genus-0
 base curves, short-model conversion, j-invariants, isogeny relations (one
 ``IsogenyRelation`` record each), the covering data of the catalog groups
-(``COVERINGS``: covering maps, the self relation of each base involution,
-its lift, surface parameterizations), involution identities and
+(``COVERINGS``: one Mobius covering map each, the self relation of the base
+involution, its lift, the surfaces' cube twists), involution identities and
 modular-polynomial checks of the relations.
 
 Polynomials are dense coefficient tuples (low degree first) with rational
@@ -461,56 +461,60 @@ INTER_FAMILY_RELATIONS: dict[str, IsogenyRelation] = {
 @dataclass(frozen=True)
 class Covering:
     """How one catalog group's modular curve covers its parent's base curve:
-    r^3 = covering_m(t) and its inverse, the self relation of the base
-    involution t -> i(t) (its ``sub_b``), the lift r -> iota(r) of i(t) to
-    the cover and the surface parameterizations (the base family at
-    sub(r))."""
-    covering_m: RationalFunction
-    covering_m_inv: RationalFunction
+    r^3 = m(t) for the integer Mobius map m = (a, b, c, d), t -> (a t + b) /
+    (c t + d).  The self relation of the base involution t -> i(t) (its
+    ``sub_b``) lifts to r -> iota(r) = c r^e on the cover, ``iota`` = (c, e).
+    Each surface is the parent's family at t = m^-1(k r^3) for a cube twist
+    k, ``twists`` = ((label, k), ...)."""
+    m: tuple[int, int, int, int]
     relation: IsogenyRelation
-    involution_cover: RationalFunction
-    parameterizations: tuple[tuple[str, RationalFunction], ...]
+    iota: tuple[Fraction | int, int]
+    twists: tuple[tuple[str, Fraction | int], ...]
+
+    @property
+    def covering_m(self) -> RationalFunction:
+        a, b, c, d = self.m
+        return rf([b, a], [d, c])
+
+    @property
+    def covering_m_inv(self) -> RationalFunction:
+        a, b, c, d = self.m
+        return rf([-b, d], [a, -c])
+
+    @property
+    def involution_cover(self) -> RationalFunction:
+        c, e = self.iota
+        return c * T ** e
+
+    def family_maps(self) -> tuple[tuple[str, tuple[int, int, int, int]], ...]:
+        """(label, f) for each surface: f(s) = m^-1(k s) = (d n s - b q) /
+        (-c n s + a q) for the twist k = n/q."""
+        a, b, c, d = self.m
+        return tuple((label, (d * k.numerator, -b * k.denominator,
+                              -c * k.numerator, a * k.denominator))
+                     for label, k in self.twists)
 
 
 # Keyed by catalog group name; the conjugate variant gamma_24.3.2^3.1^3B
 # carries no covering data.
+_R = ISOGENY_BY_INVOLUTION
 COVERINGS: dict[str, Covering] = {
-    "gamma_24.6.1^6": Covering(
-        covering_m=_t, covering_m_inv=_t,
-        relation=ISOGENY_BY_INVOLUTION["E8:-t"], involution_cover=-_t,
-        parameterizations=(("E8(r^3)", _t ** 3),)),
-    "gamma_8^3.2^3.3^2": Covering(
-        covering_m=(1 + _t) / (1 - _t), covering_m_inv=(_t - 1) / (_t + 1),
-        relation=ISOGENY_BY_INVOLUTION["E8:1/t"], involution_cover=-_t,
-        parameterizations=(("E8((r^3-1)/(r^3+1))", (_t ** 3 - 1) / (_t ** 3 + 1)),)),
-    "gamma_8^3.6.3.1^3": Covering(
-        covering_m=(_t + 1) / 4, covering_m_inv=4 * _t - 1,
-        relation=ISOGENY_BY_INVOLUTION["E8:(1-t)/(1+t)"], involution_cover=1 / (2 * _t),
-        parameterizations=(("E8(r^3-1)", _t ** 3 - 1),
-                           ("E8(2r^3-1)", 2 * _t ** 3 - 1),
-                           ("E8(4r^3-1)", 4 * _t ** 3 - 1))),
-    "gamma_24.3.2^3.1^3": Covering(
-        covering_m=2 * (1 + _t) / _t, covering_m_inv=2 / (_t - 2),
-        relation=ISOGENY_BY_INVOLUTION["E8:(t+1)/(t-1)"], involution_cover=2 / _t,
-        parameterizations=(("E8(2/(r^3-2))", 2 / (_t ** 3 - 2)),)),
-    "gamma_18.6.3^3.1^3": Covering(
-        covering_m=_t / 9, covering_m_inv=9 * _t,
-        relation=ISOGENY_BY_INVOLUTION["E6:1/(9t)"], involution_cover=1 / (9 * _t),
-        parameterizations=(("E6(3r^3)", 3 * _t ** 3), ("E6(9r^3)", 9 * _t ** 3))),
-    "gamma_9.6^3.3.2^3": Covering(
-        covering_m=(1 - 9 * _t) / (3 - 3 * _t), covering_m_inv=(1 - 3 * _t) / (9 - 3 * _t),
-        relation=ISOGENY_BY_INVOLUTION["E6:1/(9t)"], involution_cover=1 / _t,
-        parameterizations=(("E6((1-3r^3)/(9-3r^3))",
-                            (1 - 3 * _t ** 3) / (9 - 3 * _t ** 3)),)),
-    "gamma_9.6^4.1^3": Covering(
-        covering_m=8 / (3 - 3 * _t), covering_m_inv=1 - 8 / (3 * _t),
-        relation=ISOGENY_BY_INVOLUTION["E6:(1-9t)/(9-9t)"], involution_cover=2 / _t,
-        parameterizations=(("E6(1-24/r^3)", 1 - 24 / _t ** 3),
-                           ("E6(1-8/(3r^3))", 1 - 8 / (3 * _t ** 3)))),
-    "gamma_18.3^4.2^3": Covering(
-        covering_m=(1 - 9 * _t) / (24 * _t), covering_m_inv=1 / (24 * _t + 9),
-        relation=ISOGENY_BY_INVOLUTION["E6:(1-9t)/(9-9t)"], involution_cover=1 / (2 * _t),
-        parameterizations=(("E6(1/(24r^3+9))", 1 / (24 * _t ** 3 + 9)),)),
+    "gamma_24.6.1^6": Covering((1, 0, 0, 1), _R["E8:-t"], (-1, 1), (("E8(r^3)", 1),)),
+    "gamma_8^3.2^3.3^2": Covering((1, 1, -1, 1), _R["E8:1/t"], (-1, 1),
+                                  (("E8((r^3-1)/(r^3+1))", 1),)),
+    "gamma_8^3.6.3.1^3": Covering((1, 1, 0, 4), _R["E8:(1-t)/(1+t)"], (Fraction(1, 2), -1),
+                                  (("E8(r^3-1)", Fraction(1, 4)),
+                                   ("E8(2r^3-1)", Fraction(1, 2)), ("E8(4r^3-1)", 1))),
+    "gamma_24.3.2^3.1^3": Covering((2, 2, 1, 0), _R["E8:(t+1)/(t-1)"], (2, -1),
+                                   (("E8(2/(r^3-2))", 1),)),
+    "gamma_18.6.3^3.1^3": Covering((1, 0, 0, 9), _R["E6:1/(9t)"], (Fraction(1, 9), -1),
+                                   (("E6(3r^3)", Fraction(1, 3)), ("E6(9r^3)", 1))),
+    "gamma_9.6^3.3.2^3": Covering((-9, 1, -3, 3), _R["E6:1/(9t)"], (1, -1),
+                                  (("E6((1-3r^3)/(9-3r^3))", 1),)),
+    "gamma_9.6^4.1^3": Covering((0, 8, -3, 3), _R["E6:(1-9t)/(9-9t)"], (2, -1),
+                                (("E6(1-24/r^3)", Fraction(1, 9)), ("E6(1-8/(3r^3))", 1))),
+    "gamma_18.3^4.2^3": Covering((-9, 1, 24, 0), _R["E6:(1-9t)/(9-9t)"], (Fraction(1, 2), -1),
+                                 (("E6(1/(24r^3+9))", 1),)),
 }
 
 
@@ -521,26 +525,14 @@ COVERINGS: dict[str, Covering] = {
 def involution_identity_check(group) -> bool:
     """Verify (iota(cbrt(m(t))))^3 == m(i(t)) in Q(t) for a catalog group.
 
-    Every catalog iota is monomial, iota(r) = c*r or c/r, so the cube lives
-    in Q(t) after substituting r^3 = m(t).
+    Every catalog iota is monomial, iota(r) = c*r^e with e = +-1, so the
+    cube c^3 m(t)^e lives in Q(t) after substituting r^3 = m(t).
     """
     cover = COVERINGS.get(group.name)
     if cover is None:
         raise ValueError(f"{group.name}: no involution data")
-    m, i = cover.covering_m, cover.relation.sub_b
-    c, e = _monomial_form(cover.involution_cover)
-    lhs = RationalFunction.const(c ** 3) * (m ** e)
-    rhs = m.compose(i)
-    return lhs == rhs
-
-
-def _monomial_form(iota: RationalFunction) -> tuple[Fraction, int]:
-    """Write iota(r) as c*r^e with e in {1, -1}."""
-    if len(iota.num) == 2 and iota.num[0] == 0 and iota.den == (Fraction(1),):
-        return iota.num[1], 1
-    if len(iota.num) == 1 and len(iota.den) == 2 and iota.den[0] == 0:
-        return iota.num[0] / iota.den[1], -1
-    raise ValueError(f"involution {iota!r} is not monomial in r")
+    m, (c, e) = cover.covering_m, cover.iota
+    return c ** 3 * m ** e == m.compose(cover.relation.sub_b)
 
 
 # ---------------------------------------------------------------------------

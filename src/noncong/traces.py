@@ -13,10 +13,11 @@ additive fibers (-2AB a square, a nonsquare, zero).  ``local_trace`` counts
 points one parameter at a time and is the reference.  ``fiber_trace_table``
 gets every fiber of a base family at once in O(q log q) from the quadratic
 twists of three curves, whose character sums are one batched FFT.  Every
-cover parameterization is sub(r) = f(r^3) for a Mobius map f, so a family's
-sum reads the table at f(0), f(infinity) and, three times each, at f(s) for
-the (q - 1) / 3 cubes s of F_q^*; when 3 does not divide q - 1, r -> r^3 and
-f permute P^1(F_q) and the sum is the whole table.
+family sits at f(r^3) for an integer Mobius map f (``SurfaceFamily.mobius``,
+derived from the group's covering map), so a family's sum reads the table
+at f(0), f(infinity) and, three times each, at f(s) for the (q - 1) / 3
+cubes s of F_q^*; when 3 does not divide q - 1, r -> r^3 and f permute
+P^1(F_q) and the sum is the whole table.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt
 
 from .catalog import _factorize
 from .series import exact_integers
-from .surfaces import COVERINGS, RationalFunction, beauville_short
+from .surfaces import COVERINGS, beauville_short
 
 # numpy after the package's modules: compiling `surfaces` with numpy already
 # loaded raised the peak RSS of perfbench's ap-scan process by 0.4 MiB
@@ -208,26 +209,24 @@ class LocalTrace:
 
 @dataclass(frozen=True)
 class SurfaceFamily:
-    """The level family pulled back along r -> sub(r) = f(r^3).  The
-    integer Mobius coefficients (a, b, c, d) of f(s) = (a s + b) / (c s + d),
-    with no common factor, are derived once, as ``mobius``; the bad primes
-    are 2, 3 and those dividing ad - bc, where f stops being a bijection."""
+    """The level family pulled back along r -> f(r^3) for the integer Mobius
+    map ``mobius`` = (a, b, c, d), f(s) = (a s + b) / (c s + d), stored with
+    no common factor and c > 0 (d > 0 when c = 0).  The bad primes are 2, 3
+    and those dividing ad - bc, where f stops being a bijection."""
     label: str
     level: str                     # key of surfaces.BEAUVILLE, e.g. "E8"
-    sub: RationalFunction
+    mobius: tuple[int, int, int, int]
 
     def __post_init__(self):
-        scale = lcm(*[c.denominator for c in self.sub.num + self.sub.den], 1)
-        num, den = ([int(c * scale) for c in poly] + [0] * (4 - len(poly))
-                    for poly in (self.sub.num, self.sub.den))
-        if len(num) > 4 or len(den) > 4 or any(num[1:3] + den[1:3]):
-            raise ValueError(f"{self.label}: the map is not f(r^3) for a Mobius map f")
-        coeffs = (num[3], num[0], den[3], den[0])
-        content = gcd(*coeffs)
-        a, b, c, d = (x // content for x in coeffs)
+        m = self.mobius
+        if not (isinstance(m, tuple) and len(m) == 4 and all(type(x) is int for x in m)):
+            raise ValueError(f"{self.label}: the Mobius map {m!r} is not four integers")
+        a, b, c, d = m
         if a * d == b * c:
             raise ValueError(f"{self.label}: the map is constant")
-        object.__setattr__(self, "mobius", (a, b, c, d))
+        unit = gcd(*m) * (1 if c > 0 or (c == 0 and d > 0) else -1)
+        a, b, c, d = m = tuple(x // unit for x in m)
+        object.__setattr__(self, "mobius", m)
         object.__setattr__(self, "_bad", frozenset({2, 3, *_factorize(abs(a * d - b * c))}))
 
     def bad_primes(self) -> frozenset[int]:
@@ -235,11 +234,11 @@ class SurfaceFamily:
 
 
 def surface_families(group) -> list[SurfaceFamily]:
-    """The families of a catalog group's surface parameterizations; none
-    for a group without covering data."""
+    """The families of a catalog group's cover, over its parent's Beauville
+    family; none for a group without covering data."""
     cover = COVERINGS.get(group.name)
-    return [SurfaceFamily(label, group.parent.family, sub)
-            for label, sub in (cover.parameterizations if cover else ())]
+    return [SurfaceFamily(label, group.parent.family, f)
+            for label, f in (cover.family_maps() if cover else ())]
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +441,9 @@ def trace_rows(groups, primes=TABLE8_PRIMES):
             for i, (name, fam) in enumerate(families) for p in primes]
 
 
+CSV_HEADER = "group,parameterization,p,tr_p,tr_p2"
+
+
 def rows_to_csv(rows) -> str:
-    lines = ["group,parameterization,p,tr_p,tr_p2", *(",".join(map(str, row)) for row in rows)]
+    lines = [CSV_HEADER, *(",".join(map(str, row)) for row in rows)]
     return "\n".join(lines) + "\n"

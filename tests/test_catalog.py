@@ -40,6 +40,24 @@ def test_generators_are_parabolic_with_det_one(name):
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
+def test_stored_widths_are_the_generators_widths(name):
+    # a parabolic M has width gcd(M - sI), s the sign of its trace; the eighth
+    # cusp closes the index
+    g = GROUPS[name]
+    widths = [gcd(a - s, b, c, d - s) for (a, b), (c, d) in g.generators
+              for s in [1 if a + d > 0 else -1]]
+    assert sorted(g.cusp_widths) == sorted(widths + [36 - sum(widths)])
+
+
+def test_width_at_infinity_read_from_the_generators():
+    assert [GROUPS[n].mu for n in ALL_NAMES] == [1, 3, 1, 1, 3, 1, 3, 1, 3]
+    g = GROUPS["gamma_24.6.1^6"]
+    for gens in (g.generators[:3], g.generators + (((1, 2), (0, 1)),)):
+        with pytest.raises(ValueError, match="fix infinity, not one"):
+            replace(g, generators=gens).mu
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
 def test_noncongruence_verdicts(name):
     assert noncongruence_test(GROUPS[name].cusp_widths) == "noncongruence"
 

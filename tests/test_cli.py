@@ -323,6 +323,7 @@ README = str(GOLDEN.parent / "README.md")
     (["traces", "--all", "--primes", "23..5,73"], "range '23..5' runs downward; write 5..23"),
     (["isogeny", "--pair", "4a", "--primes", "103..101"],
      "range '103..101' runs downward; write 101..103"),
+    (["expand", "E6", "h1", "--order", "3"], "expand E6 takes no form, not 'h1'"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)

@@ -206,7 +206,28 @@ def test_covering_involution_is_its_self_relation():
         rel = COVERINGS[name].relation
         assert rel in ISOGENY_BY_INVOLUTION.values(), name
         assert all(label.startswith(rel.level + "(")
-                   for label, _ in COVERINGS[name].parameterizations), name
+                   for label, _ in COVERINGS[name].twists), name
+
+
+def _spelled(text):
+    """A map as the catalog writes it ("2r^3-1", "1/(24r^3+9)") at r = T."""
+    text = re.sub(r"(\d)([r(])", r"\1*\2", text.replace("^", "**"))
+    return eval(text, {"r": T})
+
+
+@pytest.mark.parametrize("name", MAIN_GROUPS)
+def test_each_label_spells_its_derived_map(name):
+    # the label E8(g(r)) names the family's map f(r^3) = m^-1(k r^3),
+    # derived from the covering map m and the cube twist k
+    for label, (a, b, c, d) in COVERINGS[name].family_maps():
+        text = label.partition("(")[2][:-1]
+        assert _spelled(text) == rf([b, a], [d, c]).compose(T ** 3), label
+
+
+def test_covering_map_is_the_records_mobius_map():
+    for name in MAIN_GROUPS:
+        a, b, c, d = COVERINGS[name].m
+        assert COVERINGS[name].covering_m == (a * T + b) / (c * T + d), name
 
 
 @pytest.mark.parametrize("key", ISOGENY_BY_INVOLUTION)

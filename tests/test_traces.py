@@ -4,6 +4,7 @@ import csv
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, character_value,
                              get_group, kronecker_symbol, newform_an,
                              primes_upto)
 from noncong.series import exact_integers
-from noncong.surfaces import beauville_short, rf
+from noncong.surfaces import beauville_short
 from noncong.traces import (BadPrimeError, FIBER_VALUE, PrimeField,
                             QuadExtField, TABLE8_PRIMES,
                             _poly_eval, classify_singular_fiber,
@@ -229,7 +230,24 @@ def test_surface_families_read_the_parent_record():
     other = replace(g, parent=replace(g.parent, label="Gamma1(5)", family="E5"))
     fams = surface_families(other)
     assert fams and all(f.level == "E5" for f in fams)
-    assert [f.sub for f in fams] == [f.sub for f in surface_families(g)]
+    assert [f.mobius for f in fams] == [f.mobius for f in surface_families(g)]
+
+
+# f(s) = (a s + b) / (c s + d) of each family, as the surface parameterization
+# of the catalog spells it; every bad set is {2, 3}
+FAMILY_MAPS = {
+    "E8(r^3)": (1, 0, 0, 1), "E8((r^3-1)/(r^3+1))": (1, -1, 1, 1),
+    "E8(r^3-1)": (1, -1, 0, 1), "E8(2r^3-1)": (2, -1, 0, 1), "E8(4r^3-1)": (4, -1, 0, 1),
+    "E8(2/(r^3-2))": (0, 2, 1, -2), "E6(3r^3)": (3, 0, 0, 1), "E6(9r^3)": (9, 0, 0, 1),
+    "E6((1-3r^3)/(9-3r^3))": (3, -1, 3, -9), "E6(1-24/r^3)": (1, -24, 1, 0),
+    "E6(1-8/(3r^3))": (3, -8, 3, 0), "E6(1/(24r^3+9))": (0, 1, 24, 9),
+}
+
+
+def test_family_maps_derive_from_the_covers():
+    fams = [f for name in MAIN_GROUPS for f in surface_families(GROUPS[name])]
+    assert {f.label: f.mobius for f in fams} == FAMILY_MAPS
+    assert len(fams) == 12 and all(f.bad_primes() == {2, 3} for f in fams)
 
 
 # --- local traces and their sum ----------------------------------------------------
@@ -412,19 +430,30 @@ def test_cube_cover_sum_at_211_squared_sampled():
                 assert local_trace(fam, field, x).value == want
 
 
-@pytest.mark.parametrize("coeffs", [[1, 0, 1], [0, 1, 0, 1], [0, 0, 0, 0, 0, 0, 1]])
-def test_family_that_is_not_a_cubic_cover_refused(coeffs):
-    with pytest.raises(ValueError, match="Mobius"):
-        SurfaceFamily("E8(sub)", "E8", rf(coeffs))
+@pytest.mark.parametrize("mobius", [(1, 0, 1), (1, 0, 0, 1, 0), [1, 0, 0, 1],
+                                    (1, 0, 0, 1.0), (1, Fraction(1, 2), 0, 1), "1001"],
+                         ids=["three", "five", "list", "float", "fraction", "string"])
+def test_malformed_mobius_map_refused(mobius):
+    with pytest.raises(ValueError, match="not four integers"):
+        SurfaceFamily("E8(sub)", "E8", mobius)
+
+
+def test_mobius_map_normalised():
+    # content divided out, sign fixed so that c > 0, or d > 0 when c = 0
+    assert SurfaceFamily("f", "E8", (-2, 4, -6, 8)).mobius == (1, -2, 3, -4)
+    assert SurfaceFamily("f", "E8", (-3, 0, 0, -6)).mobius == (1, 0, 0, 2)
+    assert SurfaceFamily("f", "E8", (4, -2, 0, -2)).mobius == (-2, 1, 0, 1)
 
 
 def test_degenerate_mobius_map_refused():
-    fam = SurfaceFamily("E8(5r^3-1)", "E8", rf([-1, 0, 0, 5]))
+    fam = SurfaceFamily("E8(5r^3-1)", "E8", (5, -1, 0, 1))
     assert fam.mobius == (5, -1, 0, 1) and fam.bad_primes() == {2, 3, 5}
     with pytest.raises(BadPrimeError):
         frobenius_trace(fam, 5)
     with pytest.raises(ValueError, match="constant"):
-        SurfaceFamily("E8(2)", "E8", rf([2]))
+        SurfaceFamily("E8(2)", "E8", (0, 2, 0, 1))
+    with pytest.raises(ValueError, match="constant"):
+        SurfaceFamily("E8(0)", "E8", (0, 0, 0, 0))
 
 
 # Tr_{p^2} = k (A_p^2 - 2 chi(p) p^2) with k = psi(c) + conj psi(c) for the
@@ -478,8 +507,8 @@ def test_bad_primes_refused():
         with pytest.raises(BadPrimeError):
             frobenius_trace(fam, p)
     assert fam.bad_primes() == {2, 3}
-    scaled = SurfaceFamily("E8(5r^3/7)", "E8", rf([0, 0, 0, 5], [7]))
-    assert scaled.bad_primes() == {2, 3, 5, 7}      # content 5, resultant 7^3
+    scaled = SurfaceFamily("E8(5r^3/7)", "E8", (5, 0, 0, 7))
+    assert scaled.bad_primes() == {2, 3, 5, 7}      # ad - bc = 35
     with pytest.raises(BadPrimeError):
         frobenius_trace(scaled, 5)
 
