@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from math import gcd
 
 from . import catalog
 from .series import EtaQuotient, eisenstein_e6
@@ -74,7 +75,7 @@ def _print_series(series, fmt: str, limit: int | None = None):
 
 # Largest prime `traces` and `isogeny` accept in --primes: at p = 2003 a
 # cold `traces gamma_24.6.1^6 --primes 2003`, which builds the E8 tables over
-# F_p and F_{p^2}, takes 3.2 s and peaks at 495 MiB (2-vCPU x86_64).
+# F_p and F_{p^2}, takes 3.5 s and peaks at 257 MiB (2-vCPU x86_64).
 PRIME_LIMIT = 2003
 
 # Largest --order `expand` accepts.  The forms of the groups with mu = 1 cost
@@ -83,11 +84,13 @@ PRIME_LIMIT = 2003
 ORDER_LIMIT = 2000
 
 # Largest --root `expand eta` accepts; it admits every eta^24^(1/k) =
-# eta^(24/k).  The k-th root is stored as order * k dense coefficients, and
-# its recurrence carries integers of up to about 2 order log2(k) bits.  At
-# order 2000 the 24th root of eta^-24 takes 61 s and 41 MiB and the 100th
-# root of eta^24 over 120 s; with no limit, --root 100000 --order 100 took
-# 27 s and 1.27 GiB (2-vCPU x86_64).
+# eta^(24/k).  `expand` divides k and the exponents by their gcd first, so
+# the 24th root of eta^-24 is eta^-1 (0.3 s at order 2000).  A root that
+# remains is stored as order * k dense coefficients, and its recurrence
+# carries integers of up to about 2 order log2(k) bits: at order 2000 the
+# cube root of eta(z)^4 eta(2z)^-6 eta(4z)^20 takes 7.0 s and 28 MiB, and the
+# square root of eta 13 s and 635 MiB; with no limit, --root 100000 --order
+# 100 took 27 s and 1.27 GiB (2-vCPU x86_64).
 ROOT_LIMIT = 24
 
 # Largest --pmax and --pn-bound `aswd` accepts.  At both limits one cold aswd
@@ -118,9 +121,11 @@ def cmd_expand(args) -> int:
         spec = args.form or ""
         try:
             eq = EtaQuotient.parse(spec)
-            s = eq.expansion(order + 2)
-            if args.root > 1:
-                s = s.nth_root(args.root)
+            # (prod eta^e)^(1/k) = (prod eta^(e/d))^(d/k) for d = gcd(k, every e):
+            # a smaller root, none where k divides every exponent
+            d = gcd(args.root, *(e for _, e in eq.factors))
+            eq = EtaQuotient(tuple((m, e // d) for m, e in eq.factors))
+            s = eq.expansion(order + 2).nth_root(args.root // d)
         except ValueError as e:
             raise InputRefused(f"eta quotient {spec!r}: {e}") from None
         _print_series(s.truncate(min(s.trunc, (order + 1) * s.mu)), args.format)

@@ -568,11 +568,13 @@ def exact_integers(values: np.ndarray) -> np.ndarray:
     """Round FFT output whose exact values are integers, refusing it when
     any entry lies 0.25 or more from the nearest integer."""
     import numpy as np
-    rounded = np.rint(values)
-    margin = float(np.max(np.abs(values - rounded)))
+    error = np.rint(values)
+    rounded = error.astype(np.int64)
+    error -= values             # in place: one float temporary beside the result
+    margin = float(np.max(np.abs(error, out=error)))
     if not margin < 0.25:
         raise AssertionError(f"FFT rounding margin {margin:.3g} reached 0.25")
-    return rounded.astype(np.int64)
+    return rounded
 
 
 def _limbs(length: int, m_max: int) -> tuple[int, int]:

@@ -12,12 +12,14 @@ for a smooth fiber, +1 / -1 / 0 for split / nonsplit multiplicative /
 additive fibers (-2AB a square, a nonsquare, zero).  ``local_trace`` counts
 points one parameter at a time and is the reference.  ``fiber_trace_table``
 gets every fiber of a base family at once in O(q log q) from the quadratic
-twists of three curves, whose character sums are one batched FFT.  Every
-family sits at f(r^3) for an integer Mobius map f (``SurfaceFamily.mobius``,
-derived from the group's covering map), so a family's sum reads the table
-at f(0), f(infinity) and, three times each, at f(s) for the (q - 1) / 3
-cubes s of F_q^*; when 3 does not divide q - 1, r -> r^3 and f permute
-P^1(F_q) and the sum is the whole table.
+twists of three curves, whose character sums are FFT correlations; over
+F_{p^2} the sums run one curve at a time and the table fills in blocks of
+rows, so the memory beside the field's tables and the result stays a
+bounded share of q.  Every family sits at f(r^3) for an integer Mobius map
+f (``SurfaceFamily.mobius``, derived from the group's covering map), so a
+family's sum reads the table at f(0), f(infinity) and, three times each, at
+f(s) for the (q - 1) / 3 cubes s of F_q^*; when 3 does not divide q - 1,
+r -> r^3 and f permute P^1(F_q) and the sum is the whole table.
 """
 
 from __future__ import annotations
@@ -82,14 +84,9 @@ class PrimeField:
 
     def character_sums(self) -> np.ndarray:
         """The int16 table S[i, b] of ``_character_sums``, built once and
-        shared by the E8 and E6 tables.  Each S_rep(b) is minus the trace of
-        a curve over F_q, or 0 or +-1 at a singular one: the Hasse bound
-        |S| <= 2 sqrt(q) guards the FFT, and fits S in int16 for p < 2^14."""
+        shared by the E8 and E6 tables."""
         if self._sums is None:
-            S = _character_sums(self)
-            if np.any(S ** 2 > 4 * self.q):
-                raise AssertionError(f"Hasse bound violated in the character sums over F_{self.q}")
-            self._sums = S.astype(np.int16)
+            self._sums = _character_sums(self)
         return self._sums
 
     def mul_vec(self, x, y):
@@ -263,6 +260,23 @@ def _infinity_model(level: str) -> tuple[int, int]:
     return Astar, Bstar
 
 
+# A grid over F_{p^2} is filled in at most GRID_BLOCKS blocks of whole rows,
+# and the counts of a character sum in as many blocks of x, each of at least
+# BLOCK_MIN elements: the temporaries of a block then stay below the peak of
+# one character-sum correlation, and a table with q <= BLOCK_MIN (and every
+# F_p table) is one block.  Measurements in notes/decisions.md, "F_{p^2}
+# tables in bounded memory".
+GRID_BLOCKS = 8
+BLOCK_MIN = 4096
+
+
+def _blocks(count: int, width: int = 1) -> list[slice]:
+    """range(count), items of ``width`` elements each, cut into at most
+    GRID_BLOCKS slices of at least BLOCK_MIN elements (one slice if fewer)."""
+    step = max(-(-count // GRID_BLOCKS), -(-BLOCK_MIN // width))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
 # room for the four tables of one prime (E8 and E6, over F_p and F_{p^2}) twice
 @lru_cache(maxsize=8)
 def fiber_trace_table(level: str, p: int, squared: bool, /):
@@ -274,25 +288,25 @@ def fiber_trace_table(level: str, p: int, squared: bool, /):
     rep = g^(log A mod 2) (0 for A = 0), sum_x chi(x^3 + Ax + B) equals
     chi(u) * S_rep(B / u^3), read from the field's ``character_sums``; u,
     B / u^3 and chi(u) are sums of log indices.  Singular fibers take
-    chi(-2AB).
+    chi(-2AB).  The table is filled block by block of ``_poly_grids``, so
+    beside the result only one block's temporaries are alive.
     """
     field = field_for(p, squared)
     n = field.q - 1
     E, L, chi, const = field.exp, field.log, field.chi_table, field.constant
     S = field.character_sums()
-    A, B = (_poly_grid(field, coeffs) for coeffs in _level_poly_coeffs(level))
-    LA, LB = L[A], L[B]
-
-    half = LA >> 1                          # log u
-    code = np.where(A == 0, 0, 1 + (LA & 1))     # rep index: 0, 1 or g
-    Bt = np.where(B == 0, 0, E[(LB - 3 * half) % n])
-    tau = (2 * (half & 1) - 1) * S[code, Bt]     # -chi(u) S_rep(B / u^3)
-
     # 4A^3 + 27B^2 = 0: both zero, or log 4 + 3 log A = log(-27) + 2 log B
     shift = L[const(4)] - L[const(-27)]
-    sing = np.where(A == 0, B == 0, (B != 0) & ((shift + 3 * LA - 2 * LB) % n == 0))
-    tau[sing] = chi[field.mul_vec(field.mul_vec(A[sing], B[sing]), const(-2))]
-    tau = tau.astype(np.int32)              # |tau| <= 2 sqrt(q) by Hasse
+    tau = np.empty(field.q, dtype=np.int32)      # |tau| <= 2 sqrt(q) by Hasse
+    for block, (A, B) in _poly_grids(field, _level_poly_coeffs(level)):
+        LA, LB = L[A], L[B]
+        half = LA >> 1                          # log u
+        code = np.where(A == 0, 0, 1 + (LA & 1))     # rep index: 0, 1 or g
+        Bt = np.where(B == 0, 0, E[(LB - 3 * half) % n])
+        t = (2 * (half & 1) - 1) * S[code, Bt]  # -chi(u) S_rep(B / u^3)
+        sing = np.where(A == 0, B == 0, (B != 0) & ((shift + 3 * LA - 2 * LB) % n == 0))
+        t[sing] = chi[field.mul_vec(field.mul_vec(A[sing], B[sing]), const(-2))]
+        tau[block] = t
 
     Astar, Bstar = _infinity_model(level)
     tau_inf = chi[const(-2 * Astar * Bstar)]
@@ -300,52 +314,88 @@ def fiber_trace_table(level: str, p: int, squared: bool, /):
     return tau, int(tau_inf)
 
 
-def _poly_grid(field, coeffs) -> np.ndarray:
-    """The integer polynomial P at every element of F_q, by index.  Over
-    F_{p^2}, P(a + b w) = sum_k D_k(a) (b w)^k with D_k = P^(k) / k! and
-    w^2 = nu: the F_p part (even k) and the w part (odd k) are each one
-    matrix product of D_k(a) nu^(k // 2) (rows a) by b^k (columns b)."""
+def _poly_grids(field, polys):
+    """Yield (block, values): a slice of element indices of F_q and each
+    integer polynomial of ``polys`` at those elements, block after block.
+    F_p is one block.  Over F_{p^2}, P(a + b w) = sum_k D_k(a) (b w)^k with
+    D_k = P^(k) / k! and w^2 = nu, and a block is rows a of the (p, p) grid
+    (``_blocks``): there the F_p part (even k) and the w part (odd k) are
+    each one matrix product of D_k(a) nu^(k // 2) (rows a) by b^k (columns
+    b); both factors are built once, for every a and b."""
     p = field.p
     a = np.arange(p, dtype=np.int64)
     if field.q == p:
-        return _poly_eval(field, coeffs, a)
+        yield slice(0, p), [_poly_eval(field, coeffs, a) for coeffs in polys]
+        return
     base = field_for(p, False)
-    D = np.array([_poly_eval(base, [comb(i, k) * c for i, c in enumerate(coeffs)][k:], a)
-                  * pow(field.nu, k // 2, p) % p for k in range(len(coeffs))])
-    V = np.ones_like(D)
-    for k in range(1, len(coeffs)):
+    Ds = [np.array([_poly_eval(base, [comb(i, k) * c for i, c in enumerate(coeffs)][k:], a)
+                    * pow(field.nu, k // 2, p) % p for k in range(len(coeffs))])
+          for coeffs in polys]
+    V = np.ones((max(map(len, polys)), p), dtype=np.int64)
+    for k in range(1, len(V)):
         V[k] = V[k - 1] * a % p
-    return (D[0::2].T @ V[0::2] % p * p + D[1::2].T @ V[1::2] % p).ravel()
+    for rows in _blocks(p, p):
+        values = []
+        for D in Ds:
+            W = V[:len(D)]
+            values.append((D[0::2, rows].T @ W[0::2] % p * p
+                           + D[1::2, rows].T @ W[1::2] % p).ravel())
+        yield slice(rows.start * p, rows.stop * p), values
+
+
+def _cubic_counts(field, i: int) -> np.ndarray:
+    """N[v] = #{x in F_q : x^3 + rep_i x = v} for rep_i = 0, 1, g, as
+    float64: x = g^k gives x^3 = g^(3k) and g x = g^(k+1), k in blocks of
+    ``_blocks``, and x = 0 adds v = 0."""
+    n, E = field.q - 1, field.exp
+    N = np.zeros(field.q)
+    N[0] = 1
+    for ks in _blocks(n):
+        k = np.arange(ks.start, ks.stop)
+        v = E[3 * k % n]
+        if i:
+            v = field.add_vec(v, E[(k + i - 1) % n])
+        np.add.at(N, v, 1.0)
+    return N
 
 
 def _character_sums(field) -> np.ndarray:
     """S[i, b] = sum_x chi(x^3 + rep_i x + b) for rep_i = 0, 1, g and every
-    b: the correlations of N[i, v] = #{x : x^3 + rep_i x = v} with chi, in
-    one batched FFT.  Over F_p it is linear, zero-padded to a power of two
-    m >= 2p and folded mod p, S[b] = C[b] + C[m - p + b] (prime-length
-    transforms are slower); over F_{p^2} circular on the (p, p) grid."""
+    b, as int16: the correlations of N_i (``_cubic_counts``) with chi by
+    FFT.  Over F_p the three are one batched transform, linear, zero-padded
+    to a power of two m >= 2p and folded mod p, S[b] = C[b] + C[m - p + b]
+    (prime-length circular transforms were about 3x slower).  Over F_{p^2}
+    they are circular on the (p, p) grid, one representative at a time
+    against the spectrum of chi taken once, so one count table and one
+    spectrum are alive at a time.  Each S_rep(b) is minus the trace of a
+    curve over F_q, or 0 or +-1 at a singular one: every row is rounded
+    under the guard of ``exact_integers`` and checked against the Hasse
+    bound |S| <= 2 sqrt(q), which also fits S in int16 for p < 2^14."""
     from numpy import fft      # numpy.fft is not loaded by ``import numpy``
-    q, n, E, shape = field.q, field.q - 1, field.exp, field.shape
-    k = np.arange(n)           # x = g^k: x^3 = g^(3k), g x = g^(k+1); x = 0 adds v = 0
-    x3 = E[3 * k % n]
-    N = np.empty((3, q))
-    N[0] = np.bincount(x3, minlength=q)
-    N[1] = np.bincount(field.add_vec(x3, E), minlength=q)
-    N[2] = np.bincount(field.add_vec(x3, E[(k + 1) % n]), minlength=q)
-    N[:, 0] += 1
-    del k, x3                  # each full-size temporary is freed before the next
+    q, shape = field.q, field.shape
+
+    def checked(sums):
+        if np.any(sums ** 2 > 4 * q):
+            raise AssertionError(f"Hasse bound violated in the character sums over F_{q}")
+        return sums.astype(np.int16)
+
     if len(shape) == 1:
         p = shape[0]
         m = 1 << (2 * p - 1).bit_length()
+        N = np.array([_cubic_counts(field, i) for i in range(3)])
         C = fft.irfft(np.conj(fft.rfft(N, m)) * fft.rfft(field.chi_table, m), m)
-        return exact_integers(C[:, :p] + C[:, m - p:])
-    axes = (1, 2)
-    spectrum = fft.rfftn(N.reshape(3, *shape), axes=axes)
-    del N
-    np.conjugate(spectrum, out=spectrum)
-    spectrum *= fft.rfftn(field.chi_table.reshape(shape))
-    spectrum = fft.irfftn(spectrum, s=shape, axes=axes)      # the correlations
-    return exact_integers(spectrum.reshape(3, -1))
+        return checked(exact_integers(C[:, :p] + C[:, m - p:]))
+    axes = (0, 1)
+    chi_spectrum = fft.rfftn(field.chi_table.reshape(shape), axes=axes)
+    S = np.empty((3, q), dtype=np.int16)
+    for i in range(3):
+        spectrum = fft.rfftn(_cubic_counts(field, i).reshape(shape), axes=axes)
+        np.conjugate(spectrum, out=spectrum)
+        spectrum *= chi_spectrum
+        spectrum = fft.irfftn(spectrum, s=shape, axes=axes)      # the correlation
+        S[i] = checked(exact_integers(spectrum.ravel()))
+        del spectrum           # freed before the next counts
+    return S
 
 
 # ---------------------------------------------------------------------------

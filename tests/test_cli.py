@@ -87,6 +87,16 @@ def test_expand_eta_root_of_power_is_lower_power(capsys, root, fmt):
     assert rc == 0 and rooted == direct
 
 
+def test_expand_eta_root_dividing_every_exponent_takes_no_root(capsys):
+    """(eta^-24)^(1/24) prints as eta^-1, at the largest order and in well
+    under the 43 s the root recurrence took there."""
+    t0 = time.perf_counter()
+    rc, rooted, _ = run(capsys, "expand", "eta", "1:-24", "--root", "24", "--order", "2000")
+    assert time.perf_counter() - t0 < 5.0
+    assert rc == 0
+    assert rooted == run(capsys, "expand", "eta", "1:-1", "--order", "2000")[1]
+
+
 def test_expand_eta_root_limit(capsys):
     """A root degree past the limit is refused before any series is built;
     roots up to the limit print as before."""
@@ -239,47 +249,55 @@ def test_cli_validation_of_format_and_pn_bound(capsys):
     assert rc == 0 and out.endswith("13,case1,147,147\n")
 
 
+def case(number, argv, message):
+    """A (command line, expected text) case under the fixed id
+    argv<number>-<text>, the id pytest once gave it by position, so adding or
+    moving a case renames no other; a new case takes a pytest.param id of
+    its own."""
+    return pytest.param(argv, message, id=f"argv{number}-{message}")
+
+
 GROUP_LIST = ", ".join(GROUPS)
 MISSING = str(GOLDEN / "nonexist.csv")
 README = str(GOLDEN.parent / "README.md")
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["aswd", "nosuch"], f"unknown group 'nosuch'; catalog has: {GROUP_LIST}"),
-    (["traces", "nosuch"], f"unknown group 'nosuch'; catalog has: {GROUP_LIST}"),
-    (["expand", "nosuch"], f"unknown group 'nosuch'; catalog has: {GROUP_LIST}"),
-    (["expand", "eta", "1:x"],
-     "eta quotient '1:x': '1:x' is not a pair scale:exponent like '2:-6'"),
-    (["expand", "gamma_24.6.1^6", "h3"], "form 'h3' is neither h1 nor h2"),
-    (["expand", "E6", "--order", "0"], "--order 0 is not a positive integer"),
-    (["aswd", "gamma_24.6.1^6", "--pn-bound", "3"],
-     "--pn-bound 3 is below --pmax 47: each p needs n*p <= pn-bound for n = 1 at least"),
-    (["aswd", "gamma_24.6.1^6", "--pn-bound", "-5"],
-     "--pn-bound -5 is below --pmax 47: each p needs n*p <= pn-bound for n = 1 at least"),
-    (["aswd", "gamma_24.6.1^6", "--pn-bound", "0"],
-     "--pn-bound 0 is below --pmax 47: each p needs n*p <= pn-bound for n = 1 at least"),
-    (["aswd", "gamma_24.6.1^6", "--pmax", "600"],
-     "--pn-bound 500 is below --pmax 600: each p needs n*p <= pn-bound for n = 1 at least"),
-    (["aswd", "gamma_24.6.1^6", "--pmax", "3"], "--pmax 3 selects no prime p >= 5"),
-    (["aswd", "gamma_24.6.1^6", "--pmax", "7000", "--pn-bound", "7000"],
-     "--pmax 7000 is above the prime limit 2003"),
-    (["isogeny", "--pair", "4a", "--primes", "5..100000000"],
-     "100000000 is above the prime limit 2003"),
-    (["isogeny", "--pair", "4a", "--primes", "5..x"],
-     "'5..x' is neither a prime nor a range a..b"),
-    (["isogeny"], "give --pair or --self"),
-    (["expand", "eta", "1:2,1:3"], "eta quotient '1:2,1:3': scale 1 is given twice"),
-    (["expand", "eta", "1:24", "--root", "0"], "--root 0 is not a positive integer"),
-    (["expand", "eta", "1:24", "--root", "-2"], "--root -2 is not a positive integer"),
-    (["isogeny", "--self", "gamma_24.6.1^6", "--samples", "0"],
-     "--samples 0 is not a positive integer"),
-    (["isogeny", "--self", "gamma_24.6.1^6", "--samples", "-4"],
-     "--samples -4 is not a positive integer"),
-    (["expand", "gamma_24.6.1^6", "h1", "--root", "3"],
-     "--root 3 applies to expand eta only"),
-    (["expand", "E6", "--root", "5"], "--root 5 applies to expand eta only"),
-    (["aswd", "gamma_24.6.1^6", "--pmax", "97", "--pn-bound", "20000"],
-     "--pn-bound 20000 is above the limit 10000"),
+    case(0, ["aswd", "nosuch"], f"unknown group 'nosuch'; catalog has: {GROUP_LIST}"),
+    case(1, ["traces", "nosuch"], f"unknown group 'nosuch'; catalog has: {GROUP_LIST}"),
+    case(2, ["expand", "nosuch"], f"unknown group 'nosuch'; catalog has: {GROUP_LIST}"),
+    case(3, ["expand", "eta", "1:x"],
+         "eta quotient '1:x': '1:x' is not a pair scale:exponent like '2:-6'"),
+    case(4, ["expand", "gamma_24.6.1^6", "h3"], "form 'h3' is neither h1 nor h2"),
+    case(5, ["expand", "E6", "--order", "0"], "--order 0 is not a positive integer"),
+    case(6, ["aswd", "gamma_24.6.1^6", "--pn-bound", "3"],
+         "--pn-bound 3 is below --pmax 47: each p needs n*p <= pn-bound for n = 1 at least"),
+    case(7, ["aswd", "gamma_24.6.1^6", "--pn-bound", "-5"],
+         "--pn-bound -5 is below --pmax 47: each p needs n*p <= pn-bound for n = 1 at least"),
+    case(8, ["aswd", "gamma_24.6.1^6", "--pn-bound", "0"],
+         "--pn-bound 0 is below --pmax 47: each p needs n*p <= pn-bound for n = 1 at least"),
+    case(9, ["aswd", "gamma_24.6.1^6", "--pmax", "600"],
+         "--pn-bound 500 is below --pmax 600: each p needs n*p <= pn-bound for n = 1 at least"),
+    case(10, ["aswd", "gamma_24.6.1^6", "--pmax", "3"], "--pmax 3 selects no prime p >= 5"),
+    case(11, ["aswd", "gamma_24.6.1^6", "--pmax", "7000", "--pn-bound", "7000"],
+         "--pmax 7000 is above the prime limit 2003"),
+    case(12, ["isogeny", "--pair", "4a", "--primes", "5..100000000"],
+         "100000000 is above the prime limit 2003"),
+    case(13, ["isogeny", "--pair", "4a", "--primes", "5..x"],
+         "'5..x' is neither a prime nor a range a..b"),
+    case(14, ["isogeny"], "give --pair or --self"),
+    case(15, ["expand", "eta", "1:2,1:3"], "eta quotient '1:2,1:3': scale 1 is given twice"),
+    case(16, ["expand", "eta", "1:24", "--root", "0"], "--root 0 is not a positive integer"),
+    case(17, ["expand", "eta", "1:24", "--root", "-2"], "--root -2 is not a positive integer"),
+    case(18, ["isogeny", "--self", "gamma_24.6.1^6", "--samples", "0"],
+         "--samples 0 is not a positive integer"),
+    case(19, ["isogeny", "--self", "gamma_24.6.1^6", "--samples", "-4"],
+         "--samples -4 is not a positive integer"),
+    case(20, ["expand", "gamma_24.6.1^6", "h1", "--root", "3"],
+         "--root 3 applies to expand eta only"),
+    case(21, ["expand", "E6", "--root", "5"], "--root 5 applies to expand eta only"),
+    case(22, ["aswd", "gamma_24.6.1^6", "--pmax", "97", "--pn-bound", "20000"],
+         "--pn-bound 20000 is above the limit 10000"),
     # the golden paths depend on the checkout, so these ids are fixed
     pytest.param(["aswd", "gamma_24.6.1^6", "--pmax", "7", "--golden", MISSING],
                  f"golden file {MISSING}: No such file or directory", id="aswd-golden-missing"),
@@ -291,39 +309,42 @@ README = str(GOLDEN.parent / "README.md")
     pytest.param(["traces", "--all", "--golden", README],
                  f"golden file {README}: the first line is not "
                  "'group,parameterization,p,tr_p,tr_p2'", id="traces-golden-not-csv"),
-    (["aswd", "gamma_24.6.1^6", "--pmax", "7", "--three-term", "-1"],
-     "--three-term -1 is negative"),
-    (["expand", "gamma_24.6.1^6", "h1", "--order", "2001"],
-     "--order 2001 is above the limit 2000"),
-    (["expand", "eta", "1:24", "--order", "100000"], "--order 100000 is above the limit 2000"),
-    (["expand", "eta", "1:24", "--root", "3", "--order", "100000"],
-     "--order 100000 is above the limit 2000"),
-    (["expand", "E6", "--order", "100000"], "--order 100000 is above the limit 2000"),
-    (["expand", "eta", "1:24", "--root", "25"], "--root 25 is above the limit 24"),
-    (["isogeny", "--pair", "4a", "--primes", "2"],
-     "--primes selects 2; the isogeny check needs p >= 5"),
-    (["isogeny", "--self", "gamma_24.6.1^6", "--primes", "2"],
-     "--primes selects 2; the isogeny check needs p >= 5"),
-    (["isogeny", "--pair", "4a", "--primes", "5"],
-     "50 samples asked, but only 2 points t = 1..4 can be sampled mod p = 5"),
-    (["isogeny", "--self", "gamma_24.6.1^6", "--primes", "5"],
-     "50 samples asked, but only 2 points t = 1..4 can be sampled mod p = 5"),
-    (["traces", "gamma_24.3.2^3.1^3B", "--primes", "5..13"],
-     "gamma_24.3.2^3.1^3B carries no surface parameterization"),
+    case(27, ["aswd", "gamma_24.6.1^6", "--pmax", "7", "--three-term", "-1"],
+         "--three-term -1 is negative"),
+    case(28, ["expand", "gamma_24.6.1^6", "h1", "--order", "2001"],
+         "--order 2001 is above the limit 2000"),
+    case(29, ["expand", "eta", "1:24", "--order", "100000"],
+         "--order 100000 is above the limit 2000"),
+    case(30, ["expand", "eta", "1:24", "--root", "3", "--order", "100000"],
+         "--order 100000 is above the limit 2000"),
+    case(31, ["expand", "E6", "--order", "100000"], "--order 100000 is above the limit 2000"),
+    case(32, ["expand", "eta", "1:24", "--root", "25"], "--root 25 is above the limit 24"),
+    case(33, ["isogeny", "--pair", "4a", "--primes", "2"],
+         "--primes selects 2; the isogeny check needs p >= 5"),
+    case(34, ["isogeny", "--self", "gamma_24.6.1^6", "--primes", "2"],
+         "--primes selects 2; the isogeny check needs p >= 5"),
+    case(35, ["isogeny", "--pair", "4a", "--primes", "5"],
+         "50 samples asked, but only 2 points t = 1..4 can be sampled mod p = 5"),
+    case(36, ["isogeny", "--self", "gamma_24.6.1^6", "--primes", "5"],
+         "50 samples asked, but only 2 points t = 1..4 can be sampled mod p = 5"),
+    case(37, ["traces", "gamma_24.3.2^3.1^3B", "--primes", "5..13"],
+         "gamma_24.3.2^3.1^3B carries no surface parameterization"),
     # a_1 = 0 by construction, so n = 1, the only n <= pn-bound/p, tests nothing
-    (["aswd", "gamma_24.3.2^3.1^3B", "--pmax", "7", "--pn-bound", "7"],
-     "--pn-bound 7 is too small for gamma_24.3.2^3.1^3B: "
-     "insufficient data: no usable ratio indices for p=5"),
-    (["aswd", "gamma_24.3.2^3.1^3B", "--pmax", "7", "--pn-bound", "12"],
-     "--pn-bound 12 is too small for gamma_24.3.2^3.1^3B: "
-     "insufficient data: no usable ratio indices for p=7"),
-    (["isogeny", "--self", "gamma_24.3.2^3.1^3B"],
-     "gamma_24.3.2^3.1^3B carries no involution data"),
-    (["isogeny", "--pair", "5a"], "--pair '5a' is not a known relation; known: 1a, 2a, 3a, 4a"),
-    (["traces", "--all", "--primes", "23..5,73"], "range '23..5' runs downward; write 5..23"),
-    (["isogeny", "--pair", "4a", "--primes", "103..101"],
-     "range '103..101' runs downward; write 101..103"),
-    (["expand", "E6", "h1", "--order", "3"], "expand E6 takes no form, not 'h1'"),
+    case(38, ["aswd", "gamma_24.3.2^3.1^3B", "--pmax", "7", "--pn-bound", "7"],
+         "--pn-bound 7 is too small for gamma_24.3.2^3.1^3B: "
+         "insufficient data: no usable ratio indices for p=5"),
+    case(39, ["aswd", "gamma_24.3.2^3.1^3B", "--pmax", "7", "--pn-bound", "12"],
+         "--pn-bound 12 is too small for gamma_24.3.2^3.1^3B: "
+         "insufficient data: no usable ratio indices for p=7"),
+    case(40, ["isogeny", "--self", "gamma_24.3.2^3.1^3B"],
+         "gamma_24.3.2^3.1^3B carries no involution data"),
+    case(41, ["isogeny", "--pair", "5a"],
+         "--pair '5a' is not a known relation; known: 1a, 2a, 3a, 4a"),
+    case(42, ["traces", "--all", "--primes", "23..5,73"],
+         "range '23..5' runs downward; write 5..23"),
+    case(43, ["isogeny", "--pair", "4a", "--primes", "103..101"],
+         "range '103..101' runs downward; write 101..103"),
+    case(44, ["expand", "E6", "h1", "--order", "3"], "expand E6 takes no form, not 'h1'"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)
@@ -355,8 +376,8 @@ def test_format_the_command_does_not_write_is_refused(capsys, fmt, argv, writes)
 
 
 @pytest.mark.parametrize("argv,row", [
-    (["aswd", "gamma_24.6.1^6", "--pmax", "7"], "7,case1,47"),
-    (["traces", "--all"], "gamma_24.6.1^6,E8(r^3),5,0,x"),
+    case(0, ["aswd", "gamma_24.6.1^6", "--pmax", "7"], "7,case1,47"),
+    case(1, ["traces", "--all"], "gamma_24.6.1^6,E8(r^3),5,0,x"),
 ])
 def test_malformed_golden_row_refused(capsys, tmp_path, argv, row):
     golden = GOLDEN / ("traces.csv" if argv[0] == "traces" else "ratios_gamma_24.6.1-6.csv")

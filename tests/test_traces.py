@@ -590,6 +590,27 @@ def test_hasse_guard_refuses_corrupted_table(monkeypatch):
         fiber_trace_table("E8", 11, False)
 
 
+def test_fp2_tables_stay_within_70_bytes_per_element():
+    """The tracemalloc peak of F_{211^2}, its character sums and the E8 and
+    E6 tables, from empty caches, per element of the field: 113 bytes when
+    the grid and the three correlations were built whole.  numpy reports its
+    buffers to tracemalloc, so the figure repeats exactly."""
+    import tracemalloc
+    field_for(5, True).character_sums()         # first-call imports
+    field_for.cache_clear()
+    fiber_trace_table.cache_clear()
+    tracemalloc.start()
+    try:
+        field = field_for(211, True)
+        field.character_sums()
+        fiber_trace_table("E8", 211, True)
+        fiber_trace_table("E6", 211, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / field.q <= 70
+
+
 def test_character_sums_computed_once_per_field(monkeypatch):
     import noncong.traces as traces
     calls, compute = [], traces._character_sums
