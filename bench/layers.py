@@ -25,9 +25,9 @@ The measurements, with the N each is taken at (N = 1 where none applies):
   factor (k, e) of every basis form (scales divided by their gcd), from an
   empty store;
 * ``residues`` (same N): ``coefficient_residues`` of gamma_24.6.1^6, both
-  basis forms through printed index N, mod p^2 for 5 <= p <= 97 and mod
-  65521 (the batch of one ``aswd --pmax 97`` run); the set-up builds the
-  exact eta powers, so this times the mod-p^2 kernel alone;
+  basis forms through printed index N, mod p^2 for 5 <= p <= 97 (the batch
+  of one ``aswd --pmax 97`` run); the set-up builds the exact eta powers,
+  so this times the mod-p^2 kernel alone;
 * ``aswd``, ``aswd_cold``: the nine processes ``noncong aswd <group>
   --pmax 97 --pn-bound 1000``, spawn to exit, from a copy with compiled
   bytecode; or from the copy without bytecode under
@@ -142,7 +142,7 @@ def _eta_powers(name, n):
 def _residues(name, n):
     from noncong import catalog
     group = catalog.get_group(GROUP)
-    moduli = tuple(p * p for p in catalog.primes_upto(97) if p >= 5) + (65521,)
+    moduli = tuple(p * p for p in catalog.primes_upto(97) if p >= 5)
     catalog.coefficient_residues(group, n, moduli[:1])  # exact eta powers, first-call imports
     return lambda: catalog.coefficient_residues(group, n, moduli)
 

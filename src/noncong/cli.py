@@ -86,11 +86,11 @@ ORDER_LIMIT = 2000
 # Largest --root `expand eta` accepts; it admits every eta^24^(1/k) =
 # eta^(24/k).  `expand` divides k and the exponents by their gcd first, so
 # the 24th root of eta^-24 is eta^-1 (0.3 s at order 2000).  A root that
-# remains is stored as order * k dense coefficients, and its recurrence
-# carries integers of up to about 2 order log2(k) bits: at order 2000 the
-# cube root of eta(z)^4 eta(2z)^-6 eta(4z)^20 takes 7.0 s and 28 MiB, and the
-# square root of eta 13 s and 635 MiB; with no limit, --root 100000 --order
-# 100 took 27 s and 1.27 GiB (2-vCPU x86_64).
+# remains runs its recurrence on the unit as a series in q^s, s the gcd of
+# its exponents, so over about order terms whatever k is.  At order 2000
+# the square root of eta takes 1.0 s and 36 MiB, the 24th root of eta
+# 6.8 s and 171 MiB, and the 24th root of eta^-1, whose unit has no zero
+# coefficient, 56 s and 173 MiB (2-vCPU x86_64).
 ROOT_LIMIT = 24
 
 # Largest --pmax and --pn-bound `aswd` accepts.  At both limits one cold aswd

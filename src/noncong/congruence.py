@@ -11,12 +11,11 @@ a common factor of p must be cancelled first.
 (``catalog.coefficient_residues``); no exact series is built.  A run over
 many primes (``detect_bases``, what ``noncong aswd`` calls) computes the
 residues once per group: one batch holding both basis forms mod p^2 for
-every prime plus AUX_PRIME (65521), from one Newton cube root;
-``detect_basis`` alone is the batch of its one prime.  The ratio tests read
-the batch rows directly, one array expression per test.  The one question
-residues cannot settle alone -- whether every tested numerator is exactly
-zero -- is answered by the AUX_PRIME row, by the lattice of exponents the
-form can carry, and only then by the exact sequence.
+every prime, from one Newton cube root; ``detect_basis`` alone is the batch
+of its one prime.  The ratio tests read the batch rows directly, one array
+expression per test.  Whether a verdict is vacuous -- every tested
+numerator zero by construction -- is read off the lattice of exponents the
+form can carry (``catalog.lattice_indices``), with no arithmetic.
 
 Every residue is reduced mod p^2, with p passed alongside it: int64 batch
 rows in the ratio tests, plain ints for the constants they yield.
@@ -33,13 +32,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import (BiquadraticNumber, GroupRecord, coefficient_residues,
-                      coefficient_sequence, lattice_indices, newform_an)
-
-
-# a second modulus for deciding whether a coefficient is exactly zero: the
-# largest prime below 2^16, so that its residues need no limbs in the FFT
-# products at any length up to 10^4 (series.FFT_EXACT_BOUND)
-AUX_PRIME = 65521
+                      lattice_indices, newform_an)
+# unused here; kept as the name perfbench's tracer wraps in this module
+from .catalog import coefficient_sequence  # noqa: F401
 
 class InsufficientDataError(ValueError):
     pass
@@ -110,23 +105,6 @@ def _constancy(num, den, p: int):
     if ((num[n * p - 1] - c * den[n - 1]) % m).any():
         return None, None
     return c, n * p
-
-
-def _any_nonzero(group: GroupRecord, which: str, rows, indices) -> bool:
-    """Whether a_n != 0 over Q for some n in indices, for the basis form
-    `which` whose batch rows mod p^2 and mod AUX_PRIME are `rows`.  A
-    nonzero residue proves it; an index off the lattice of the form's
-    exponents is zero by construction; anything else is read from the exact
-    sequence."""
-    if rows[:, indices - 1].any():
-        return True
-    bound = rows.shape[1]
-    lattice = lattice_indices(group, which, bound)
-    open_ = [n for n in indices.tolist() if lattice[n - 1] is not None]
-    if not open_:
-        return False
-    exact = coefficient_sequence(group, which, bound)
-    return any(exact[n] != 0 for n in open_)
 
 
 def solve_alpha_ap(c1: int, c2: int, p: int):
@@ -309,9 +287,16 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
     alone by default): the primes of a run share it, and ``detect_bases``
     passes them all.
 
-    A constant whose every tested numerator is the exact rational zero is a
-    support artifact (the form has no coefficients at those indices at all);
+    A test is live when some tested index np lies on the lattice of
+    exponents of the numerator form (``catalog.lattice_indices``); a test
+    whose every tested numerator is zero by construction is vacuous, and
     such a vacuous case-1 verdict yields to a live cross-ratio verdict.
+    For every input ``noncong aswd`` accepts (p <= 2003, pn <= 10^4) this
+    equals asking whether some tested numerator is the exact rational
+    nonzero: off the lattice a coefficient is exactly 0, and the first
+    tested index on the lattice was found nonzero (mod p^2 or mod 65521)
+    for all nine groups, every such p and all four tests.  Past that range
+    "zero by construction" is the definition.
 
     With ``three_term_n_bound`` set, a case-1 verdict also carries the
     three-term rows of both forms against the detected constants, mod p^2.
@@ -320,12 +305,12 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
     if p not in primes:
         raise ValueError(f"p = {p} is not among the batch primes {primes}")
     i = primes.index(p)
-    batch = dict(zip("ab", coefficient_residues(
-        group, bound, tuple(q * q for q in primes) + (AUX_PRIME,))))
-    a, b = batch["a"][i], batch["b"][i]
+    a, b = (rows[i] for rows in coefficient_residues(
+        group, bound, tuple(q * q for q in primes)))
 
     def live(which, tested):
-        return _any_nonzero(group, which, batch[which][[i, -1]], tested)
+        lattice = lattice_indices(group, which, bound)
+        return any(lattice[n - 1] is not None for n in tested.tolist())
 
     rep = CongruenceReport(group.name, p, "indeterminate")
     ca, a_tested = _constancy(a, a, p)
@@ -352,8 +337,8 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
 def detect_bases(group: GroupRecord, primes, bound: int = 500,
                  three_term_n_bound: int | None = None) -> list[CongruenceReport]:
     """``detect_basis`` for every prime of a run, in order, on one batch of
-    residues: one Newton cube root gives both basis forms mod every p^2 and
-    AUX_PRIME together."""
+    residues: one Newton cube root gives both basis forms mod every p^2
+    together."""
     primes = tuple(primes)
     return [detect_basis(group, p, bound, three_term_n_bound, primes)
             for p in primes]

@@ -390,21 +390,24 @@ class PuiseuxSeries:
         """self^(a/b) for nonzero self, b >= 1 prime to a: the leading
         coefficient's rational b-th root to the a-th power times the unit
         raised by the integer Miller recurrence, re-indexed in 1/(b mu)
-        units."""
+        units.  A unit in q^s (s the gcd of its exponents) is raised as a
+        series in q^s and strided back."""
         c0 = self.coeffs[0]
         r0 = rational_nth_root(c0, b)
         if r0 is None:
             raise ValueError(f"leading coefficient {c0} is not a rational {b}-th power")
         length = self.trunc - self.lo
         unit = [c / c0 for c in self.coeffs]
+        s = gcd(*(k for k, x in enumerate(unit) if x)) or 1
         d = lcm(*(x.denominator for x in unit))
-        terms = [(k, x.numerator * (d ** k // x.denominator))
+        terms = [(k // s, x.numerator * (d ** (k // s) // x.denominator))
                  for k, x in enumerate(unit) if k and x]
+        steps = -(-length // s)
         out = [Fraction(v, b ** c * d ** n) for n, (v, c) in
-               enumerate(zip(_miller_power(terms, a, b, length), _scale_exponents(b, length)))]
+               enumerate(zip(_miller_power(terms, a, b, steps), _scale_exponents(b, steps)))]
         scale = r0 ** a
-        # exponents (lo a + b i)/(b mu); known up to relative q-order length/mu
-        return PuiseuxSeries(self.mu * b, self.lo * a, _stride([scale * v for v in out], b),
+        # exponents (lo a + b s i)/(b mu); known up to relative q-order length/mu
+        return PuiseuxSeries(self.mu * b, self.lo * a, _stride([scale * v for v in out], s * b),
                              self.lo * a + b * length)
 
     def __pow__(self, e: int):

@@ -18,7 +18,6 @@ from noncong.catalog import (ETA_B6, ETA_D6, GROUPS, MAIN_GROUPS, NEWFORMS,
                              hecke_check, kronecker_symbol, lattice_indices,
                              newform_an, newform_coefficients,
                              noncongruence_test, primes_upto)
-from noncong.congruence import AUX_PRIME
 from noncong.series import EtaQuotient
 
 ALL_NAMES = tuple(GROUPS)
@@ -142,7 +141,8 @@ def test_prime_coefficient_tables(name):
 
 
 PRIMES_5_97 = [p for p in primes_upto(97) if p >= 5]
-MODULI = tuple(p * p for p in PRIMES_5_97) + (AUX_PRIME,)
+# one prime modulus besides the p^2: the largest prime below 2^16
+MODULI = tuple(p * p for p in PRIMES_5_97) + (65521,)
 
 
 def _exact_mod(seq, m):

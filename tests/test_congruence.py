@@ -10,8 +10,9 @@ import pytest
 from noncong import catalog, cli, congruence
 from noncong.catalog import (GROUPS, ROW_BLOCK, character_value,
                              coefficient_residues, coefficient_sequence,
-                             get_group, newform_an, primes_upto)
-from noncong.congruence import (AUX_PRIME, InsufficientDataError,
+                             get_group, lattice_indices, newform_an,
+                             primes_upto)
+from noncong.congruence import (InsufficientDataError,
                                 NotPIntegralError, aswd_three_term_check,
                                 detect_basis, detect_bases, match_constant,
                                 padic_valuation, reduce_mod_p2, solve_alpha_ap,
@@ -265,7 +266,7 @@ def test_detect_basis_attaches_three_term_rows():
 def test_residue_three_term_rows_fail_on_wrong_constant():
     g = get_group("24.6.1^6")
     rep = detect_basis(g, 7, bound=500, three_term_n_bound=40)
-    for w, rows in zip("ab", coefficient_residues(g, 500, (49, AUX_PRIME))):
+    for w, rows in zip("ab", coefficient_residues(g, 500, (49,))):
         values = rows[0]
         c = rep.constants[w]
         right = congruence._three_term_mod_p2(values, c, 7, 40)
@@ -303,16 +304,14 @@ def _exact_constancy(num, den, p, bound):
     return (ratios.pop(), tested) if len(ratios) == 1 else (None, None)
 
 
-def test_live_flag_equals_exact_flag(monkeypatch):
-    fallbacks = []
-    monkeypatch.setattr(congruence, "coefficient_sequence",
-                        lambda *a: fallbacks.append(a) or coefficient_sequence(*a))
+def test_live_flag_equals_exact_flag():
     checks = 0
     primes = tuple(q for q in primes_upto(97) if q >= 5)
-    moduli = tuple(q * q for q in primes) + (AUX_PRIME,)
+    moduli = tuple(q * q for q in primes)
     for g in GROUPS.values():
         batch = dict(zip("ab", coefficient_residues(g, 500, moduli)))
         exact = {w: coefficient_sequence(g, w, 500) for w in "ab"}
+        lattice = {w: lattice_indices(g, w, 500) for w in "ab"}
         for i, p in enumerate(primes):
             for num, den in ("aa", "bb", "ab", "ba"):
                 const, tested = congruence._constancy(batch[num][i], batch[den][i], p)
@@ -320,33 +319,41 @@ def test_live_flag_equals_exact_flag(monkeypatch):
                 assert (const, tested if tested is None else tested.tolist()) == want, \
                     (g.name, p, num + den)
                 if tested is not None:
-                    live = congruence._any_nonzero(g, num, batch[num][[i, -1]], tested)
+                    # detect_basis's flag: some tested index lies on the lattice
+                    live = any(lattice[num][n - 1] is not None for n in want[1])
                     assert live == any(exact[num][n] != 0 for n in want[1]), \
                         (g.name, p, num + den)
                 checks += 1
     assert checks == 9 * 23 * 4
-    assert fallbacks == []
 
 
-def test_live_flag_falls_back_to_exact_when_residues_vanish(monkeypatch):
-    g = get_group("24.6.1^6")
-    exact = coefficient_sequence(g, "a", 500)
-    calls = []
-    monkeypatch.setattr(congruence, "coefficient_sequence",
-                        lambda *a: calls.append(a) or coefficient_sequence(*a))
-    rows = coefficient_residues(g, 500, (25, AUX_PRIME))[0].copy()
-    rows[-1] = 0                                    # without the AUX_PRIME row
-    const, tested = congruence._constancy(rows[0], rows[0], 5)
-    # a_{5n} = 0 mod 25 on every tested n, so only the fallback can decide
-    assert const == 0 and not rows[0, tested - 1].any()
-    assert congruence._any_nonzero(g, "a", rows, tested) is \
-        any(exact[n] != 0 for n in tested.tolist()) is True
-    assert calls == [(g, "a", 500)]
-    # indices off the lattice of exponents are zero without the fallback
-    off = get_group("9.6^3.3.2^3")
-    rows = coefficient_residues(off, 500, (25, AUX_PRIME))[0]
-    assert congruence._any_nonzero(off, "a", rows, np.array([2, 3, 5, 6])) is False
-    assert len(calls) == 1
+def test_first_lattice_numerator_is_nonzero():
+    # the lattice flag equals the exact one wherever the first tested index
+    # on the lattice has a nonzero coefficient; a residue mod p^2 or mod the
+    # prime 65521 proves it, with no exact series
+    primes = tuple(q for q in primes_upto(97) if q >= 5)
+    moduli = tuple(q * q for q in primes) + (65521,)
+    witnessed = 0
+    for g in GROUPS.values():
+        batch = dict(zip("ab", coefficient_residues(g, 1000, moduli)))
+        lattice = {w: lattice_indices(g, w, 1000) for w in "ab"}
+        for i, p in enumerate(primes):
+            for num, den in ("aa", "bb", "ab", "ba"):
+                n = np.arange(1, 1000 // p + 1)
+                n = n[(n % p != 0) & (batch[den][i][n - 1] % p != 0)]
+                on = [k for k in (n * p).tolist() if lattice[num][k - 1] is not None]
+                if on:
+                    assert batch[num][[i, -1], on[0] - 1].any(), (g.name, p, num + den)
+                    witnessed += 1
+    assert 0 < witnessed < 9 * 23 * 4
+
+
+def test_aswd_builds_no_exact_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"exact series built: {args}")
+    monkeypatch.setattr(catalog, "basis_form", refuse)
+    for name in GROUPS:
+        assert cli.main(["aswd", name, "--pmax", "97", "--pn-bound", "1000"]) == 0
 
 
 def test_one_newton_per_row_block(monkeypatch):
@@ -357,9 +364,9 @@ def test_one_newton_per_row_block(monkeypatch):
     coefficient_residues.cache_clear()
     primes = [q for q in primes_upto(97) if q >= 5]
     detect_bases(get_group("24.6.1^6"), primes, 1000)
-    # 23 moduli p^2 and AUX_PRIME in blocks of ROW_BLOCK = 8: both forms
-    # come from 3 Newton iterations, not 6
-    assert calls == [ROW_BLOCK, ROW_BLOCK, len(primes) + 1 - 2 * ROW_BLOCK]
+    # 23 moduli p^2 in blocks of ROW_BLOCK = 8: both forms come from 3
+    # Newton iterations, not 6
+    assert calls == [ROW_BLOCK, ROW_BLOCK, len(primes) - 2 * ROW_BLOCK]
 
 
 @pytest.mark.parametrize("fmt", ["human", "csv", "json"])

@@ -296,6 +296,23 @@ def count_recurrences(monkeypatch) -> list[int]:
     return computed
 
 
+def test_root_of_strided_unit_runs_in_steps_of_the_stride(monkeypatch):
+    """eta^-1 = q^(-1/24) (1 + sum p(n) q^n) is a unit in q^24 on its 1/24
+    grid: its 24th root runs the recurrence over at most N + 1
+    coefficients, not 24 N, and equals the Fraction recurrence run on the
+    dense grid."""
+    computed = count_recurrences(monkeypatch)
+    N = 30
+    eta_inv = EtaQuotient.of({1: -1}).expansion(N)
+    root = eta_inv.nth_root(24)
+    assert computed and max(computed) <= N + 1
+    length = eta_inv.trunc - eta_inv.lo
+    dense = _miller_frac_power(list(eta_inv.coeffs), Fraction(1, 24), length)
+    want = PuiseuxSeries(24 * eta_inv.mu, eta_inv.lo, series._stride(dense, 24),
+                         eta_inv.lo + 24 * length)
+    assert root.trunc == want.trunc and root.agrees_with(want)
+
+
 def dense_eta(m: int, length: int) -> list[Fraction]:
     dense = [Fraction(0)] * length
     for k, c in series.pentagonal_terms(m, length):
