@@ -10,7 +10,7 @@ geometry and live in ``surfaces.COVERINGS``, keyed by group name.
 
 The basis coefficients come two ways: exactly (``basis_q_expansions``,
 ``coefficient_sequence``), and mod a batch of moduli
-(``coefficient_residues``, one cached pair of int64 matrices per group)
+(``coefficient_residues``, a pair of int64 matrices the caller holds)
 from the eta factors' integer coefficients, for the mod-p^2 congruence
 tests.  As h1 h2 is an eta quotient for every catalog group, one Newton
 cube root gives both forms.  The exact path is the reference the residues
@@ -419,25 +419,32 @@ def noncongruence_test(cusp_widths) -> str:
 # basis series
 
 
-def _series_order_for(eq: EtaQuotient, max_index: int, mu: int) -> int:
-    # number of integer q coefficients of the eta product needed so that the
-    # cube root is valid past exponent max_index/mu
-    pre = Fraction(eq.prefactor24, 24)
-    need = Fraction(max_index, mu) - pre / 3
-    return max(int(need) + 2, 2)
-
-
 def _form(group: GroupRecord, which: str) -> tuple[EtaQuotient, int]:
     """(eta quotient, index unit) of h1 ('a') or h2 ('b')."""
     return (group.h1, group.h1_unit) if which == "a" else (group.h2, group.h2_unit)
+
+
+# A basis form is q^(s/72) P(q)^(1/3) with s = prefactor24 and P the product of
+# the (1 - q^(k n))^e; P is a series in x = q^g for g the gcd of the scales k.
+# The printed a_n sits at q^(n unit/mu), i.e. at x^j with
+# 72 mu g j = 72 n unit - s mu; any other n has a_n = 0 by construction.  The
+# exact series and the residues both place a_n by this one map.
+
+
+def _lattice(group: GroupRecord, which: str):
+    """(eta quotient, g, 72 unit, s mu, 72 mu g) for one basis form."""
+    eq, unit = _form(group, which)
+    g = gcd(*(k for k, _ in eq.factors))
+    return eq, g, 72 * unit, eq.prefactor24 * group.mu, 72 * group.mu * g
 
 
 @lru_cache(maxsize=None)
 def basis_form(group: GroupRecord, which: str, bound: int) -> PuiseuxSeries:
     """h1 ('a') or h2 ('b') as an exact Puiseux series, valid through
     printed index `bound`; each form is built and cached on its own."""
-    eq, unit = _form(group, which)
-    return eq.expansion(_series_order_for(eq, bound * unit, group.mu)).nth_root(3)
+    eq, g, step, shift, den = _lattice(group, which)
+    # the eta product through q^(g j), j the x-exponent of a_bound
+    return eq.expansion(max((step * bound - shift) * g // den + 2, 2)).nth_root(3)
 
 
 def basis_q_expansions(group: GroupRecord,
@@ -450,22 +457,11 @@ def coefficient_sequence(group: GroupRecord, which: str, bound: int = 500) -> di
     """Printed coefficient sequence {n: a_n} for h1 ('a') or h2 ('b'),
     n = 1..bound in the form's own index units."""
     series, unit = basis_form(group, which, bound + 1), _form(group, which)[1]
-    return {n: series.coefficient(n * unit) for n in range(1, bound + 1)}
+    return {n: series.coefficient_at(Fraction(n * unit, group.mu))
+            for n in range(1, bound + 1)}
 
 
 # the same printed sequences mod m, from the eta product's integer coefficients
-#
-# A basis form is q^(s/72) P(q)^(1/3) with s = prefactor24 and P the product of
-# the (1 - q^(k n))^e; P is a series in x = q^g for g the gcd of the scales k.
-# The printed a_n sits at q^(n unit/mu), i.e. at x^j with
-# 72 mu g j = 72 n unit - s mu; any other n has a_n = 0 by construction.
-
-
-def _lattice(group: GroupRecord, which: str):
-    """(eta quotient, g, 72 unit, s mu, 72 mu g) for one basis form."""
-    eq, unit = _form(group, which)
-    g = gcd(*(k for k, _ in eq.factors))
-    return eq, g, 72 * unit, eq.prefactor24 * group.mu, 72 * group.mu * g
 
 
 @lru_cache(maxsize=None)
@@ -487,7 +483,6 @@ def lattice_indices(group: GroupRecord, which: str, bound: int) -> tuple[int | N
 ROW_BLOCK = 8
 
 
-@lru_cache(maxsize=1)
 def coefficient_residues(group: GroupRecord, bound: int, moduli: tuple[int, ...]):
     """(a, b): a_n and b_n mod m for n = 1..bound and every m in moduli (each
     prime to 3), without the exact series: two read-only int64 matrices,

@@ -9,13 +9,14 @@ a common factor of p must be cancelled first.
 
 ``detect_basis`` works on the basis coefficients mod p^2 only
 (``catalog.coefficient_residues``); no exact series is built.  A run over
-many primes (``detect_bases``, what ``noncong aswd`` calls) computes the
-residues once per group: one batch holding both basis forms mod p^2 for
-every prime, from one Newton cube root; ``detect_basis`` alone is the batch
-of its one prime.  The ratio tests read the batch rows directly, one array
-expression per test.  Whether a verdict is vacuous -- every tested
-numerator zero by construction -- is read off the lattice of exponents the
-form can carry (``catalog.lattice_indices``), with no arithmetic.
+many primes (``detect_bases``, what ``noncong aswd`` calls) builds one
+batch holding both basis forms mod p^2 for every prime, from one Newton
+cube root, and hands each prime its two rows; ``detect_basis`` called
+alone builds the batch of its one prime.  The ratio tests read the rows
+directly, one array expression per test.  Whether a verdict is vacuous --
+every tested numerator zero by construction -- is read off the lattice of
+exponents the form can carry (``catalog.lattice_indices``), with no
+arithmetic.
 
 Every residue is reduced mod p^2, with p passed alongside it: int64 batch
 rows in the ratio tests, plain ints for the constants they yield.
@@ -278,14 +279,15 @@ class CongruenceReport:
 
 def detect_basis(group: GroupRecord, p: int, bound: int = 500,
                  three_term_n_bound: int | None = None,
-                 primes: tuple[int, ...] | None = None) -> CongruenceReport:
+                 rows=None) -> CongruenceReport:
     """Run the case-1 ratio test on both forms; fall back to the case-2 cross
     ratios; attach catalog newform matches up to a sixth root of unity.
     The tests run on the printed coefficients mod p^2 for pn <= bound.
 
-    The residues of both forms come from one batch over ``primes`` (p
-    alone by default): the primes of a run share it, and ``detect_bases``
-    passes them all.
+    ``rows`` is the pair (a, b) of residue rows mod p^2 of both forms,
+    column n - 1 holding a_n, n = 1..bound; by default the batch of p
+    alone is built.  ``detect_bases`` hands each prime of a run its rows
+    of one shared batch.
 
     A test is live when some tested index np lies on the lattice of
     exponents of the numerator form (``catalog.lattice_indices``); a test
@@ -301,12 +303,8 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
     With ``three_term_n_bound`` set, a case-1 verdict also carries the
     three-term rows of both forms against the detected constants, mod p^2.
     """
-    primes = (p,) if primes is None else tuple(primes)
-    if p not in primes:
-        raise ValueError(f"p = {p} is not among the batch primes {primes}")
-    i = primes.index(p)
-    a, b = (rows[i] for rows in coefficient_residues(
-        group, bound, tuple(q * q for q in primes)))
+    a, b = rows if rows is not None else \
+        (r[0] for r in coefficient_residues(group, bound, (p * p,)))
 
     def live(which, tested):
         lattice = lattice_indices(group, which, bound)
@@ -336,12 +334,13 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
 
 def detect_bases(group: GroupRecord, primes, bound: int = 500,
                  three_term_n_bound: int | None = None) -> list[CongruenceReport]:
-    """``detect_basis`` for every prime of a run, in order, on one batch of
-    residues: one Newton cube root gives both basis forms mod every p^2
-    together."""
+    """``detect_basis`` for every prime of a run, in order, each on its rows
+    of one batch of residues: one Newton cube root gives both basis forms
+    mod every p^2 together."""
     primes = tuple(primes)
-    return [detect_basis(group, p, bound, three_term_n_bound, primes)
-            for p in primes]
+    a, b = coefficient_residues(group, bound, tuple(p * p for p in primes))
+    return [detect_basis(group, p, bound, three_term_n_bound, rows)
+            for p, *rows in zip(primes, a, b)]
 
 
 def _fill_case1(rep: CongruenceReport, group: GroupRecord,

@@ -139,8 +139,9 @@ def _power(field, x: int, e: int) -> int:
     return field.mul_vec(half, x) if e & 1 else half
 
 
-# room for F_p and F_{p^2} of two primes; positional arguments, one key per field
-@lru_cache(maxsize=4)
+# room for F_p and F_{p^2} of one prime, as ``trace_rows`` reads prime by
+# prime; positional arguments, one key per field
+@lru_cache(maxsize=2)
 def field_for(p: int, squared: bool, /):
     """F_{p^2} (squared) or F_p, one shared object per field, so its log,
     character, inverse and character-sum tables are built once."""
@@ -277,8 +278,9 @@ def _blocks(count: int, width: int = 1) -> list[slice]:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-# room for the four tables of one prime (E8 and E6, over F_p and F_{p^2}) twice
-@lru_cache(maxsize=8)
+# room for the four tables of one prime (E8 and E6, over F_p and F_{p^2}); a
+# prime's tables give way to the next prime's
+@lru_cache(maxsize=4)
 def fiber_trace_table(level: str, p: int, squared: bool, /):
     """Local trace of the level family at every parameter value of F_q (a
     read-only int32 array indexed by element), plus the trace at the

@@ -1,8 +1,10 @@
 """Command-line surface: spec'd invocations, golden diffing, exit codes."""
 
+import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noncong import congruence
@@ -40,6 +42,16 @@ def test_traces_golden_flag(capsys, tmp_path):
     rc, _, err = run(capsys, "--format", "csv", "traces", "--all",
                      "--primes", "5..23,73", "--golden", str(bad))
     assert rc == 1 and "mismatch" in err
+
+
+def test_traces_json_rows_equal_csv_rows(capsys):
+    argv = ["traces", "gamma_24.6.1^6", "--primes", "5,7"]
+    _, out, _ = run(capsys, "--format", "json", *argv)
+    rows = [(r["group"], r["parameterization"], r["p"], r["tr_p"], r["tr_p2"])
+            for r in json.loads(out)]
+    _, csv, _ = run(capsys, "--format", "csv", *argv)
+    assert [",".join(map(str, row)) for row in rows] == csv.splitlines()[1:]
+    assert [row[2:] for row in rows] == [(5, 0, 100), (7, 4, -188)]
 
 
 def test_traces_bad_prime_refused(capsys):
@@ -141,6 +153,46 @@ def test_aswd_golden_other_groups(capsys, group, fname):
     assert rc == 0
 
 
+def test_aswd_golden_mismatch_names_the_row(capsys, tmp_path):
+    golden = (GOLDEN / "ratios_gamma_24.6.1-6.csv").read_text()
+    bad = tmp_path / "bad.csv"
+    bad.write_text(golden.replace("\n7,case1,47,47\n", "\n7,case1,47,48\n"))
+    rc, _, err = run(capsys, "--format", "csv", "aswd", "gamma_24.6.1^6", "--pmax", "47",
+                     "--golden", str(bad))
+    assert (rc, err) == (1, "golden mismatch p=7: got ('case1', 47, 47), "
+                            "want ('case1', 47, 48)\n")
+
+
+def test_aswd_golden_zero_row_matches_either_label(capsys, tmp_path):
+    golden = (GOLDEN / "ratios_gamma_24.3.2-3.1-3.csv").read_text()
+    assert "\n41,case2,0,0\n" in golden
+    relabelled = tmp_path / "relabelled.csv"
+    relabelled.write_text(golden.replace("\n41,case2,0,0\n", "\n41,case1,0,0\n"))
+    rc, _, err = run(capsys, "--format", "csv", "aswd", "gamma_24.3.2^3.1^3", "--pmax", "47",
+                     "--golden", str(relabelled))
+    assert (rc, err) == (0, "")
+
+
+def _no_constant_ratio(group, bound, moduli):
+    """Residue rows a_n = b_n = n + 1 mod m, on which no ratio is constant."""
+    rows = np.array([np.arange(2, bound + 2) % m for m in moduli])
+    return rows, rows
+
+
+def test_aswd_indeterminate_rows(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(congruence, "coefficient_residues", _no_constant_ratio)
+    argv = ["aswd", "gamma_24.6.1^6", "--pmax", "7"]
+    rc, out, _ = run(capsys, *argv)
+    assert (rc, out) == (0, "gamma_24.6.1^6 p=5: indeterminate\n"
+                            "gamma_24.6.1^6 p=7: indeterminate\n")
+    rc, out, _ = run(capsys, "--format", "csv", *argv)
+    assert (rc, out) == (0, "p,case,c1,c2\n5,indeterminate,,\n7,indeterminate,,\n")
+    golden = tmp_path / "indeterminate.csv"
+    golden.write_text(out)
+    rc, _, err = run(capsys, "--format", "csv", *argv, "--golden", str(golden))
+    assert (rc, err) == (0, "")
+
+
 def test_aswd_human_output_shows_twist_annotations(capsys):
     rc, out, _ = run(capsys, "aswd", "gamma_8^3.2^3.3^2", "--pmax", "13")
     assert rc == 0
@@ -148,7 +200,6 @@ def test_aswd_human_output_shows_twist_annotations(capsys):
 
 
 def test_aswd_json(capsys):
-    import json
     rc, out, _ = run(capsys, "--format", "json", "aswd", "gamma_24.6.1^6",
                      "--pmax", "7")
     data = json.loads(out)
@@ -345,6 +396,7 @@ README = str(GOLDEN.parent / "README.md")
     case(43, ["isogeny", "--pair", "4a", "--primes", "103..101"],
          "range '103..101' runs downward; write 101..103"),
     case(44, ["expand", "E6", "h1", "--order", "3"], "expand E6 takes no form, not 'h1'"),
+    case(45, ["traces", "--all", "--primes", "24..28"], "'24..28' selects no primes"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)

@@ -1,5 +1,6 @@
 """Residues mod p^2, roots, ratio machinery, three-term checks, detection."""
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -219,6 +220,49 @@ def test_vacuous_cross_ratios_keep_case1():
     assert rep.case_kind == "case1" and rep.constants == {"a": 0, "b": 0}
 
 
+def test_indeterminate_on_rows_with_no_constant_ratio():
+    # a_n = b_n = n + 1 mod 25: a_10/a_2 = 11/3 differs from a_5/a_1 = 3, and
+    # so do the cross ratios, so neither case holds
+    row = np.arange(2, 52) % 25
+    rep = detect_basis(get_group("24.6.1^6"), 5, 50, rows=(row, row))
+    assert (rep.case_kind, rep.constants, rep.matches) == ("indeterminate", {}, {})
+
+
+def test_vacuous_cross_ratios_stand_when_case1_fails():
+    # gamma_8^3.2^3.3^2 at p = 5: a lives on n = 1 (mod 3), b on n = 1 (mod 6).
+    # With a_80, off a's lattice, set to 1, case 1 fails at n = 16 (a_16 a
+    # unit), while the cross ratios test np = 5n for n = 1 (mod 6), every one
+    # off a's lattice: they hold with constants 0, not live, and still give
+    # case 2
+    g = get_group("8^3.2^3.3^2")
+    a, b = (rows[0].copy() for rows in coefficient_residues(g, 100, (25,)))
+    assert lattice_indices(g, "a", 100)[79] is None and a[15] % 5
+    a[79] = 1
+    rep = detect_basis(g, 5, 100, rows=(a, b))
+    assert (rep.case_kind, rep.constants) == ("case2", {"ab": 0, "ba": 0})
+    assert rep.notes == ["cross constants vanish mod p; alpha not solvable"]
+
+
+def test_verdict_census_at_pn_bound_1000():
+    # every (group, p, pn-bound) that aswd accepts at p <= 97, pn-bound <= 1000:
+    # a pn-bound between multiples kp of p tests what kp tests
+    primes = [q for q in primes_upto(97) if q >= 5]
+    census = collections.Counter()
+    try:
+        for g in GROUPS.values():
+            a, b = coefficient_residues(g, 1000, tuple(p * p for p in primes))
+            for i, p in enumerate(primes):
+                for pn in range(p, 1001, p):
+                    try:
+                        rep = detect_basis(g, p, pn, rows=(a[i, :pn], b[i, :pn]))
+                        census[rep.case_kind] += 1
+                    except InsufficientDataError:
+                        census["refused"] += 1
+    finally:
+        lattice_indices.cache_clear()       # one entry per distinct bound
+    assert census == {"case1": 4909, "case2": 3644, "refused": 69}
+
+
 def test_detect_basis_b_variant():
     g = get_group("24.3.2^3.1^3B")
     rep = detect_basis(g, 5)
@@ -361,7 +405,6 @@ def test_one_newton_per_row_block(monkeypatch):
     newton = catalog.cube_roots_mod
     monkeypatch.setattr(catalog, "cube_roots_mod",
                         lambda *args: calls.append(len(args[2])) or newton(*args))
-    coefficient_residues.cache_clear()
     primes = [q for q in primes_upto(97) if q >= 5]
     detect_bases(get_group("24.6.1^6"), primes, 1000)
     # 23 moduli p^2 in blocks of ROW_BLOCK = 8: both forms come from 3
