@@ -17,7 +17,8 @@ for the measurements that start processes, the largest of them.
 The measurements, with the N each is taken at (N = 1 where none applies):
 
 * ``import``, ``import_compiled``: ``import noncong, noncong.cli`` in
-  a fresh interpreter with numpy and the standard library already loaded,
+  a fresh interpreter with numpy and the standard modules of ``PRELOAD``
+  already loaded,
   from a copy without bytecode under PYTHONDONTWRITEBYTECODE=1, as in a
   fresh checkout, so every module it loads compiles at each start; or from
   a copy of the tree with its bytecode compiled once;
@@ -82,8 +83,10 @@ NEWFORM_BOUNDS = (1009, 2003, 4001)
 BASIS_BOUNDS = (501, 1001, 2001)
 ROW_BLOCKS = (4, 8, 24)
 ASWD = ("--pmax", "97", "--pn-bound", "1000")
-PRELOAD = ("numpy, numpy.fft, argparse, dataclasses, fractions, functools, "
-           "itertools, json, math, os")
+# loaded before the import is timed: what a noncong command loads besides
+# noncong's own modules.  Not dataclasses or json, which noncong does not
+# load at import; preloading them would hide their cost in a tree that does.
+PRELOAD = "numpy, numpy.fft, argparse, fractions, functools, itertools, math, os"
 CLI = "import sys; from noncong.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # name -> (the N it is taken at, set-up(name, N) returning the timed run)

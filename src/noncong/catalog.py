@@ -21,7 +21,7 @@ L432, a stored A_p table and the Hecke recursion for L243 and L486.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -89,15 +89,17 @@ def character_value(discriminants, p: int) -> int:
 # biquadratic coefficients c0 + c1*sqrt(d1) + c2*sqrt(d2) + c3*sqrt(d1*d2)
 
 
-@dataclass(frozen=True)
-class BiquadraticNumber:
-    d1: int
-    d2: int
-    c: tuple[Fraction, Fraction, Fraction, Fraction]
+class BiquadraticNumber(namedtuple("BiquadraticNumber", "d1 d2 c")):
+    """c[0] + c[1] sqrt(d1) + c[2] sqrt(d2) + c[3] sqrt(d1 d2), each c[i] a
+    Fraction."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d1 == self.d2 or self.d1 == 1 or self.d2 == 1:
+    def __new__(cls, d1: int, d2: int, c: tuple[Fraction, Fraction, Fraction, Fraction]):
+        if d1 == d2 or d1 == 1 or d2 == 1:
             raise ValueError("need two distinct squarefree non-unit discriminants")
+        return super().__new__(cls, d1, d2, c)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))   # _replace checks too
 
     @classmethod
     def make(cls, d1, d2, c0=0, c1=0, c2=0, c3=0) -> "BiquadraticNumber":
@@ -155,6 +157,9 @@ class BiquadraticNumber:
             return self.is_rational and self.c[0] == other
         return (self.d1, self.d2) == (other.d1, other.d2) and self.c == other.c
 
+    def __ne__(self, other):        # not tuple's
+        return not self == other
+
     def __hash__(self):
         return hash((self.d1, self.d2, self.c))
 
@@ -185,14 +190,11 @@ ETA_ACD = EtaQuotient.of({1: 4, 2: 1, 3: -4, 6: 5})
 ETA_BCD = EtaQuotient.of({1: 1, 2: 4, 3: 5, 6: -4})
 
 
-@dataclass(frozen=True)
-class Parent:
+class Parent(namedtuple("Parent", "label family hauptmodul")):
     """A congruence parent: its printed label, the key of the Beauville
     family (``surfaces.BEAUVILLE``) over its base curve, and its hauptmodul
     as an eta quotient."""
-    label: str
-    family: str
-    hauptmodul: EtaQuotient
+    __slots__ = ()
 
 
 PARENT8 = Parent("Gamma0(8)^Gamma1(4)", "E8", ETA_T8)
@@ -212,21 +214,19 @@ SEBBAR_WIDTH_MULTISETS = frozenset({
 # groups
 
 
-@dataclass(frozen=True)
-class GroupRecord:
-    name: str
-    parent: Parent
-    cusp_widths: tuple[int, ...]
-    generators: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    h1: EtaQuotient
-    h2: EtaQuotient
-    h1_unit: int                     # printed index n <-> series index n*unit
-    h2_unit: int
-    newform: str
-    # h1 = u^(k/3) F and h2 = u^((3-k)/3) F for u = (a x + b)/(c x + d), x the
-    # parent's hauptmodul: ((a, b, c, d), weight-3 eta quotient F, k)
-    construction: tuple[tuple[int, int, int, int], EtaQuotient, int] | None = None
-    variant_of: str | None = None    # the catalog group this one is conjugate to
+class GroupRecord(namedtuple("GroupRecord", (
+        "name", "parent",               # str, Parent
+        "cusp_widths",                  # (int, ...)
+        "generators",                   # (((a, b), (c, d)), ...)
+        "h1", "h2",                     # EtaQuotient
+        "h1_unit", "h2_unit",           # printed index n <-> series index n*unit
+        "newform",                      # tag in NEWFORMS
+        # h1 = u^(k/3) F and h2 = u^((3-k)/3) F for u = (a x + b)/(c x + d), x the
+        # parent's hauptmodul: ((a, b, c, d), weight-3 eta quotient F, k), or None
+        "construction",
+        "variant_of"),                  # the catalog group this one is conjugate to
+        defaults=(None, None))):
+    __slots__ = ()
 
     def __hash__(self):     # the per-group caches key on records; names are unique
         return hash(self.name)
@@ -464,7 +464,6 @@ def coefficient_sequence(group: GroupRecord, which: str, bound: int = 500) -> di
 # the same printed sequences mod m, from the eta product's integer coefficients
 
 
-@lru_cache(maxsize=None)
 def lattice_indices(group: GroupRecord, which: str, bound: int) -> tuple[int | None, ...]:
     """(j_1, ..., j_bound) with a_n = [x^(j_n)] P(x)^(1/3); None where a_n is
     zero by construction."""
@@ -553,8 +552,15 @@ ETA_L48 = EtaQuotient.of({4: 9, 12: 9, 2: -3, 6: -3, 8: -3, 24: -3})
 assert ETA_L48.prefactor24 == 24 and all(k % 2 == 0 for k, _ in ETA_L48.factors)
 
 
-@dataclass(frozen=True)
-class NewformRecord:
+class NewformRecord(namedtuple("NewformRecord", (
+        "tag", "level",
+        "character",            # nebentypus as Kronecker discriminants,
+                                # verified against the exact expansion
+        "biq",                  # (d1, d2) housing the coefficients
+        "step", "pieces", "stored",
+        "printed_character"),   # header as published, when it differs from
+                                # the verified one
+        defaults=(1, (), None, None))):
     """A newform and where its coefficients come from.
 
     A computed form has ``pieces`` (r, eta factors, times E6, unit) and a
@@ -565,16 +571,7 @@ class NewformRecord:
     Hecke recursion where every prime factor of n is stored or has its
     square dividing the level: a_p = 0 there, as the character is defined
     mod level / p (Li, Math. Ann. 212, 1975)."""
-    tag: str
-    level: int
-    character: tuple[int, ...]          # nebentypus as Kronecker discriminants,
-                                        # verified against the exact expansion
-    biq: tuple[int, int]                # (d1, d2) housing the coefficients
-    step: int = 1
-    pieces: tuple = ()
-    stored: dict | None = None
-    printed_character: tuple[int, ...] | None = None   # header as published,
-                                        # when it differs from the verified one
+    __slots__ = ()
 
     @property
     def source(self) -> str:
@@ -687,13 +684,13 @@ def _factorize(n: int) -> dict[int, int]:
     return f
 
 
-@dataclass
 class HeckeReport:
-    tag: str
-    prime_bound: int
-    n_bound: int
-    checked: int
-    violations: list
+    __slots__ = ("tag", "prime_bound", "n_bound", "checked", "violations")
+
+    def __init__(self, tag: str, prime_bound: int, n_bound: int, checked: int,
+                 violations: list):
+        self.tag, self.prime_bound, self.n_bound = tag, prime_bound, n_bound
+        self.checked, self.violations = checked, violations
 
     @property
     def ok(self) -> bool:

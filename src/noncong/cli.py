@@ -10,7 +10,6 @@ on is refused with one `refused: ...` line on stderr and exit code 2.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from math import gcd
@@ -156,7 +155,7 @@ def cmd_traces(args) -> int:
     if args.format == "csv":
         sys.stdout.write(traces.rows_to_csv(rows))
     elif args.format == "json":
-        print(json.dumps([dict(group=g, parameterization=l, p=p, tr_p=a, tr_p2=b)
+        print(_dumps([dict(group=g, parameterization=l, p=p, tr_p=a, tr_p2=b)
                           for g, l, p, a, b in rows]))
     else:
         for g, l, p, a, b in rows:
@@ -165,6 +164,11 @@ def cmd_traces(args) -> int:
         print(f"golden mismatch against {args.golden}", file=sys.stderr)
         return 1
     return 0
+
+
+def _dumps(obj) -> str:
+    import json         # loaded only where JSON is written
+    return json.dumps(obj)
 
 
 def _int_or_blank(text: str) -> int | None:
@@ -248,12 +252,12 @@ def cmd_aswd(args) -> int:
     failed_rows = [[r.p, which, n] for r in reports
                    for which, rep in sorted(r.three_term.items()) for n in rep.failures]
     if failed_rows:
-        print(json.dumps({"threeTermFailures": failed_rows}), file=sys.stderr)
+        print(_dumps({"threeTermFailures": failed_rows}), file=sys.stderr)
         rc = 1
     failures = [(r.p, which) for r in reports
                 for which, m in r.matches.items() if m is None]
     if failures and args.strict:
-        print(json.dumps({"unmatched": sorted(set(failures))}), file=sys.stderr)
+        print(_dumps({"unmatched": sorted(set(failures))}), file=sys.stderr)
         rc = 1
     return rc
 

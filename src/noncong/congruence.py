@@ -15,8 +15,8 @@ cube root, and hands each prime its two rows; ``detect_basis`` called
 alone builds the batch of its one prime.  The ratio tests read the rows
 directly, one array expression per test.  Whether a verdict is vacuous --
 every tested numerator zero by construction -- is read off the lattice of
-exponents the form can carry (``catalog.lattice_indices``), with no
-arithmetic.
+exponents the form can carry (``catalog._lattice``): a tested index np is
+on it when step np - shift is a nonnegative multiple of den.
 
 Every residue is reduced mod p^2, with p passed alongside it: int64 batch
 rows in the ratio tests, plain ints for the constants they yield.
@@ -27,13 +27,12 @@ is the exact p-adic check on rational coefficients.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
-from .catalog import (BiquadraticNumber, GroupRecord, coefficient_residues,
-                      lattice_indices, newform_an)
+from .catalog import (BiquadraticNumber, GroupRecord, _lattice, coefficient_residues,
+                      newform_an)
 # unused here; kept as the name perfbench's tracer wraps in this module
 from .catalog import coefficient_sequence  # noqa: F401
 
@@ -122,12 +121,12 @@ def solve_alpha_ap(c1: int, c2: int, p: int):
 # matching against catalog newform coefficients
 
 
-@dataclass(frozen=True)
-class TwistMatch:
-    tag: str
-    unit: int          # the sixth root of unity u with constant = u * A_p
-    order: int
-    modulus_exponent: int   # 2 normally; 1 when a common p was cancelled
+class TwistMatch(namedtuple("TwistMatch", (
+        "tag",
+        "unit",                 # the sixth root of unity u with constant = u * A_p
+        "order",
+        "modulus_exponent"))):  # 2 normally; 1 when a common p was cancelled
+    __slots__ = ()
 
 
 def _reduce_biquadratic(a: BiquadraticNumber, p: int) -> int | None:
@@ -201,12 +200,13 @@ def catalog_ap_squared_residue(tag: str, p: int) -> int | None:
 # the three-term check
 
 
-@dataclass
 class ThreeTermReport:
-    p: int
-    n_bound: int
-    rows: list          # (n, required_valuation, certified, ok)
-    failures: list
+    __slots__ = ("p", "n_bound", "rows", "failures")
+
+    def __init__(self, p: int, n_bound: int, rows: list, failures: list):
+        self.p, self.n_bound = p, n_bound
+        self.rows = rows            # (n, required_valuation, certified, ok)
+        self.failures = failures
 
     @property
     def ok(self) -> bool:
@@ -247,20 +247,23 @@ def _three_term_mod_p2(values, c: int, p: int, n_bound: int) -> ThreeTermReport:
 # basis detection
 
 
-@dataclass
 class CongruenceReport:
-    group: str
-    p: int
-    case_kind: str                              # case1 | case2 | indeterminate
-    constants: dict[str, int] = field(default_factory=dict)
-    alpha_squared: int | None = None
-    ap_squared: int | None = None
-    alpha_power_pattern: dict[int, int] = field(default_factory=dict)
-    matches: dict[str, TwistMatch | None] = field(default_factory=dict)
-    three_term: dict[str, ThreeTermReport] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("group", "p", "case_kind", "constants", "alpha_squared",
+                 "ap_squared", "alpha_power_pattern", "matches", "three_term", "notes")
+
+    def __init__(self, group: str, p: int, case_kind: str):
+        self.group, self.p = group, p
+        self.case_kind = case_kind                  # case1 | case2 | indeterminate
+        self.constants: dict[str, int] = {}
+        self.alpha_squared: int | None = None
+        self.ap_squared: int | None = None
+        self.alpha_power_pattern: dict[int, int] = {}
+        self.matches: dict[str, TwistMatch | None] = {}
+        self.three_term: dict[str, ThreeTermReport] = {}
+        self.notes: list[str] = []
 
     def to_json(self) -> str:
+        import json     # only JSON output loads the module
         def enc(m: TwistMatch | None):
             if m is None:
                 return None
@@ -290,7 +293,7 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
     of one shared batch.
 
     A test is live when some tested index np lies on the lattice of
-    exponents of the numerator form (``catalog.lattice_indices``); a test
+    exponents of the numerator form (``catalog._lattice``); a test
     whose every tested numerator is zero by construction is vacuous, and
     such a vacuous case-1 verdict yields to a live cross-ratio verdict.
     For every input ``noncong aswd`` accepts (p <= 2003, pn <= 10^4) this
@@ -307,8 +310,9 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
         (r[0] for r in coefficient_residues(group, bound, (p * p,)))
 
     def live(which, tested):
-        lattice = lattice_indices(group, which, bound)
-        return any(lattice[n - 1] is not None for n in tested.tolist())
+        _, _, step, shift, den = _lattice(group, which)
+        x = step * tested - shift
+        return bool(((x >= 0) & (x % den == 0)).any())
 
     rep = CongruenceReport(group.name, p, "indeterminate")
     ca, a_tested = _constancy(a, a, p)

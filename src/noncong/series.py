@@ -24,7 +24,7 @@ fiber-trace kernel) and by splitting large residues into limbs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import ceil, gcd, lcm
 
@@ -687,18 +687,19 @@ def eta_product_mod(factors, length: int, moduli) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
+class EtaQuotient(namedtuple("EtaQuotient", "factors")):
     """A finite product prod eta(m z)^e, stored as (scale, exponent) pairs."""
+    __slots__ = ()
 
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        scales = [m for m, _ in self.factors]
+    def __new__(cls, factors: tuple[tuple[int, int], ...]):
+        scales = [m for m, _ in factors]
         if len(set(scales)) != len(scales):
             raise ValueError("eta quotient scales must be distinct")
         if any(m < 1 for m in scales):
             raise ValueError("eta quotient scales must be positive")
+        return super().__new__(cls, factors)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))   # _replace checks too
 
     @classmethod
     def of(cls, spec: dict[int, int]) -> "EtaQuotient":

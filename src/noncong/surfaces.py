@@ -14,7 +14,7 @@ numerator.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .series import _rational_convolve
@@ -289,24 +289,15 @@ def rf(num_coeffs, den_coeffs=(1,)) -> RationalFunction:
 # Weierstrass families
 
 
-@dataclass(frozen=True)
-class WeierstrassFamily:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(t)."""
-
-    label: str
-    a1: RationalFunction
-    a2: RationalFunction
-    a3: RationalFunction
-    a4: RationalFunction
-    a6: RationalFunction
+class WeierstrassFamily(namedtuple("WeierstrassFamily", "label a1 a2 a3 a4 a6")):
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(t), each a_i a
+    RationalFunction."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ShortWeierstrass:
-    """y^2 = x^3 + A x + B."""
-
-    A: RationalFunction
-    B: RationalFunction
+class ShortWeierstrass(namedtuple("ShortWeierstrass", "A B")):
+    """y^2 = x^3 + A x + B, A and B RationalFunctions."""
+    __slots__ = ()
 
     def discriminant(self) -> RationalFunction:
         return (RationalFunction.const(4) * self.A ** 3
@@ -415,18 +406,14 @@ def beauville_short(level_label: str) -> ShortWeierstrass:
 # isogeny relations and covering data of the catalog groups
 
 
-@dataclass(frozen=True)
-class IsogenyRelation:
+class IsogenyRelation(namedtuple("IsogenyRelation", "level sub_a sub_b d kernel field",
+                                 defaults=(None, None))):
     """Phi_d(j(level at sub_a), j(level at sub_b)) = 0 as functions of t.  A
     self relation is the fiberwise isogeny lifting a base involution i(t):
     sub_a = t, sub_b = i(t), with the kernel polynomial (its roots are
-    x-coordinates of the kernel) and field of definition the catalog gives."""
-    level: str
-    sub_a: RationalFunction
-    sub_b: RationalFunction
-    d: int
-    kernel: str | None = None
-    field: str | None = None
+    x-coordinates of the kernel) and field of definition the catalog gives,
+    both strings or None."""
+    __slots__ = ()
 
 
 _t = T  # the tables write every map in one formal variable
@@ -458,18 +445,14 @@ INTER_FAMILY_RELATIONS: dict[str, IsogenyRelation] = {
 }
 
 
-@dataclass(frozen=True)
-class Covering:
+class Covering(namedtuple("Covering", "m relation iota twists")):
     """How one catalog group's modular curve covers its parent's base curve:
     r^3 = m(t) for the integer Mobius map m = (a, b, c, d), t -> (a t + b) /
     (c t + d).  The self relation of the base involution t -> i(t) (its
     ``sub_b``) lifts to r -> iota(r) = c r^e on the cover, ``iota`` = (c, e).
     Each surface is the parent's family at t = m^-1(k r^3) for a cube twist
     k, ``twists`` = ((label, k), ...)."""
-    m: tuple[int, int, int, int]
-    relation: IsogenyRelation
-    iota: tuple[Fraction | int, int]
-    twists: tuple[tuple[str, Fraction | int], ...]
+    __slots__ = ()
 
     @property
     def covering_m(self) -> RationalFunction:
@@ -539,24 +522,24 @@ def involution_identity_check(group) -> bool:
 # modular polynomials
 
 
-@dataclass(frozen=True)
-class ModularPolynomial:
-    """Symmetric bivariate polynomial Phi_d as {(i, j): c}."""
+class ModularPolynomial(namedtuple("ModularPolynomial", "d terms")):
+    """Symmetric bivariate polynomial Phi_d, its terms (i, j, c) for c x^i y^j."""
+    __slots__ = ()
 
-    d: int
-    terms: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError(f"Phi_{self.d} data has no nonzero term")
-        for i, j, _ in self.terms:
+    def __new__(cls, d: int, terms: tuple[tuple[int, int, int], ...]):
+        if not terms:
+            raise ValueError(f"Phi_{d} data has no nonzero term")
+        for i, j, _ in terms:
             if i < 0 or j < 0:
-                raise ValueError(f"Phi_{self.d} data has a negative exponent at {(i, j)}")
-        if self.d > 1:
-            tdict = {(i, j): c for i, j, c in self.terms}
+                raise ValueError(f"Phi_{d} data has a negative exponent at {(i, j)}")
+        if d > 1:
+            tdict = {(i, j): c for i, j, c in terms}
             for (i, j), c in tdict.items():
                 if tdict.get((j, i)) != c:
-                    raise ValueError(f"Phi_{self.d} data is not symmetric at {(i, j)}")
+                    raise ValueError(f"Phi_{d} data is not symmetric at {(i, j)}")
+        return super().__new__(cls, d, terms)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))   # _replace checks too
 
     @classmethod
     def from_dict(cls, d: int, terms: dict) -> "ModularPolynomial":

@@ -24,7 +24,7 @@ r -> r^3 and f permute P^1(F_q) and the sum is the whole table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -194,41 +194,41 @@ def classify_singular_fiber(field, A, B) -> str:
 FIBER_VALUE = {"splitMult": 1, "nonsplitMult": -1, "additive": 0}
 
 
-@dataclass(frozen=True)
-class LocalTrace:
-    point: object          # element index, or "inf"
-    fiber_type: str
-    value: int
+class LocalTrace(namedtuple("LocalTrace", (
+        "point",                # element index, or "inf"
+        "fiber_type", "value"))):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # surface families (a base level plus a parameter substitution r -> sub(r))
 
 
-@dataclass(frozen=True)
-class SurfaceFamily:
+class SurfaceFamily(namedtuple("SurfaceFamily", (
+        "label",
+        "level",                # key of surfaces.BEAUVILLE, e.g. "E8"
+        "mobius"))):
     """The level family pulled back along r -> f(r^3) for the integer Mobius
     map ``mobius`` = (a, b, c, d), f(s) = (a s + b) / (c s + d), stored with
     no common factor and c > 0 (d > 0 when c = 0).  The bad primes are 2, 3
     and those dividing ad - bc, where f stops being a bijection."""
-    label: str
-    level: str                     # key of surfaces.BEAUVILLE, e.g. "E8"
-    mobius: tuple[int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = self.mobius
+    def __new__(cls, label: str, level: str, mobius: tuple[int, int, int, int]):
+        m = mobius
         if not (isinstance(m, tuple) and len(m) == 4 and all(type(x) is int for x in m)):
-            raise ValueError(f"{self.label}: the Mobius map {m!r} is not four integers")
+            raise ValueError(f"{label}: the Mobius map {m!r} is not four integers")
         a, b, c, d = m
         if a * d == b * c:
-            raise ValueError(f"{self.label}: the map is constant")
+            raise ValueError(f"{label}: the map is constant")
         unit = gcd(*m) * (1 if c > 0 or (c == 0 and d > 0) else -1)
-        a, b, c, d = m = tuple(x // unit for x in m)
-        object.__setattr__(self, "mobius", m)
-        object.__setattr__(self, "_bad", frozenset({2, 3, *_factorize(abs(a * d - b * c))}))
+        return super().__new__(cls, label, level, tuple(x // unit for x in m))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))   # _replace checks too
 
     def bad_primes(self) -> frozenset[int]:
-        return self._bad
+        a, b, c, d = self.mobius
+        return frozenset({2, 3, *_factorize(abs(a * d - b * c))})
 
 
 def surface_families(group) -> list[SurfaceFamily]:

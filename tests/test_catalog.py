@@ -1,7 +1,6 @@
 """Group catalog: structure, basis construction, coefficient goldens, newforms."""
 
 import csv
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -53,7 +52,7 @@ def test_width_at_infinity_read_from_the_generators():
     g = GROUPS["gamma_24.6.1^6"]
     for gens in (g.generators[:3], g.generators + (((1, 2), (0, 1)),)):
         with pytest.raises(ValueError, match="fix infinity, not one"):
-            replace(g, generators=gens).mu
+            g._replace(generators=gens).mu
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -200,8 +199,8 @@ def test_basis_product_is_a_cube_of_an_eta_quotient(name):
     ({1: 3, 2: 3}, {2: 3}),                          # scale gcds 1 and 2
 ])
 def test_coefficient_residues_refuse_a_pair_without_common_cube(h1, h2):
-    g = replace(GROUPS["gamma_24.6.1^6"], name="no common cube",
-                h1=EtaQuotient.of(h1), h2=EtaQuotient.of(h2))
+    g = GROUPS["gamma_24.6.1^6"]._replace(name="no common cube", h1=EtaQuotient.of(h1),
+                                          h2=EtaQuotient.of(h2))
     with pytest.raises(ValueError, match="not the cube of an eta product"):
         coefficient_residues(g, 50, (25,))
 
@@ -222,7 +221,7 @@ def test_construct_basis_unavailable_for_conjugate_variant():
 
 def test_one_form_is_built_alone():
     # coefficient_sequence and `expand <group> h1` need one form, not the pair
-    g = replace(GROUPS["gamma_9.6^4.1^3"], name="one form only")
+    g = GROUPS["gamma_9.6^4.1^3"]._replace(name="one form only")
     basis_form.cache_clear()
     a = coefficient_sequence(g, "a", 40)
     assert basis_form.cache_info().currsize == 1

@@ -248,19 +248,34 @@ def test_verdict_census_at_pn_bound_1000():
     # a pn-bound between multiples kp of p tests what kp tests
     primes = [q for q in primes_upto(97) if q >= 5]
     census = collections.Counter()
-    try:
-        for g in GROUPS.values():
-            a, b = coefficient_residues(g, 1000, tuple(p * p for p in primes))
-            for i, p in enumerate(primes):
-                for pn in range(p, 1001, p):
-                    try:
-                        rep = detect_basis(g, p, pn, rows=(a[i, :pn], b[i, :pn]))
-                        census[rep.case_kind] += 1
-                    except InsufficientDataError:
-                        census["refused"] += 1
-    finally:
-        lattice_indices.cache_clear()       # one entry per distinct bound
+    for g in GROUPS.values():
+        a, b = coefficient_residues(g, 1000, tuple(p * p for p in primes))
+        for i, p in enumerate(primes):
+            for pn in range(p, 1001, p):
+                try:
+                    rep = detect_basis(g, p, pn, rows=(a[i, :pn], b[i, :pn]))
+                    census[rep.case_kind] += 1
+                except InsufficientDataError:
+                    census["refused"] += 1
     assert census == {"case1": 4909, "case2": 3644, "refused": 69}
+
+
+def test_detect_basis_keeps_nothing_per_bound():
+    # a library process calling detect_basis at many bounds must not grow:
+    # liveness is arithmetic on the tested indices, not a table per bound
+    import tracemalloc
+    g = get_group("24.6.1^6")
+    a, b = (rows[0] for rows in coefficient_residues(g, 1000, (49,)))
+    detect_basis(g, 7, 1000, rows=(a, b))       # the newform coefficients once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for bound in range(200, 1000, 2):
+            detect_basis(g, 7, bound, rows=(a[:bound], b[:bound]))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1 << 20
 
 
 def test_detect_basis_b_variant():

@@ -53,14 +53,15 @@ def test_resolving_names_leaves_the_package_namespace_unchanged():
 
 # A command must not load what it does not run: `aswd` needs neither the
 # surface geometry nor the trace kernels, and the structural commands need
-# no numpy.  Each case runs in a fresh interpreter.
+# no numpy.  No command loads `dataclasses`, and a text-format command does
+# not load `json`.  Each case runs in a fresh interpreter.
 LOADED = """
 import contextlib, io, sys
 from noncong.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     rc = main(sys.argv[1:])
 print(rc, *sorted(name for name in sys.modules
-                  if name == "numpy" or name.startswith("noncong.")))
+                  if name in ("numpy", "dataclasses", "json") or name.startswith("noncong.")))
 """
 
 
@@ -81,7 +82,18 @@ def test_command_loads_only_its_layers(argv, absent):
     rc, *loaded = done.stdout.split()
     assert rc == "0"
     assert "noncong.cli" in loaded
-    assert not absent & set(loaded)
+    assert not (absent | {"dataclasses", "json"}) & set(loaded)     # every case writes text
+
+
+def test_no_module_loads_dataclasses():
+    # the records are namedtuples and plain classes: no code generated at import
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = ("import importlib, sys\n"
+            f"for m in {SUBMODULES!r}: importlib.import_module('noncong.' + m)\n"
+            "print('dataclasses' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == ["False"]
 
 
 def test_import_noncong_loads_no_submodule():
@@ -134,3 +146,42 @@ def test_cli_process_starts_no_blas_thread(mode, preset, setting):
     assert (rc, read) == ("0", setting)
     if setting == "1" and openblas == "True" and threads != "0":
         assert threads == "1"
+
+
+# The records: frozen ones are tuples that refuse assignment, compare and
+# hash by value and check their fields on construction and on _replace; the
+# mutable reports take only their own attributes.
+def test_records_keep_their_semantics():
+    from noncong import catalog, congruence, series, surfaces, traces
+    g = catalog.GROUPS["gamma_24.6.1^6"]
+    frozen = [g, g.parent, catalog.NEWFORMS["L48"], catalog.BiquadraticNumber.make(2, -3, 1),
+              series.EtaQuotient.of({1: 2}), congruence.TwistMatch("L48", 1, 1, 2),
+              surfaces.beauville_short("E8"), surfaces.BEAUVILLE["E8"]["family"],
+              surfaces.COVERINGS[g.name], surfaces.ISOGENY_BY_INVOLUTION["E8:-t"],
+              surfaces.ModularPolynomial.from_dict(1, {(1, 0): 1, (0, 1): -1}),
+              traces.LocalTrace(0, "smooth", 1), traces.SurfaceFamily("f", "E8", (1, 0, 0, 1))]
+    assert len({type(r) for r in frozen}) == 13
+    for rec in frozen:
+        name = rec._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        assert rec == rec._replace() and hash(rec) == hash(rec._replace())
+    assert {g: 1}[g._replace(newform="L48")] == 1  # GroupRecord hashes by name
+    zero = catalog.BiquadraticNumber.make(2, -3)
+    assert zero == 0 and not zero != 0 and zero != 1
+    with pytest.raises(ValueError, match="squarefree non-unit"):
+        zero._replace(d2=2)
+    with pytest.raises(ValueError, match="must be distinct"):
+        series.EtaQuotient(((1, 2), (1, 3)))
+    with pytest.raises(ValueError, match="no nonzero term"):
+        frozen[10]._replace(terms=())
+    assert frozen[12]._replace(mobius=(-2, 0, 0, -2)).mobius == (1, 0, 0, 1)
+    for report in (catalog.HeckeReport("L48", 5, 5, 0, []),
+                   congruence.ThreeTermReport(5, 1, [], []),
+                   congruence.CongruenceReport("g", 5, "case1")):
+        setattr(report, report.__slots__[1], 7)
+        assert getattr(report, report.__slots__[1]) == 7
+        with pytest.raises(AttributeError):
+            report.extra = 1

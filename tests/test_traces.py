@@ -3,7 +3,6 @@
 import csv
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -227,7 +226,7 @@ def test_classification_matches_tangent_slope_oracle():
 def test_surface_families_read_the_parent_record():
     # a group over a third parent gets that parent's Beauville family, not E6
     g = GROUPS["gamma_18.6.3^3.1^3"]
-    other = replace(g, parent=replace(g.parent, label="Gamma1(5)", family="E5"))
+    other = g._replace(parent=g.parent._replace(label="Gamma1(5)", family="E5"))
     fams = surface_families(other)
     assert fams and all(f.level == "E5" for f in fams)
     assert [f.mobius for f in fams] == [f.mobius for f in surface_families(g)]
