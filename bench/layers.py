@@ -46,6 +46,9 @@ The measurements, with the N each is taken at (N = 1 where none applies):
 * ``family_sums_p2`` (same p): ``frobenius_trace`` of the twelve families of
   the main groups over F_{p^2}, with both tables and the field built in the
   set-up;
+* ``scan_p`` (N = 1009, 10007, 100003): cold F_p traces, ``frobenius_trace``
+  of the twelve families at each of the first 20 primes >= N, fields and
+  tables included, as a scan of split primes builds them;
 * ``newform_L48``, ``newform_L432`` (N = 1009 .. 4001): ``newform_an(form,
   p)`` for every prime 5 <= p <= N in ascending order, as perfbench's
   ap-scan asks for them;
@@ -62,6 +65,7 @@ import contextlib
 import functools
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -79,6 +83,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GROUP = "gamma_24.6.1^6"
 ETA_BOUNDS = (501, 1001, 2001, 4001)
 PRIMES = (101, 211, 1009, 2003)
+SCAN_BOUNDS = (1009, 10007, 100003)
+SCAN_PRIMES = 20
 NEWFORM_BOUNDS = (1009, 2003, 4001)
 BASIS_BOUNDS = (501, 1001, 2001)
 ROW_BLOCKS = (4, 8, 24)
@@ -198,6 +204,24 @@ def _fiber_tables(name, p):
     def run():
         for level in levels:
             traces.fiber_trace_table(level, p, name != "table_p")
+    return run
+
+
+@measurement(SCAN_BOUNDS, "scan_p")
+def _scan_p(name, n):
+    import noncong
+    from noncong import traces
+    traces.fiber_trace_table("E8", 5, False)           # first-call imports
+    families = [fam for group in noncong.MAIN_GROUPS
+                for fam in traces.surface_families(noncong.GROUPS[group])]
+    primes = list(itertools.islice((p for p in itertools.count(n)
+                                    if all(p % d for d in range(2, math.isqrt(p) + 1))),
+                                   SCAN_PRIMES))
+
+    def run():
+        for p in primes:
+            for fam in families:
+                traces.frobenius_trace(fam, p)
     return run
 
 

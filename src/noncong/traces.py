@@ -19,7 +19,9 @@ bounded share of q.  Every family sits at f(r^3) for an integer Mobius map
 f (``SurfaceFamily.mobius``, derived from the group's covering map), so a
 family's sum reads the table at f(0), f(infinity) and, three times each, at
 f(s) for the (q - 1) / 3 cubes s of F_q^*; when 3 does not divide q - 1,
-r -> r^3 and f permute P^1(F_q) and the sum is the whole table.
+r -> r^3 and f permute P^1(F_q) and the sum is the whole table.  The table
+covers P^1(F_q) with infinity last, so the point -1 that stands for
+infinity is read like any other.
 """
 
 from __future__ import annotations
@@ -40,7 +42,15 @@ import numpy as np
 
 
 class BadPrimeError(ValueError):
-    """The requested prime is not of good reduction for the family."""
+    """The requested prime is not of good reduction for the family, or not
+    a prime >= 5 at all."""
+
+
+def _checked_prime(p: int) -> int:
+    """p, if it is a prime >= 5, the characteristics the fields support."""
+    if p < 5 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise BadPrimeError(f"{p} is not a prime >= 5")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +61,8 @@ class PrimeField:
     """F_p; the element a has index a."""
 
     def __init__(self, p: int):
-        if p < 5:
-            raise BadPrimeError("characteristic must not be 2 or 3")
-        self.p, self.q, self.shape = p, p, (p,)
+        self.p = self.q = _checked_prime(p)
+        self.shape = (p,)
         self._build_logs()
 
     def _build_logs(self):
@@ -61,8 +70,9 @@ class PrimeField:
         ``chi_table`` for the first generator g of F_q^* in index order; exp
         is one outer product of g^0..g^(m-1) by g^(mk), m = ceil(sqrt(q - 1))."""
         n, one, mul = self.q - 1, self.constant(1), self.mul_vec
+        cofactors = [n // ell for ell in _factorize(n)]
         g = next(x for x in range(one + 1, self.q)       # 2, or 1 + sqrt(nu)
-                 if all(_power(self, x, n // ell) != one for ell in _factorize(n)))
+                 if all(self.power(x, e) != one for e in cofactors))
         m = isqrt(n - 1) + 1
         baby = list(accumulate([g] * (m - 1), mul, initial=one))
         giant = list(accumulate([mul(baby[-1], g)] * (-(-n // m) - 1), mul, initial=one))
@@ -92,6 +102,10 @@ class PrimeField:
     def mul_vec(self, x, y):
         return x * y % self.p
 
+    def power(self, x: int, e: int) -> int:
+        """x^e for one element index."""
+        return pow(x, e, self.p)
+
     def add_vec(self, x, y):
         return (x + y) % self.p
 
@@ -109,9 +123,7 @@ class QuadExtField(PrimeField):
     ``inv_table`` are those of PrimeField, built on this arithmetic."""
 
     def __init__(self, p: int):
-        if p < 5:
-            raise BadPrimeError("characteristic must not be 2 or 3")
-        self.p, self.q = p, p * p
+        self.p, self.q = _checked_prime(p), p * p
         self.nu = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
         self.shape = (p, p)     # the additive group, index a*p + b <-> [a, b]
         self._build_logs()
@@ -122,6 +134,15 @@ class QuadExtField(PrimeField):
         c, d = divmod(y, p)
         return (a * c + self.nu * b * d) % p * p + (a * d + b * c) % p
 
+    def power(self, x: int, e: int) -> int:
+        """x^e for one element index, by square-and-multiply."""
+        acc = self.constant(1)
+        while e:
+            if e & 1:
+                acc = self.mul_vec(acc, x)
+            x, e = self.mul_vec(x, x), e >> 1
+        return acc
+
     def add_vec(self, x, y):
         p = self.p
         return (x // p + y // p) % p * p + (x + y) % p
@@ -129,14 +150,6 @@ class QuadExtField(PrimeField):
     def constant(self, c: int) -> int:
         """Index of the image of the integer c (the subfield F_p sits at a*p)."""
         return c % self.p * self.p
-
-
-def _power(field, x: int, e: int) -> int:
-    """x^e for one element index, by square-and-multiply."""
-    if e == 0:
-        return field.constant(1)
-    half = _power(field, field.mul_vec(x, x), e >> 1)
-    return field.mul_vec(half, x) if e & 1 else half
 
 
 # room for F_p and F_{p^2} of one prime, as ``trace_rows`` reads prime by
@@ -150,7 +163,7 @@ def field_for(p: int, squared: bool, /):
 
 def _poly_eval(field, coeffs, x):
     """sum c_i x^i for integer coefficients c_i, at one element index or
-    an array of them (Horner)."""
+    an array of them (Horner); whole tables take ``_poly_grids``."""
     acc = 0
     for c in reversed(coeffs):
         acc = field.add_vec(field.mul_vec(acc, x), field.constant(c))
@@ -282,9 +295,9 @@ def _blocks(count: int, width: int = 1) -> list[slice]:
 # prime's tables give way to the next prime's
 @lru_cache(maxsize=4)
 def fiber_trace_table(level: str, p: int, squared: bool, /):
-    """Local trace of the level family at every parameter value of F_q (a
-    read-only int32 array indexed by element), plus the trace at the
-    parameter point at infinity.
+    """Local trace of the level family at every point of P^1(F_q): a
+    read-only int32 array of q + 1 entries indexed by element, the point at
+    infinity last (index -1); and that last entry again, as an int.
 
     Smooth fibers: for A = u^2 * rep with u = g^(log A // 2) and
     rep = g^(log A mod 2) (0 for A = 0), sum_x chi(x^3 + Ax + B) equals
@@ -299,7 +312,7 @@ def fiber_trace_table(level: str, p: int, squared: bool, /):
     S = field.character_sums()
     # 4A^3 + 27B^2 = 0: both zero, or log 4 + 3 log A = log(-27) + 2 log B
     shift = L[const(4)] - L[const(-27)]
-    tau = np.empty(field.q, dtype=np.int32)      # |tau| <= 2 sqrt(q) by Hasse
+    tau = np.empty(field.q + 1, dtype=np.int32)      # |tau| <= 2 sqrt(q) by Hasse
     for block, (A, B) in _poly_grids(field, _level_poly_coeffs(level)):
         LA, LB = L[A], L[B]
         half = LA >> 1                          # log u
@@ -311,31 +324,34 @@ def fiber_trace_table(level: str, p: int, squared: bool, /):
         tau[block] = t
 
     Astar, Bstar = _infinity_model(level)
-    tau_inf = chi[const(-2 * Astar * Bstar)]
+    tau[-1] = chi[const(-2 * Astar * Bstar)]
     tau.flags.writeable = False
-    return tau, int(tau_inf)
+    return tau, int(tau[-1])
 
 
 def _poly_grids(field, polys):
     """Yield (block, values): a slice of element indices of F_q and each
     integer polynomial of ``polys`` at those elements, block after block.
-    F_p is one block.  Over F_{p^2}, P(a + b w) = sum_k D_k(a) (b w)^k with
-    D_k = P^(k) / k! and w^2 = nu, and a block is rows a of the (p, p) grid
-    (``_blocks``): there the F_p part (even k) and the w part (odd k) are
-    each one matrix product of D_k(a) nu^(k // 2) (rows a) by b^k (columns
-    b); both factors are built once, for every a and b."""
-    p = field.p
-    a = np.arange(p, dtype=np.int64)
-    if field.q == p:
-        yield slice(0, p), [_poly_eval(field, coeffs, a) for coeffs in polys]
+    Both fields read one power table V[j] = a^j mod p for a in F_p, through
+    int64 products of factors reduced mod p.  F_p is one block: the values
+    are the coefficient rows times V.  Over F_{p^2},
+    P(a + b w) = sum_k D_k(a) (b w)^k with D_k = P^(k) / k! and w^2 = nu:
+    the rows D_k(a) nu^(k // 2) are the binomial matrix
+    C(i, k) c_i nu^(k // 2) (row k, column i - k) times V, and a block is
+    rows a of the (p, p) grid (``_blocks``), where the F_p part (even k)
+    and the w part (odd k) are each one product of those rows (rows a) by
+    V (columns b)."""
+    p, size = field.p, max(map(len, polys))
+    if field.q == p:        # no power table stays alive while a block is read
+        C = np.array([[c % p for c in coeffs] + [0] * (size - len(coeffs))
+                      for coeffs in polys], dtype=np.int64)
+        yield slice(0, p), list(C @ _power_table(p, size) % p)
         return
-    base = field_for(p, False)
-    Ds = [np.array([_poly_eval(base, [comb(i, k) * c for i, c in enumerate(coeffs)][k:], a)
-                    * pow(field.nu, k // 2, p) % p for k in range(len(coeffs))])
+    V = _power_table(p, size)
+    Ds = [np.array([[comb(i, k) * c * pow(field.nu, k // 2, p) % p
+                     for i, c in enumerate(coeffs)][k:] + [0] * k
+                    for k in range(len(coeffs))], dtype=np.int64) @ V[:len(coeffs)] % p
           for coeffs in polys]
-    V = np.ones((max(map(len, polys)), p), dtype=np.int64)
-    for k in range(1, len(V)):
-        V[k] = V[k - 1] * a % p
     for rows in _blocks(p, p):
         values = []
         for D in Ds:
@@ -343,6 +359,16 @@ def _poly_grids(field, polys):
             values.append((D[0::2, rows].T @ W[0::2] % p * p
                            + D[1::2, rows].T @ W[1::2] % p).ravel())
         yield slice(rows.start * p, rows.stop * p), values
+
+
+def _power_table(p: int, size: int) -> np.ndarray:
+    """V[j, a] = a^j mod p for j < size and a in F_p, as int64."""
+    V = np.empty((size, p), dtype=np.int64)
+    V[0], V[1] = 1, np.arange(p)
+    for j in range(2, size):
+        np.multiply(V[j - 1], V[1], out=V[j])
+        V[j] %= p
+    return V
 
 
 def _cubic_counts(field, i: int) -> np.ndarray:
@@ -405,7 +431,10 @@ def _character_sums(field) -> np.ndarray:
 
 
 def _check_good_prime(family: SurfaceFamily, p: int):
-    if p in family.bad_primes():
+    """Refuse p < 5 and p dividing ad - bc, so a prime p dividing
+    6(ad - bc), in constant time; the field refuses a p that is not prime."""
+    a, b, c, d = family.mobius
+    if p < 5 or (a * d - b * c) % p == 0:
         raise BadPrimeError(
             f"{family.label}: {p} is not a good prime (bad set {sorted(family.bad_primes())})")
 
@@ -417,13 +446,20 @@ def _ratio(field, x: int, y: int) -> int:
 
 def _mobius_on_cubes(field, mobius) -> np.ndarray:
     """f(s) = (a s + b) / (c s + d) at the cubes s = g^(3j) of F_q^*, as
-    element indices with -1 for infinity: a s = g^(log a + 3j), and a
-    constant of F_p adds to an index mod q in both fields."""
-    E, L, n, q = field.exp, field.log, field.q - 1, field.q
-    logs = np.arange(0, n, 3)
+    element indices with -1 for infinity; the quotient is a difference of
+    logs.  Over F_p the cubes are the view exp[::3] and a s + b is integer
+    arithmetic.  Over F_{p^2}, a s = g^(log a + 3j), and a constant of F_p
+    adds to an index mod q."""
+    E, L, q = field.exp, field.log, field.q
+    n = q - 1
     a, b, c, d = (field.constant(x) for x in mobius)
-    num = (np.where(a == 0, 0, E[(L[a] + logs) % n]) + b) % q
-    den = (np.where(c == 0, 0, E[(L[c] + logs) % n]) + d) % q
+    if q == field.p:
+        s = E[::3]
+        num, den = (a * s + b) % q, (c * s + d) % q
+    else:
+        logs = np.arange(0, n, 3)
+        num = (np.where(a == 0, 0, E[(L[a] + logs) % n]) + b) % q
+        den = (np.where(c == 0, 0, E[(L[c] + logs) % n]) + d) % q
     f = E[(L[num] - L[den]) % n]
     f[num == 0] = 0
     f[den == 0] = -1
@@ -434,16 +470,12 @@ def frobenius_trace(family: SurfaceFamily, p: int, squared: bool = False) -> int
     """Tr(Frob_q) = - sum of local traces over P^1(F_q), q = p or p^2."""
     _check_good_prime(family, p)
     field = field_for(p, squared)
-    tau, tau_inf = fiber_trace_table(family.level, p, squared)
+    tau = fiber_trace_table(family.level, p, squared)[0]     # tau[-1]: infinity
     if (field.q - 1) % 3:                   # r -> r^3 and f permute P^1(F_q)
-        return -int(tau.sum()) - tau_inf
-
-    def total(points):                      # point -1 is infinity
-        return int(np.where(points < 0, tau_inf, tau[points]).sum())
-
+        return -int(tau.sum())
     a, b, c, d = family.mobius
-    ends = np.array([_ratio(field, b, d), _ratio(field, a, c)])    # f(0), f(infinity)
-    return -(3 * total(_mobius_on_cubes(field, family.mobius)) + total(ends))
+    ends = tau[_ratio(field, b, d)] + tau[_ratio(field, a, c)]     # f(0), f(infinity)
+    return -int(3 * tau[_mobius_on_cubes(field, family.mobius)].sum() + ends)
 
 
 def local_trace(family: SurfaceFamily, field, point) -> LocalTrace:

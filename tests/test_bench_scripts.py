@@ -18,7 +18,7 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 # all but the two measurements of nine aswd processes, which take seconds
 CHILD_MODES = ["import", "import_compiled", "eta_powers", "residues", "aswd_row_block",
                "traces_cold", "table_p2", "table_p", "pair_p2", "family_sums_p2",
-               "newform_L48", "newform_L432", "basis"]
+               "scan_p", "newform_L48", "newform_L432", "basis"]
 
 
 def layers(*argv):

@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,14 +16,15 @@ from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, character_value,
 from noncong.series import exact_integers
 from noncong.surfaces import beauville_short
 from noncong.traces import (BadPrimeError, FIBER_VALUE, PrimeField,
-                            QuadExtField, TABLE8_PRIMES,
+                            QuadExtField, TABLE8_PRIMES, _mobius_on_cubes,
                             _poly_eval, classify_singular_fiber,
                             count_points_short, fiber_trace_table, field_for,
                             frobenius_trace, local_trace, quadratic_character,
                             SurfaceFamily, surface_families, trace_pair,
                             trace_rows, rows_to_csv)
 
-GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "golden"
 
 
 def load_traces_golden():
@@ -510,6 +512,45 @@ def test_bad_primes_refused():
     assert scaled.bad_primes() == {2, 3, 5, 7}      # ad - bc = 35
     with pytest.raises(BadPrimeError):
         frobenius_trace(scaled, 5)
+    large = SurfaceFamily("E8(r^3/1022117)", "E8", (1, 0, 0, 1009 * 1013))
+    assert large.bad_primes() == {2, 3, 1009, 1013}
+    for p in (1009, 1013):
+        with pytest.raises(BadPrimeError, match=rf"{p} is not a good prime "
+                                                r"\(bad set \[2, 3, 1009, 1013\]\)"):
+            frobenius_trace(large, p)
+    assert frobenius_trace(large, 1019) == oracle_trace(large, field_for(1019, False))
+
+
+def refuses(p):
+    """pytest.raises for a BadPrimeError whose message names p."""
+    return pytest.raises(BadPrimeError, match=rf"(^|: ){re.escape(str(p))} is not a")
+
+
+def test_trace_at_a_prime_power_refused():
+    fam = ALL_FAMILIES[0]
+    with refuses(25):
+        frobenius_trace(fam, 25)
+    with refuses(25):
+        frobenius_trace(fam, 25, True)
+
+
+@pytest.mark.parametrize("field", [PrimeField, QuadExtField])
+@pytest.mark.parametrize("p", [4, 1, 0, -7])
+def test_fields_refuse_small_and_negative_characteristics(field, p):
+    with refuses(p):
+        field(p)
+
+
+def test_scalar_oracle_refuses_a_composite_field():
+    with refuses(25):
+        local_trace(ALL_FAMILIES[0], PrimeField(25), 3)
+
+
+def test_field_for_builds_no_composite_field():
+    field_for.cache_clear()
+    with refuses(35):
+        field_for(35, False)
+    assert field_for.cache_info().currsize == 0
 
 
 def test_csv_round_trip_header():
@@ -554,10 +595,16 @@ FIBER_TABLE_CASES = [(p, squared) for squared in (False, True) for p in (5, 7, 1
 @pytest.mark.parametrize("p,squared", FIBER_TABLE_CASES,
                          ids=default_model_ids(FIBER_TABLE_CASES))
 def test_fiber_table_matches_scalar_oracle(level, p, squared):
+    """The table covers P^1(F_q): the q elements, then infinity, which the
+    oracle reads at s = 0 of the model s^4 A(1/s), s^6 B(1/s)."""
     field = field_for(p, squared)
-    tau, _ = fiber_trace_table(level, p, squared)
-    assert tau.dtype == np.int32 and len(tau) == field.q
-    assert tau.tolist() == scalar_fiber_traces(level, field, range(field.q))
+    tau, tau_inf = fiber_trace_table(level, p, squared)
+    assert tau.dtype == np.int32 and len(tau) == field.q + 1
+    assert tau.tolist()[:-1] == scalar_fiber_traces(level, field, range(field.q))
+    sw = beauville_short(level)
+    Arev, Brev = ([int(c) for c in poly.num] + [0] * (size - len(poly.num))
+                  for poly, size in ((sw.A, 5), (sw.B, 7)))
+    assert tau[-1] == tau_inf == scalar_fiber_trace(field, Arev[::-1], Brev[::-1], 0)
 
 
 @pytest.mark.parametrize("level", ["E8", "E6"])
@@ -587,6 +634,21 @@ def test_hasse_guard_refuses_corrupted_table(monkeypatch):
     fiber_trace_table.cache_clear()
     with pytest.raises(AssertionError, match="Hasse bound"):
         fiber_trace_table("E8", 11, False)
+
+
+def test_fp_traces_over_the_ap_scan_range():
+    """The F_p traces of the twelve families at all 166 primes 5 <= p <= 1000
+    equal the ``tr`` rows of perfbench's ap-scan; in 156 of those (family, p)
+    a cube maps to infinity, which the sum reads at index -1."""
+    with open(ROOT / "perfbench" / "expected" / "ap_scan.csv", newline="") as fh:
+        want = {(g, label, int(p)): int(tr) for kind, g, label, p, tr, *_ in csv.reader(fh)
+                if kind == "tr"}
+    primes = [p for p in primes_upto(1000) if p >= 5]
+    families = [(name, fam) for name in MAIN_GROUPS for fam in surface_families(GROUPS[name])]
+    got = {(name, fam.label, p): frobenius_trace(fam, p) for p in primes for name, fam in families}
+    assert len(primes) == 166 and got == want
+    assert sum(-1 in _mobius_on_cubes(field_for(p, False), fam.mobius)
+               for p in primes if p % 3 == 1 for _, fam in families) == 156
 
 
 def test_fp2_tables_stay_within_70_bytes_per_element():
@@ -638,7 +700,8 @@ def test_cache_keys_do_not_depend_on_spelling():
     assert fiber_trace_table.cache_info().currsize == 1
     with pytest.raises(TypeError):
         field_for(13, squared=True)
-    assert field_for.cache_info().currsize == 2         # F_13 and F_169
+    assert field_for(13, True) is field_for(13, 1)
+    assert field_for.cache_info().currsize == 1         # F_169; its table needs no F_13
 
 
 def test_fiber_tables_built_once_per_key():
