@@ -193,7 +193,6 @@ def _fiber_tables(name, p):
                     for fam in traces.surface_families(noncong.GROUPS[group])]
         for level in ("E8", "E6"):
             traces.fiber_trace_table(level, p, True)
-        traces.field_for(p, True).inv_table()
 
         def run():
             for fam in families:

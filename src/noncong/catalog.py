@@ -464,15 +464,14 @@ def coefficient_sequence(group: GroupRecord, which: str, bound: int = 500) -> di
 # the same printed sequences mod m, from the eta product's integer coefficients
 
 
-def lattice_indices(group: GroupRecord, which: str, bound: int) -> tuple[int | None, ...]:
-    """(j_1, ..., j_bound) with a_n = [x^(j_n)] P(x)^(1/3); None where a_n is
-    zero by construction."""
+def lattice_indices(group: GroupRecord, which: str, n):
+    """j_n with a_n = [x^(j_n)] P(x)^(1/3), as int64, for an int64 array n
+    of printed indices; -1 where a_n is zero by construction.  The one
+    test of whether an index is on the form's lattice."""
+    import numpy as np
     _, _, step, shift, den = _lattice(group, which)
-    out = []
-    for n in range(1, bound + 1):
-        j, r = divmod(step * n - shift, den)
-        out.append(j if j >= 0 and not r else None)
-    return tuple(out)
+    j, r = np.divmod(step * n - shift, den)
+    return np.where((j >= 0) & (r == 0), j, -1)
 
 
 # Rows of the residue batch transformed together.  On one aswd run at
@@ -503,11 +502,10 @@ def coefficient_residues(group: GroupRecord, bound: int, moduli: tuple[int, ...]
                          "product on the scale gcd of both forms")
     p1 = [(k // g, e) for k, e in eq1.factors]
     cofactor = [(k // g, e // 3) for k, e in total.items() if e]
-    lattices = [lattice_indices(group, w, bound) for w in "ab"]
-    length = 1 + max((j for lat in lattices for j in lat if j is not None), default=0)
-    # a_n zero by construction reads column `length`, a zero padded onto each root
-    cols = [[length if j is None else j for j in lat] for lat in lattices]
     out = np.zeros((2, len(moduli), bound), dtype=np.int64)
+    cols = np.stack([lattice_indices(group, w, np.arange(1, bound + 1)) for w in "ab"])
+    length = 1 + int(cols.max(initial=0))
+    # a_n zero by construction reads column -1, a zero padded onto each root
     for r in range(0, len(moduli), ROW_BLOCK):
         block = moduli[r:r + ROW_BLOCK]
         roots = cube_roots_mod(eta_product_mod(p1, length, block),

@@ -233,12 +233,12 @@ def cmd_aswd(args) -> int:
     else:
         for r in reports:
             line = f"{r.group} p={r.p}: {r.case_kind}"
-            if r.case_kind == "case1":
-                line += f"  a_np/a_n={r.constants['a']} b_np/b_n={r.constants['b']}"
-            elif r.case_kind == "case2":
-                line += f"  a_np/b_n={r.constants['ab']} b_np/a_n={r.constants['ba']}"
-                if r.ap_squared is not None:
-                    line += f"  alpha^2={r.alpha_squared} Ap^2={r.ap_squared}"
+            if r.constants:
+                # key 'ab' is a_np/b_n: numerator form first, denominator last
+                line += "  " + " ".join(f"{k[0]}_np/{k[-1]}_n={c}"
+                                        for k, c in r.constants.items())
+            if r.ap_squared is not None:
+                line += f"  alpha^2={r.alpha_squared} Ap^2={r.ap_squared}"
             for which, m in sorted(r.matches.items()):
                 if m is None:
                     line += f"  [{which}: no newform match]"
@@ -262,24 +262,15 @@ def cmd_aswd(args) -> int:
     return rc
 
 
-def _case_row(r) -> tuple:
-    """(case, c1, c2) of one report; an indeterminate row has no constants."""
-    if r.case_kind == "case1":
-        return "case1", r.constants["a"], r.constants["b"]
-    if r.case_kind == "case2":
-        return "case2", r.constants["ab"], r.constants["ba"]
-    return "indeterminate", None, None
-
-
 def _aswd_csv(reports) -> str:
     lines = [ASWD_GOLDEN[0]]
     for r in reports:
-        lines.append(",".join(["" if v is None else str(v) for v in (r.p, *_case_row(r))]))
+        lines.append(",".join(["" if v is None else str(v) for v in (r.p, *r.row)]))
     return "\n".join(lines) + "\n"
 
 
 def _diff_golden_aswd(reports, golden) -> int:
-    by_p = {r.p: _case_row(r) for r in reports}
+    by_p = {r.p: r.row for r in reports}
     rc = 0
     for p, *want in golden:
         got, want = by_p.get(p), tuple(want)
@@ -320,8 +311,14 @@ def cmd_noncongruence(args) -> int:
 
 def cmd_isogeny(args) -> int:
     from . import surfaces
-    if args.samples < 1:
+    if args.mode == "symbolic":
+        for flag, value in (("--primes", args.primes), ("--samples", args.samples)):
+            if value is not None:
+                raise InputRefused(f"{flag} applies to --mode sampled only")
+    if args.samples is not None and args.samples < 1:
         raise InputRefused(f"--samples {args.samples} is not a positive integer")
+    if args.pair is not None and args.self_group is not None:
+        raise InputRefused("give --pair or --self, not both")
     if args.pair:
         rel = surfaces.INTER_FAMILY_RELATIONS.get(args.pair)
         if rel is None:
@@ -339,7 +336,8 @@ def cmd_isogeny(args) -> int:
         raise InputRefused(f"--primes selects {primes[0]}; the isogeny check needs p >= 5")
     try:
         ok = surfaces.isogeny_relation_check(
-            rel, mode=args.mode, primes=primes, samples=args.samples,
+            rel, mode=args.mode, primes=primes,
+            samples=50 if args.samples is None else args.samples,
             modpoly_path=args.modpoly)
     except (surfaces.MissingPolynomialData, ValueError) as e:   # no data, or too few sample points
         raise InputRefused(str(e)) from None
@@ -403,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check a group's own involution relation")
     p.add_argument("--mode", choices=("sampled", "symbolic"), default="sampled")
     p.add_argument("--primes", default=None)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=int, default=None,
+                   help="points t sampled per prime (default 50)")
     p.set_defaults(fn=cmd_isogeny, formats=("human",))
     return ap
 
@@ -415,6 +414,8 @@ def main(argv=None) -> int:
         if args.format not in args.formats:
             raise InputRefused(f"--format {args.format} does not apply to {args.command}, "
                                f"which writes {' and '.join(args.formats)} output")
+        if args.modpoly is not None and args.command != "isogeny":
+            raise InputRefused("--modpoly applies to isogeny only")
         return args.fn(args)
     except InputRefused as e:
         print(f"refused: {e}", file=sys.stderr)

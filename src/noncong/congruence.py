@@ -15,8 +15,8 @@ cube root, and hands each prime its two rows; ``detect_basis`` called
 alone builds the batch of its one prime.  The ratio tests read the rows
 directly, one array expression per test.  Whether a verdict is vacuous --
 every tested numerator zero by construction -- is read off the lattice of
-exponents the form can carry (``catalog._lattice``): a tested index np is
-on it when step np - shift is a nonnegative multiple of den.
+exponents the form can carry: ``catalog.lattice_indices`` gives -1 for
+every tested index np off it.
 
 Every residue is reduced mod p^2, with p passed alongside it: int64 batch
 rows in the ratio tests, plain ints for the constants they yield.
@@ -31,8 +31,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .catalog import (BiquadraticNumber, GroupRecord, _lattice, coefficient_residues,
-                      newform_an)
+from .catalog import (BiquadraticNumber, GroupRecord, coefficient_residues,
+                      lattice_indices, newform_an)
 # unused here; kept as the name perfbench's tracer wraps in this module
 from .catalog import coefficient_sequence  # noqa: F401
 
@@ -262,6 +262,12 @@ class CongruenceReport:
         self.three_term: dict[str, ThreeTermReport] = {}
         self.notes: list[str] = []
 
+    @property
+    def row(self) -> tuple:
+        """(case_kind, c1, c2), the constants in the order the case prints
+        them; an indeterminate report has none."""
+        return (self.case_kind, *(self.constants.values() or (None, None)))
+
     def to_json(self) -> str:
         import json     # only JSON output loads the module
         def enc(m: TwistMatch | None):
@@ -293,7 +299,7 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
     of one shared batch.
 
     A test is live when some tested index np lies on the lattice of
-    exponents of the numerator form (``catalog._lattice``); a test
+    exponents of the numerator form (``catalog.lattice_indices``); a test
     whose every tested numerator is zero by construction is vacuous, and
     such a vacuous case-1 verdict yields to a live cross-ratio verdict.
     For every input ``noncong aswd`` accepts (p <= 2003, pn <= 10^4) this
@@ -310,9 +316,7 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
         (r[0] for r in coefficient_residues(group, bound, (p * p,)))
 
     def live(which, tested):
-        _, _, step, shift, den = _lattice(group, which)
-        x = step * tested - shift
-        return bool(((x >= 0) & (x % den == 0)).any())
+        return bool((lattice_indices(group, which, tested) >= 0).any())
 
     rep = CongruenceReport(group.name, p, "indeterminate")
     ca, a_tested = _constancy(a, a, p)

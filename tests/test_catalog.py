@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import published_tables
@@ -157,8 +158,23 @@ def test_coefficient_residues_match_exact_mod_p2(name):
         for m, row in zip(MODULI, rows.tolist()):
             assert row == _exact_mod(exact, m), (which, m)
         # off the exponent lattice a_n is exactly zero
-        lattice = lattice_indices(g, which, 500)
-        assert all(exact[n] == 0 for n in exact if lattice[n - 1] is None)
+        lattice = lattice_indices(g, which, np.arange(1, 501))
+        assert all(exact[n] == 0 for n in exact if lattice[n - 1] < 0)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_lattice_indices_equal_the_scalar_definition(name):
+    # a_n sits at x^j, x = q^g, with 72 mu g j = 72 n unit - s mu
+    g = GROUPS[name]
+    for which, (eq, unit) in zip("ab", ((g.h1, g.h1_unit), (g.h2, g.h2_unit))):
+        step, shift = 72 * unit, eq.prefactor24 * g.mu
+        den = 72 * g.mu * gcd(*(k for k, _ in eq.factors))
+        want = []
+        for n in range(1, 10001):
+            j, r = divmod(step * n - shift, den)
+            want.append(j if j >= 0 and r == 0 else -1)
+        got = lattice_indices(g, which, np.arange(1, 10001, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == want, which
 
 
 def test_coefficient_residues_match_exact_at_1000():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from noncong import congruence
-from noncong.catalog import GROUPS
+from noncong.catalog import GROUPS, primes_upto
 from noncong.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -191,6 +191,17 @@ def test_aswd_indeterminate_rows(capsys, monkeypatch, tmp_path):
     golden.write_text(out)
     rc, _, err = run(capsys, "--format", "csv", *argv, "--golden", str(golden))
     assert (rc, err) == (0, "")
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_aswd_csv_rows_are_report_rows(capsys, name):
+    rc, out, _ = run(capsys, "--format", "csv", "aswd", name, "--pmax", "97",
+                     "--pn-bound", "1000")
+    primes = [p for p in primes_upto(97) if p >= 5]
+    reports = congruence.detect_bases(GROUPS[name], primes, 1000)
+    assert rc == 0
+    assert out.splitlines()[1:] == [",".join("" if v is None else str(v)
+                                             for v in (r.p, *r.row)) for r in reports]
 
 
 def test_aswd_human_output_shows_twist_annotations(capsys):
@@ -397,6 +408,14 @@ README = str(GOLDEN.parent / "README.md")
          "range '103..101' runs downward; write 101..103"),
     case(44, ["expand", "E6", "h1", "--order", "3"], "expand E6 takes no form, not 'h1'"),
     case(45, ["traces", "--all", "--primes", "24..28"], "'24..28' selects no primes"),
+    case(46, ["--modpoly", "/nonexistent", "catalog"], "--modpoly applies to isogeny only"),
+    case(47, ["--modpoly", "/nonexistent", "dim", "--all"], "--modpoly applies to isogeny only"),
+    case(48, ["isogeny", "--pair", "4a", "--self", "gamma_24.6.1^6", "--primes", "7",
+              "--samples", "2"], "give --pair or --self, not both"),
+    case(49, ["isogeny", "--self", "gamma_24.6.1^6", "--mode", "symbolic", "--samples", "1000"],
+         "--samples applies to --mode sampled only"),
+    case(50, ["isogeny", "--self", "gamma_24.6.1^6", "--mode", "symbolic", "--primes", "7"],
+         "--primes applies to --mode sampled only"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)

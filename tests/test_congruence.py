@@ -228,6 +228,16 @@ def test_indeterminate_on_rows_with_no_constant_ratio():
     assert (rep.case_kind, rep.constants, rep.matches) == ("indeterminate", {}, {})
 
 
+def test_report_row_lists_the_case_constants_in_print_order():
+    g = get_group("18.3^4.2^3")
+    case2, case1 = detect_bases(g, (5, 7), 500)
+    assert (case2.constants, case2.row) == ({"ab": 3, "ba": 19}, ("case2", 3, 19))
+    assert (case1.constants, case1.row) == ({"a": 35, "b": 21}, ("case1", 35, 21))
+    row = np.arange(2, 52) % 25
+    rep = detect_basis(get_group("24.6.1^6"), 5, 50, rows=(row, row))
+    assert rep.row == ("indeterminate", None, None)
+
+
 def test_vacuous_cross_ratios_stand_when_case1_fails():
     # gamma_8^3.2^3.3^2 at p = 5: a lives on n = 1 (mod 3), b on n = 1 (mod 6).
     # With a_80, off a's lattice, set to 1, case 1 fails at n = 16 (a_16 a
@@ -236,7 +246,7 @@ def test_vacuous_cross_ratios_stand_when_case1_fails():
     # case 2
     g = get_group("8^3.2^3.3^2")
     a, b = (rows[0].copy() for rows in coefficient_residues(g, 100, (25,)))
-    assert lattice_indices(g, "a", 100)[79] is None and a[15] % 5
+    assert lattice_indices(g, "a", np.array([80]))[0] < 0 and a[15] % 5
     a[79] = 1
     rep = detect_basis(g, 5, 100, rows=(a, b))
     assert (rep.case_kind, rep.constants) == ("case2", {"ab": 0, "ba": 0})
@@ -370,7 +380,7 @@ def test_live_flag_equals_exact_flag():
     for g in GROUPS.values():
         batch = dict(zip("ab", coefficient_residues(g, 500, moduli)))
         exact = {w: coefficient_sequence(g, w, 500) for w in "ab"}
-        lattice = {w: lattice_indices(g, w, 500) for w in "ab"}
+        lattice = {w: lattice_indices(g, w, np.arange(1, 501)) for w in "ab"}
         for i, p in enumerate(primes):
             for num, den in ("aa", "bb", "ab", "ba"):
                 const, tested = congruence._constancy(batch[num][i], batch[den][i], p)
@@ -379,7 +389,7 @@ def test_live_flag_equals_exact_flag():
                     (g.name, p, num + den)
                 if tested is not None:
                     # detect_basis's flag: some tested index lies on the lattice
-                    live = any(lattice[num][n - 1] is not None for n in want[1])
+                    live = any(lattice[num][n - 1] >= 0 for n in want[1])
                     assert live == any(exact[num][n] != 0 for n in want[1]), \
                         (g.name, p, num + den)
                 checks += 1
@@ -395,12 +405,12 @@ def test_first_lattice_numerator_is_nonzero():
     witnessed = 0
     for g in GROUPS.values():
         batch = dict(zip("ab", coefficient_residues(g, 1000, moduli)))
-        lattice = {w: lattice_indices(g, w, 1000) for w in "ab"}
+        lattice = {w: lattice_indices(g, w, np.arange(1, 1001)) for w in "ab"}
         for i, p in enumerate(primes):
             for num, den in ("aa", "bb", "ab", "ba"):
                 n = np.arange(1, 1000 // p + 1)
                 n = n[(n % p != 0) & (batch[den][i][n - 1] % p != 0)]
-                on = [k for k in (n * p).tolist() if lattice[num][k - 1] is not None]
+                on = [k for k in (n * p).tolist() if lattice[num][k - 1] >= 0]
                 if on:
                     assert batch[num][[i, -1], on[0] - 1].any(), (g.name, p, num + den)
                     witnessed += 1
