@@ -93,8 +93,9 @@ ORDER_LIMIT = 2000
 ROOT_LIMIT = 24
 
 # Largest --pmax and --pn-bound `aswd` accepts.  At both limits one cold aswd
-# process takes 2.8 to 13.7 s and peaks at 82 to 102 MiB, depending on the
-# group; gamma_8^3.6.3.1^3 is the slowest (2-vCPU x86_64).
+# process takes 2.3 to 11.4 s and peaks at 82 to 101 MiB, depending on the
+# group; gamma_8^3.6.3.1^3 is the slowest (one run per group at commit
+# 387875e, 2-vCPU x86_64).
 ASWD_PRIME_LIMIT = 2003
 PN_BOUND_LIMIT = 10000
 
@@ -141,7 +142,7 @@ def cmd_expand(args) -> int:
 def cmd_traces(args) -> int:
     from . import surfaces, traces
     primes = _parse_primes(args.primes)
-    groups = [GROUPS[n] for n in MAIN_GROUPS] if args.group in (None, "all") \
+    groups = [GROUPS[n] for n in MAIN_GROUPS] if args.group is None \
         else [_group(args.group)]
     for g in groups:
         if g.name not in surfaces.COVERINGS:
@@ -289,7 +290,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_dim(args) -> int:
     names = sorted(GROUPS, key=lambda n: GROUPS[n].variant_of is not None) \
-        if args.group in (None, "all") else (_group(args.group).name,)
+        if args.group is None else (_group(args.group).name,)
     for name in names:
         g = GROUPS[name]
         u, ui = catalog.derived_cusp_counts(g)
@@ -299,7 +300,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_noncongruence(args) -> int:
-    names = tuple(GROUPS) if args.group in (None, "all") else (_group(args.group).name,)
+    names = tuple(GROUPS) if args.group is None else (_group(args.group).name,)
     rc = 0
     for name in names:
         verdict = catalog.noncongruence_test(GROUPS[name].cusp_widths)
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("traces", help="Frobenius traces over F_p and F_{p^2}")
     p.add_argument("group", nargs="?", default=None)
-    p.add_argument("--all", dest="group", action="store_const", const="all")
+    p.add_argument("--all", action="store_true")
     p.add_argument("--primes", default="5..23,73")
     p.add_argument("--golden", default=None)
     p.set_defaults(fn=cmd_traces, formats=FORMATS)
@@ -387,12 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="cusp-form dimensions with derived (u, u')")
     p.add_argument("--group", default=None)
-    p.add_argument("--all", dest="group", action="store_const", const="all")
+    p.add_argument("--all", action="store_true")
     p.set_defaults(fn=cmd_dim, formats=("human",))
 
     p = sub.add_parser("noncongruence", help="width-multiset noncongruence verdicts")
     p.add_argument("--group", default=None)
-    p.add_argument("--all", dest="group", action="store_const", const="all")
+    p.add_argument("--all", action="store_true")
     p.set_defaults(fn=cmd_noncongruence, formats=("human",))
 
     p = sub.add_parser("isogeny", help="modular-polynomial isogeny relations")
@@ -416,6 +417,8 @@ def main(argv=None) -> int:
                                f"which writes {' and '.join(args.formats)} output")
         if args.modpoly is not None and args.command != "isogeny":
             raise InputRefused("--modpoly applies to isogeny only")
+        if getattr(args, "all", False) and args.group is not None:
+            raise InputRefused("give a group or --all, not both")
         return args.fn(args)
     except InputRefused as e:
         print(f"refused: {e}", file=sys.stderr)

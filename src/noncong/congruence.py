@@ -13,10 +13,10 @@ many primes (``detect_bases``, what ``noncong aswd`` calls) builds one
 batch holding both basis forms mod p^2 for every prime, from one Newton
 cube root, and hands each prime its two rows; ``detect_basis`` called
 alone builds the batch of its one prime.  The ratio tests read the rows
-directly, one array expression per test.  Whether a verdict is vacuous --
-every tested numerator zero by construction -- is read off the lattice of
-exponents the form can carry: ``catalog.lattice_indices`` gives -1 for
-every tested index np off it.
+directly, over each denominator's usable n found once for both numerators.
+Whether a verdict is vacuous (every tested numerator zero by construction)
+is read off the lattice of exponents the form can carry:
+``catalog.lattice_indices`` gives -1 for every tested index np off it.
 
 Every residue is reduced mod p^2, with p passed alongside it: int64 batch
 rows in the ratio tests, plain ints for the constants they yield.
@@ -87,24 +87,23 @@ def sqrt_mod_p2(a: int, p: int):
 # ratio tests
 
 
-def _constancy(num, den, p: int):
-    """(constant or None, tested numerator indices): the c with
-    num_{np} = c den_n mod p^2 over every n <= len(num)/p with p not
-    dividing n and den_n a unit, for rows of residues mod p^2 (column
+def _ratios(den, nums, p: int):
+    """(constants, tested numerator indices): per numerator row, the c with
+    num_{np} = c den_n mod p^2 (or None) over every n <= len(den)/p with p
+    not dividing n and den_n a unit, for rows of residues mod p^2 (column
     n - 1 holding index n); c is read at the first such n.  All-zero
     numerators give the constant 0.  An empty test set is an error, never
     a vacuous success."""
     import numpy as np
-    n = np.arange(1, len(num) // p + 1)
+    n = np.arange(1, len(den) // p + 1)
     n = n[(n % p != 0) & (den[n - 1] % p != 0)]
     if not n.size:
         raise InsufficientDataError(
             f"insufficient data: no usable ratio indices for p={p}")
-    m = p * p
-    c = int(num[n[0] * p - 1]) * pow(int(den[n[0] - 1]), -1, m) % m
-    if ((num[n * p - 1] - c * den[n - 1]) % m).any():
-        return None, None
-    return c, n * p
+    m, k, d = p * p, n * p, den[n - 1]
+    cs = (int(num[k[0] - 1]) * pow(int(d[0]), -1, m) % m for num in nums)
+    return tuple(None if ((num[k - 1] - c * d) % m).any() else c
+                 for num, c in zip(nums, cs)), k
 
 
 def solve_alpha_ap(c1: int, c2: int, p: int):
@@ -289,9 +288,10 @@ class CongruenceReport:
 def detect_basis(group: GroupRecord, p: int, bound: int = 500,
                  three_term_n_bound: int | None = None,
                  rows=None) -> CongruenceReport:
-    """Run the case-1 ratio test on both forms; fall back to the case-2 cross
-    ratios; attach catalog newform matches up to a sixth root of unity.
-    The tests run on the printed coefficients mod p^2 for pn <= bound.
+    """Label p case 1 (a_{np}/a_n and b_{np}/b_n constant) or case 2
+    (a_{np}/b_n and b_{np}/a_n constant) and attach catalog newform matches
+    up to a sixth root of unity.  The tests run on the printed coefficients
+    mod p^2 for pn <= bound, two ratios per denominator form.
 
     ``rows`` is the pair (a, b) of residue rows mod p^2 of both forms,
     column n - 1 holding a_n, n = 1..bound; by default the batch of p
@@ -319,15 +319,13 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
         return bool((lattice_indices(group, which, tested) >= 0).any())
 
     rep = CongruenceReport(group.name, p, "indeterminate")
-    ca, a_tested = _constancy(a, a, p)
-    cb, b_tested = _constancy(b, b, p)
+    (ca, c2), a_tested = _ratios(a, (a, b), p)
+    (c1, cb), b_tested = _ratios(b, (a, b), p)
     case1 = ca is not None and cb is not None
-    c1 = c2 = None
-    if not (case1 and (live("a", a_tested) or live("b", b_tested))):
-        c1, x_tested = _constancy(a, b, p)
-        c2 = _constancy(b, a, p)[0] if c1 is not None else None
-        if c1 is not None and c2 is not None and live("a", x_tested):
-            return _fill_case2(rep, group, c1, c2)
+    case2 = c1 is not None and c2 is not None
+    # a vacuous case 1 yields to a live case 2: a_{np}/b_n runs over b's n
+    if case1 and not (live("a", a_tested) or live("b", b_tested)):
+        case1 = not (case2 and live("a", b_tested))
     if case1:
         _fill_case1(rep, group, ca, cb)
         if three_term_n_bound:
@@ -335,7 +333,7 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
             rep.three_term = {"a": _three_term_mod_p2(a, ca, p, nb),
                               "b": _three_term_mod_p2(b, cb, p, nb)}
         return rep
-    if c1 is not None and c2 is not None:
+    if case2:
         return _fill_case2(rep, group, c1, c2)
     return rep
 

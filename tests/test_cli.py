@@ -10,6 +10,7 @@ import pytest
 from noncong import congruence
 from noncong.catalog import GROUPS, primes_upto
 from noncong.cli import main
+from noncong.surfaces import PHI2
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
@@ -259,6 +260,30 @@ def test_bad_modpoly_file_refused(capsys, tmp_path, make, reason):
     assert err == f"refused: polynomial data file {path}: {reason}\n"
 
 
+def _phi2_file(path):
+    path.write_text("2\n" + "".join(f"{i} {j} {c}\n" for i, j, c in PHI2.terms))
+    return path
+
+
+def test_modpoly_path_variable_is_read(capsys, monkeypatch, tmp_path):
+    """With no --modpoly, Phi_8 (relation 1a) is read from the file that
+    NONCONG_MODPOLY_PATH names."""
+    path = _phi2_file(tmp_path / "phi2.txt")
+    monkeypatch.setenv("NONCONG_MODPOLY_PATH", str(path))
+    rc, out, err = run(capsys, "isogeny", "--pair", "1a", "--primes", "7", "--samples", "2")
+    assert (rc, out) == (2, "")
+    assert err == f"refused: polynomial data file {path}: it holds Phi_2, not Phi_8\n"
+
+
+def test_modpoly_option_wins_over_the_variable(capsys, monkeypatch, tmp_path):
+    path = _phi2_file(tmp_path / "phi2.txt")
+    monkeypatch.setenv("NONCONG_MODPOLY_PATH", str(tmp_path / "missing.txt"))
+    rc, out, err = run(capsys, "--modpoly", str(path), "isogeny", "--pair", "1a",
+                       "--primes", "7", "--samples", "2")
+    assert (rc, out) == (2, "")
+    assert err == f"refused: polynomial data file {path}: it holds Phi_2, not Phi_8\n"
+
+
 @pytest.mark.parametrize("text,reason", [
     ("4\n", "Phi_4 data has no nonzero term"),
     ("4\n0 0 0\n", "Phi_4 data has no nonzero term"),
@@ -416,6 +441,13 @@ README = str(GOLDEN.parent / "README.md")
          "--samples applies to --mode sampled only"),
     case(50, ["isogeny", "--self", "gamma_24.6.1^6", "--mode", "symbolic", "--primes", "7"],
          "--primes applies to --mode sampled only"),
+    case(51, ["dim", "--group", "gamma_24.6.1^6", "--all"], "give a group or --all, not both"),
+    case(52, ["noncongruence", "--all", "--group", "gamma_24.6.1^6"],
+         "give a group or --all, not both"),
+    case(53, ["--format", "csv", "traces", "gamma_24.6.1^6", "--all", "--primes", "7"],
+         "give a group or --all, not both"),
+    case(54, ["traces", "all", "--primes", "7"],
+         f"unknown group 'all'; catalog has: {GROUP_LIST}"),
 ])
 def test_input_refused_with_one_line(capsys, argv, message):
     rc, out, err = run(capsys, *argv)

@@ -117,7 +117,7 @@ def _reduced(seq, p, bound=500):
 
 def _ratio(seq, p, bound):
     r = _reduced(seq, p, bound)
-    return congruence._constancy(r, r, p)[0]
+    return congruence._ratios(r, (r,), p)[0][0]
 
 
 def test_ratio_constancy_on_catalog_group():
@@ -130,7 +130,7 @@ def test_ratio_constancy_on_catalog_group():
 
 def test_ratio_constancy_empty_test_set_is_error():
     with pytest.raises(InsufficientDataError, match="insufficient data"):
-        congruence._constancy(np.ones(6), np.ones(6), 7)
+        congruence._ratios(np.ones(6), (np.ones(6),), 7)
 
 
 def test_ratio_constancy_detects_nonconstant():
@@ -146,8 +146,8 @@ def test_cross_ratio_on_catalog_group():
     assert _ratio(a, 5, 500) is None          # case 1 fails at p = 2 mod 3
     for p, want in ((5, (3, 1)), (11, (84, 32))):
         ra, rb = _reduced(a, p), _reduced(b, p)
-        c1 = congruence._constancy(ra, rb, p)[0]
-        c2 = congruence._constancy(rb, ra, p)[0]
+        (c1,), _ = congruence._ratios(rb, (ra,), p)
+        (c2,), _ = congruence._ratios(ra, (rb,), p)
         assert (c1, c2) == want
 
 
@@ -270,6 +270,59 @@ def test_verdict_census_at_pn_bound_1000():
     assert census == {"case1": 4909, "case2": 3644, "refused": 69}
 
 
+def _cascade_row(group, p, a, b, bound):
+    """(case_kind, c1, c2) of the cascade of four ratio tests, as scalar
+    loops over residue lists mod p^2 (index n - 1 holding n), or "refused":
+    the self tests a_{np}/a_n and b_{np}/b_n, then, unless case 1 is live,
+    a_{np}/b_n and b_{np}/a_n; a vacuous case 1 yields to a live case 2."""
+    m = p * p
+
+    def constancy(num, den):
+        ns = [n for n in range(1, bound // p + 1) if n % p and den[n - 1] % p]
+        if not ns:
+            raise InsufficientDataError
+        c = num[ns[0] * p - 1] * pow(den[ns[0] - 1], -1, m) % m
+        if any((num[n * p - 1] - c * den[n - 1]) % m for n in ns):
+            return None, None
+        return c, [n * p for n in ns]
+
+    def live(which, tested):
+        return (lattice_indices(group, which, np.array(tested)) >= 0).any()
+
+    try:
+        (ca, a_tested), (cb, b_tested) = constancy(a, a), constancy(b, b)
+    except InsufficientDataError:
+        return "refused"
+    case1 = ca is not None and cb is not None
+    if case1 and (live("a", a_tested) or live("b", b_tested)):
+        return "case1", ca, cb
+    c1, x_tested = constancy(a, b)
+    c2 = constancy(b, a)[0] if c1 is not None else None
+    case2 = c1 is not None and c2 is not None
+    if case2 and live("a", x_tested):
+        return "case2", c1, c2
+    if case1:
+        return "case1", ca, cb
+    return ("case2", c1, c2) if case2 else ("indeterminate", None, None)
+
+
+def test_rows_equal_the_scalar_cascade():
+    # the census domain, row by row: detect_basis's two ratio calls give what
+    # four separate tests and a conditional cross-ratio pass give
+    primes = [q for q in primes_upto(97) if q >= 5]
+    for g in GROUPS.values():
+        a, b = coefficient_residues(g, 1000, tuple(p * p for p in primes))
+        for i, p in enumerate(primes):
+            ra, rb = a[i].tolist(), b[i].tolist()
+            for pn in range(p, 1001, p):
+                want = _cascade_row(g, p, ra, rb, pn)
+                try:
+                    got = detect_basis(g, p, pn, rows=(a[i, :pn], b[i, :pn])).row
+                except InsufficientDataError:
+                    got = "refused"
+                assert got == want, (g.name, p, pn)
+
+
 def test_detect_basis_keeps_nothing_per_bound():
     # a library process calling detect_basis at many bounds must not grow:
     # liveness is arithmetic on the tested indices, not a table per bound
@@ -367,7 +420,7 @@ def _exact_residues(group, bound, moduli):
 
 
 def _exact_constancy(num, den, p, bound):
-    """congruence._constancy as a loop over exact coefficients."""
+    """One constant of congruence._ratios as a loop over exact coefficients."""
     tested = [n * p for n in range(1, bound // p + 1) if n % p and den[n].numerator % p]
     ratios = {reduce_mod_p2(num[k] / den[k // p], p) for k in tested}
     return (ratios.pop(), tested) if len(ratios) == 1 else (None, None)
@@ -382,17 +435,19 @@ def test_live_flag_equals_exact_flag():
         exact = {w: coefficient_sequence(g, w, 500) for w in "ab"}
         lattice = {w: lattice_indices(g, w, np.arange(1, 501)) for w in "ab"}
         for i, p in enumerate(primes):
-            for num, den in ("aa", "bb", "ab", "ba"):
-                const, tested = congruence._constancy(batch[num][i], batch[den][i], p)
-                want = _exact_constancy(exact[num], exact[den], p, 500)
-                assert (const, tested if tested is None else tested.tolist()) == want, \
-                    (g.name, p, num + den)
-                if tested is not None:
-                    # detect_basis's flag: some tested index lies on the lattice
-                    live = any(lattice[num][n - 1] >= 0 for n in want[1])
-                    assert live == any(exact[num][n] != 0 for n in want[1]), \
-                        (g.name, p, num + den)
-                checks += 1
+            for den in "ab":
+                rows = (batch["a"][i], batch["b"][i])
+                consts, tested = congruence._ratios(batch[den][i], rows, p)
+                for num, const in zip("ab", consts):
+                    want = _exact_constancy(exact[num], exact[den], p, 500)
+                    got = (const, None if const is None else tested.tolist())
+                    assert got == want, (g.name, p, num + den)
+                    if const is not None:
+                        # detect_basis's flag: some tested index lies on the lattice
+                        live = any(lattice[num][n - 1] >= 0 for n in want[1])
+                        assert live == any(exact[num][n] != 0 for n in want[1]), \
+                            (g.name, p, num + den)
+                    checks += 1
     assert checks == 9 * 23 * 4
 
 
