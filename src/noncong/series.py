@@ -556,11 +556,13 @@ def eta_power_coeffs(m: int, e: int, length: int) -> list[int]:
 # 1 MiB.
 
 # Bound on the coefficients of one float64 FFT product, length * (m-1)^2.
-# Measured worst rounding errors: 0.0015 at 2^42 and 0.02 at 2^45.3 with
-# every entry m - 1; 0.09 at 2^50 and 0.38 at 2^52 on random residues.  From
+# Measured worst rounding errors over 40 lengths n from 500 to 20001 at the
+# transform length fft_length(2n - 1), every entry m - 1: 0.0024 at 2^42,
+# 0.039 at 2^45.3 and 0.063 at 2^46 (0.0024, 0.031 and 0.047 at the next
+# power of two); on random residues 0.22 at 2^50 and 0.5 at 2^52.  From
 # 2^53 on the float64 spacing reaches 1, so the rounding margin can read 0
 # while the rounded value is wrong (by 16 at 2^56).  Below 2^46 the error
-# stays under a tenth of the guard's 0.25.
+# stays at a quarter of the guard's 0.25 or less.
 FFT_EXACT_BOUND = 2 ** 46
 
 # moduli from 2^31 on overflow the int64 product of two residues
@@ -578,6 +580,15 @@ def exact_integers(values: np.ndarray) -> np.ndarray:
     if not margin < 0.25:
         raise AssertionError(f"FFT rounding margin {margin:.3g} reached 0.25")
     return rounded
+
+
+def fft_length(n: int) -> int:
+    """The least 2^a, 3 2^a, 5 2^a or 15 2^a >= n, at most 25% above n where
+    a power of two can be twice n: numpy's pocketfft runs such a length in
+    radix-4 and -2 passes and at most one of 3 and of 5, which outran the
+    least 2^a 3^b 5^c where that has fewer factors 2 (2048 before 2000,
+    20480 before 20250, 6144 before 6075; notes/decisions.md)."""
+    return min(k << (-(-n // k) - 1).bit_length() for k in (1, 3, 5, 15))
 
 
 def _limbs(length: int, m_max: int) -> tuple[int, int]:
@@ -605,7 +616,7 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
     import numpy as np
     from numpy import fft      # numpy.fft is not loaded by ``import numpy``
     n = a.shape[1]
-    size = 1 << (2 * n - 2).bit_length()
+    size = fft_length(2 * n - 1)
     count, bits = _limbs(n, int(m.max()))
     mask = (1 << bits) - 1
 

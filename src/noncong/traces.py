@@ -11,17 +11,12 @@ The trace over F_q is minus the sum of local terms over P^1(F_q): q + 1 - #E
 for a smooth fiber, +1 / -1 / 0 for split / nonsplit multiplicative /
 additive fibers (-2AB a square, a nonsquare, zero).  ``local_trace`` counts
 points one parameter at a time and is the reference.  ``fiber_trace_table``
-gets every fiber of a base family at once in O(q log q) from the quadratic
-twists of three curves, whose character sums are FFT correlations; over
-F_{p^2} the sums run one curve at a time and the table fills in blocks of
-rows, so the memory beside the field's tables and the result stays a
-bounded share of q.  Every family sits at f(r^3) for an integer Mobius map
-f (``SurfaceFamily.mobius``, derived from the group's covering map), so a
-family's sum reads the table at f(0), f(infinity) and, three times each, at
-f(s) for the (q - 1) / 3 cubes s of F_q^*; when 3 does not divide q - 1,
-r -> r^3 and f permute P^1(F_q) and the sum is the whole table.  The table
-covers P^1(F_q) with infinity last, so the point -1 that stands for
-infinity is read like any other.
+gets every fiber of a base family over P^1(F_q), infinity last (index -1),
+in O(q log q) from FFT character sums of three curves, in blocks of bounded
+memory.  A family sits at f(r^3) = f0(k r^3), k = gcd(a, c) / gcd(b, d) for
+f = (a, b, c, d), f0 shared by the twists of a cover.  r -> r^3 maps F_q^* mu
+to one onto the mu-th powers, mu = gcd(3, q - 1): a sum reads the table at
+f(0), f(infinity) and, mu times, at f0 on the class k (F_q^*)^mu, one per class.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from itertools import accumulate
 from math import comb, gcd, isqrt
 
 from .catalog import _factorize
-from .series import exact_integers
+from .series import exact_integers, fft_length
 from .surfaces import COVERINGS, beauville_short
 
 # numpy after the package's modules: compiling `surfaces` with numpy already
@@ -430,52 +425,54 @@ def _character_sums(field) -> np.ndarray:
 # traces
 
 
-def _check_good_prime(family: SurfaceFamily, p: int):
-    """Refuse p < 5 and p dividing ad - bc, so a prime p dividing
-    6(ad - bc), in constant time; the field refuses a p that is not prime."""
-    a, b, c, d = family.mobius
-    if p < 5 or (a * d - b * c) % p == 0:
-        raise BadPrimeError(
-            f"{family.label}: {p} is not a good prime (bad set {sorted(family.bad_primes())})")
-
-
 def _ratio(field, x: int, y: int) -> int:
     """x / y for integers x, y as an element index, -1 (infinity) when p | y."""
     return -1 if y % field.p == 0 else field.constant(x * pow(y, -1, field.p))
 
 
-def _mobius_on_cubes(field, mobius) -> np.ndarray:
-    """f(s) = (a s + b) / (c s + d) at the cubes s = g^(3j) of F_q^*, as
-    element indices with -1 for infinity; the quotient is a difference of
-    logs.  Over F_p the cubes are the view exp[::3] and a s + b is integer
-    arithmetic.  Over F_{p^2}, a s = g^(log a + 3j), and a constant of F_p
-    adds to an index mod q."""
+# one prime's class sums over both fields: at most 12 each for the catalog
+@lru_cache(maxsize=24)
+def _class_sum(level: str, p: int, squared: bool, mobius, j: int, /) -> tuple[int, int]:
+    """(T_j, e) for f0 = ``mobius`` = (a, b, c, d): T_j sums tau(f0(s)) over
+    the class s = g^(j + mu i) of F_q^*, mu = gcd(3, q - 1), and e = tau(f0(0))
+    + tau(f0(infinity)) is the same for every twist f(s) = f0(k s).  f0
+    permutes P^1(F_q), so the one class of mu = 1 is the table's total less
+    e.  Else f0(s) = a/c + beta / (c s + d), beta = (bc - ad) / c, or
+    (a/d) s + b/d when p | c, read at u = x s + y: the products x s over one
+    class are the view exp[(log x + j) % mu::mu], a constant adds to an index
+    mod q in both fields, and beta / u is a difference of logs."""
+    field, tau = field_for(p, squared), fiber_trace_table(level, p, squared)[0]
     E, L, q = field.exp, field.log, field.q
-    n = q - 1
-    a, b, c, d = (field.constant(x) for x in mobius)
-    if q == field.p:
-        s = E[::3]
-        num, den = (a * s + b) % q, (c * s + d) % q
-    else:
-        logs = np.arange(0, n, 3)
-        num = (np.where(a == 0, 0, E[(L[a] + logs) % n]) + b) % q
-        den = (np.where(c == 0, 0, E[(L[c] + logs) % n]) + d) % q
-    f = E[(L[num] - L[den]) % n]
-    f[num == 0] = 0
-    f[den == 0] = -1
-    return f
+    n, mu = q - 1, gcd(3, q - 1)
+    a, b, c, d = mobius
+    e = int(tau[_ratio(field, b, d)] + tau[_ratio(field, a, c)])
+    if mu == 1:
+        return int(tau.sum()) - e, e
+    affine = c % p == 0
+    x, y = ((_ratio(field, a, d), _ratio(field, b, d)) if affine
+            else (field.constant(c), field.constant(d)))
+    u = (E[(int(L[x]) + j) % mu::mu] + y) % q         # x s + y
+    if affine:
+        return int(tau[u].sum()), e
+    f = (E[(L[_ratio(field, b * c - a * d, c)] - L[u]) % n] + _ratio(field, a, c)) % q
+    f[u == 0] = -1                                      # c s + d = 0: infinity
+    return int(tau[f].sum()), e
 
 
 def frobenius_trace(family: SurfaceFamily, p: int, squared: bool = False) -> int:
-    """Tr(Frob_q) = - sum of local traces over P^1(F_q), q = p or p^2."""
-    _check_good_prime(family, p)
-    field = field_for(p, squared)
-    tau = fiber_trace_table(family.level, p, squared)[0]     # tau[-1]: infinity
-    if (field.q - 1) % 3:                   # r -> r^3 and f permute P^1(F_q)
-        return -int(tau.sum())
+    """Tr(Frob_q) = - sum of local traces over P^1(F_q) = -(mu T_j + e) for
+    q = p or p^2: f(s) = f0(k s) for f0 = (a/g, b/h, c/g, d/h) and k = g/h,
+    g = gcd(a, c), h = gcd(b, d), in the class j = log k mod mu.  Refuses p
+    dividing 6(ad - bc) in O(1); no other p divides g or h."""
     a, b, c, d = family.mobius
-    ends = tau[_ratio(field, b, d)] + tau[_ratio(field, a, c)]     # f(0), f(infinity)
-    return -int(3 * tau[_mobius_on_cubes(field, family.mobius)].sum() + ends)
+    if p < 5 or (a * d - b * c) % p == 0:
+        raise BadPrimeError(
+            f"{family.label}: {p} is not a good prime (bad set {sorted(family.bad_primes())})")
+    field, g, h = field_for(p, squared), gcd(a, c), gcd(b, d)
+    mu = gcd(3, field.q - 1)
+    j = int(field.log[_ratio(field, g, h)]) % mu
+    T, e = _class_sum(family.level, p, squared, (a // g, b // h, c // g, d // h), j)
+    return -(mu * T + e)
 
 
 def local_trace(family: SurfaceFamily, field, point) -> LocalTrace:
@@ -515,9 +512,8 @@ TABLE8_PRIMES = (5, 7, 11, 13, 17, 19, 23, 73)
 
 def trace_rows(groups, primes=TABLE8_PRIMES):
     """Rows (group, parameterization, p, tr_p, tr_p2) for the requested
-    groups, in catalog order, primes ascending.  The traces are computed
-    prime by prime, so the (at most four) fiber-trace tables of one prime
-    are built once and stay cached while every family reads them."""
+    groups, in catalog order, primes ascending, computed prime by prime, so
+    a prime's tables and class sums are built once while its families read them."""
     families = [(g.name, fam) for g in groups for fam in surface_families(g)]
     pairs = {(i, p): trace_pair(fam, p)
              for p in primes for i, (_, fam) in enumerate(families)}

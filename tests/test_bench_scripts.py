@@ -40,10 +40,28 @@ def test_unknown_measurement_refused():
     assert all(name in done.stderr for name in CHILD_MODES + ["aswd", "aswd_cold"])
 
 
-def test_checkouts_take_turns(monkeypatch):
+def load_layers():
     spec = importlib.util.spec_from_file_location("layers", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_reset_clears_the_class_sums():
+    """``reset`` clears every lru_cache of the loaded noncong modules, the
+    class sums among them, so family_sums_p2 and scan_p time cold sums."""
+    from noncong import GROUPS, traces
+    fam = traces.surface_families(GROUPS["gamma_24.6.1^6"])[0]
+    traces._class_sum.cache_clear()
+    traces.frobenius_trace(fam, 7)
+    assert traces._class_sum.cache_info().currsize == 1
+    load_layers().reset()
+    assert traces._class_sum.cache_info().currsize == 0
+    assert traces.fiber_trace_table.cache_info().currsize == 0
+
+
+def test_checkouts_take_turns(monkeypatch):
+    module = load_layers()
     calls = []
 
     def fake_child(checkout, name, n):

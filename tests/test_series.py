@@ -14,7 +14,7 @@ from noncong.series import (EtaQuotient, MODULUS_LIMIT, PrecisionError,
                             _mul_mod, _scale_exponents,
                             cube_roots_mod, eisenstein_e6, eta_expansion,
                             eta_power_coeffs, eta_product_ints, eta_product_mod,
-                            parse_series)
+                            fft_length, parse_series)
 
 
 def _miller_frac_power(u: list[Fraction], alpha: Fraction, length: int) -> list[Fraction]:
@@ -493,6 +493,13 @@ def test_mul_mod_matches_python_integers():
     got = _mul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
                    _column(moduli))
     assert got.tolist() == [_python_product(x, y, m) for x, y, m in zip(a, b, moduli)]
+
+
+def test_fft_length_is_the_least_power_of_two_times_1_3_5_or_15():
+    lengths = sorted(k << a for k in (1, 3, 5, 15) for a in range(14))
+    assert [fft_length(n) for n in range(1, 4097)] == \
+        [next(m for m in lengths if m >= n) for n in range(1, 4097)]
+    assert fft_length(1999) == 2048 and fft_length(2 * 10007) == 20480
 
 
 def test_rounding_guard_refuses_perturbed_product(monkeypatch):

@@ -16,7 +16,7 @@ from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, character_value,
 from noncong.series import exact_integers
 from noncong.surfaces import beauville_short
 from noncong.traces import (BadPrimeError, FIBER_VALUE, PrimeField,
-                            QuadExtField, TABLE8_PRIMES, _mobius_on_cubes,
+                            QuadExtField, TABLE8_PRIMES, _class_sum,
                             _poly_eval, classify_singular_fiber,
                             count_points_short, fiber_trace_table, field_for,
                             frobenius_trace, local_trace, quadratic_character,
@@ -253,15 +253,64 @@ def test_family_maps_derive_from_the_covers():
 
 # --- local traces and their sum ----------------------------------------------------
 
+def untwisted(fam):
+    """(f0, g, h) with f(s) = f0(g s / h): g = gcd(a, c), h = gcd(b, d)."""
+    a, b, c, d = fam.mobius
+    g, h = math.gcd(a, c), math.gcd(b, d)
+    return (a // g, b // h, c // g, d // h), g, h
+
+
+def direct_class_sums(fam, p, squared):
+    """([T_0, .., T_(mu-1)], tau(f0(0)) + tau(f0(infinity)), the table's
+    total): tau(f0(s)) summed over each class s of exp[j::mu], with f0 taken
+    by the field's arithmetic and inverse table."""
+    field = field_for(p, squared)
+    tau = fiber_trace_table(fam.level, p, squared)[0]
+    mu = math.gcd(3, field.q - 1)
+    a, b, c, d = untwisted(fam)[0]
+
+    def ratio(num, den):            # -1 for infinity
+        return np.where(den == 0, -1, field.mul_vec(num, field.inv_table()[den]))
+
+    def f0(s):
+        return ratio(_poly_eval(field, (b, a), s), _poly_eval(field, (d, c), s))
+
+    sums = [int(tau[f0(field.exp[j::mu])].sum()) for j in range(mu)]
+    ends = int(tau[f0(0)] + tau[ratio(field.constant(a), field.constant(c))])
+    return sums, ends, int(tau.sum())
+
+
+# F_p at a split and an inert prime, F_{p^2} at p = 1 and 2 mod 3, and the
+# three twists of gamma_8^3.6.3.1^3 where 2 is not a cube mod p (7) and
+# where it is (31)
 @pytest.mark.parametrize("name,p", [("gamma_24.6.1^6", 7), ("gamma_18.3^4.2^3", 5),
-                                    ("gamma_9.6^4.1^3", 7)])
+                                    ("gamma_9.6^4.1^3", 7), ("gamma_8^3.6.3.1^3", 7),
+                                    ("gamma_8^3.6.3.1^3", 31)])
 def test_local_traces_sum_to_frobenius_trace(name, p):
-    fam = surface_families(GROUPS[name])[0]
-    for squared in (False, True):
-        field = QuadExtField(p) if squared else PrimeField(p)
-        total = sum(local_trace(fam, field, pt).value for pt in field.elements())
-        total += local_trace(fam, field, "inf").value
-        assert -total == frobenius_trace(fam, p, squared)
+    assert [pow(2, (ell - 1) // 3, ell) == 1 for ell in (7, 31)] == [False, True]
+    for fam in surface_families(GROUPS[name]):
+        for squared in (False, True):
+            field = QuadExtField(p) if squared else PrimeField(p)
+            total = sum(local_trace(fam, field, pt).value for pt in field.elements())
+            total += local_trace(fam, field, "inf").value
+            assert -total == frobenius_trace(fam, p, squared), (fam.label, squared)
+            sums, ends, table_total = direct_class_sums(fam, p, squared)
+            assert [_class_sum(fam.level, p, squared, untwisted(fam)[0], j)
+                    for j in range(len(sums))] == [(T, ends) for T in sums], (fam.label, squared)
+            assert sum(sums) + ends == table_total
+
+
+@pytest.mark.parametrize("p,squared,sums", [(11, True, 8), (7, False, 12)])
+def test_twists_in_one_class_share_a_sum(p, squared, sums):
+    """Every element of F_11^* is a cube in F_{11^2}, so the twelve families
+    of the eight covers read 8 class sums there.  Over F_7 neither 2 nor 3 is
+    a cube, so the twists 1/4, 1/2, 1 and 1/3, 1 and 1/9, 1 lie in distinct
+    classes and the families read 12."""
+    assert all(pow(x, (7 - 1) // 3, 7) != 1 for x in (2, 3))
+    _class_sum.cache_clear()
+    for fam in ALL_FAMILIES:
+        frobenius_trace(fam, p, squared)
+    assert _class_sum.cache_info().misses == sums
 
 
 def test_local_trace_types():
@@ -391,11 +440,19 @@ CUBE_COVER_CASES = [(7, False), (13, False), (11, False), (17, False),
                     (5, True), (7, True), (1009, False)]
 
 
+# maps with a != c, both nonzero, which no catalog map has (each has a = c
+# or a c = 0), alone and twisted by 1/2 (f0 = (2, 1, 1, 2) at k = 1/2), and
+# an affine map with d != 1
+HAND_BUILT = [SurfaceFamily("E8((3r^3+1)/(r^3+1))", "E8", (3, 1, 1, 1)),
+              SurfaceFamily("E6((2r^3+2)/(r^3+4))", "E6", (2, 2, 1, 4)),
+              SurfaceFamily("E8((2r^3+1)/3)", "E8", (2, 1, 0, 3))]
+
+
 @pytest.mark.parametrize("p,squared", CUBE_COVER_CASES,
                          ids=default_model_ids(CUBE_COVER_CASES))
 def test_cube_cover_sum_matches_scalar_oracle(p, squared):
     field = field_for(p, squared)
-    for fam in ALL_FAMILIES:
+    for fam in ALL_FAMILIES + HAND_BUILT:
         assert frobenius_trace(fam, p, squared) == oracle_trace(fam, field), fam.label
 
 
@@ -636,10 +693,11 @@ def test_hasse_guard_refuses_corrupted_table(monkeypatch):
         fiber_trace_table("E8", 11, False)
 
 
-def test_fp_traces_over_the_ap_scan_range():
+def test_fp_traces_over_the_ap_scan_range(monkeypatch):
     """The F_p traces of the twelve families at all 166 primes 5 <= p <= 1000
     equal the ``tr`` rows of perfbench's ap-scan; in 156 of those (family, p)
-    a cube maps to infinity, which the sum reads at index -1."""
+    a cube maps to infinity, which the class sum reads at index -1: counted
+    here by class sums over a table that is 1 at infinity and 0 elsewhere."""
     with open(ROOT / "perfbench" / "expected" / "ap_scan.csv", newline="") as fh:
         want = {(g, label, int(p)): int(tr) for kind, g, label, p, tr, *_ in csv.reader(fh)
                 if kind == "tr"}
@@ -647,8 +705,25 @@ def test_fp_traces_over_the_ap_scan_range():
     families = [(name, fam) for name in MAIN_GROUPS for fam in surface_families(GROUPS[name])]
     got = {(name, fam.label, p): frobenius_trace(fam, p) for p in primes for name, fam in families}
     assert len(primes) == 166 and got == want
-    assert sum(-1 in _mobius_on_cubes(field_for(p, False), fam.mobius)
-               for p in primes if p % 3 == 1 for _, fam in families) == 156
+    import noncong.traces as traces
+
+    def infinity_only(level, p, squared):
+        tau = np.zeros(p + 1, dtype=np.int32)
+        tau[-1] = 1
+        return tau, 1
+
+    def cube_class(fam, p):
+        _, g, h = untwisted(fam)
+        return int(field_for(p, False).log[g * pow(h, -1, p) % p]) % 3
+
+    _class_sum.cache_clear()
+    monkeypatch.setattr(traces, "fiber_trace_table", infinity_only)
+    try:
+        hits = sum(_class_sum(fam.level, p, False, untwisted(fam)[0], cube_class(fam, p))[0]
+                   for p in primes if p % 3 == 1 for _, fam in families)
+    finally:
+        _class_sum.cache_clear()
+    assert hits == 156
 
 
 def test_fp2_tables_stay_within_70_bytes_per_element():
