@@ -26,9 +26,10 @@ The measurements, with the N each is taken at (N = 1 where none applies):
   factor (k, e) of every basis form (scales divided by their gcd), from an
   empty store;
 * ``residues`` (same N): ``coefficient_residues`` of gamma_24.6.1^6, both
-  basis forms through printed index N, mod p^2 for 5 <= p <= 97 (the batch
-  of one ``aswd --pmax 97`` run); the set-up builds the exact eta powers,
-  so this times the mod-p^2 kernel alone;
+  basis forms through printed index N, mod p^2 for 5 <= p <= 97 in one
+  Newton (the moduli of one ``aswd --pmax 97`` run, which takes them in
+  blocks of ``congruence.ROW_BLOCK``); the set-up builds the exact eta
+  powers, so this times the mod-p^2 kernel alone;
 * ``aswd``, ``aswd_cold``: the nine processes ``noncong aswd <group>
   --pmax 97 --pn-bound 1000``, spawn to exit, from a copy with compiled
   bytecode; or from the copy without bytecode under
@@ -36,9 +37,13 @@ The measurements, with the N each is taken at (N = 1 where none applies):
 * ``traces_cold``: one process ``noncong --format csv traces --all
   --primes 5..23,73,101``, spawn to exit, from the copy without bytecode,
   as ``aswd_cold``;
-* ``aswd_row_block`` (N = 4, 8, 24): ``aswd gamma_24.6.1^6 --pmax 97
-  --pn-bound 1000`` in the child with ``catalog.ROW_BLOCK = N``, the
-  measurement behind that constant;
+* ``aswd_row_block`` (N = 4, 8, 23): ``aswd gamma_24.6.1^6 --pmax 97
+  --pn-bound 1000`` in the child with ``congruence.ROW_BLOCK = N``, the
+  measurement behind that constant; the child refuses a run that did not
+  take ceil(23 / N) Newton cube roots, one per block of its 23 primes;
+* ``aswd_pmax`` (N = pmax 97, 499, 2003): ``detect_bases`` of
+  gamma_8^3.6.3.1^3 for the primes 5 <= p <= N to pn-bound 10^4, the
+  exact eta powers included, as ``aswd --pmax N --pn-bound 10000`` runs;
 * ``table_p2``, ``table_p`` (N = p = 101 .. 2003):
   ``fiber_trace_table("E8", p)`` over F_{p^2} or F_p, the field set-up
   (character, log and inverse tables) included;
@@ -87,8 +92,9 @@ SCAN_BOUNDS = (1009, 10007, 100003)
 SCAN_PRIMES = 20
 NEWFORM_BOUNDS = (1009, 2003, 4001)
 BASIS_BOUNDS = (501, 1001, 2001)
-ROW_BLOCKS = (4, 8, 24)
+ROW_BLOCKS = (4, 8, 23)
 ASWD = ("--pmax", "97", "--pn-bound", "1000")
+ASWD_PMAX = (97, 499, 2003)
 # loaded before the import is timed: what a noncong command loads besides
 # noncong's own modules.  Not dataclasses or json, which noncong does not
 # load at import; preloading them would hide their cost in a tree that does.
@@ -173,14 +179,29 @@ def _processes(name, n):
 
 @measurement(ROW_BLOCKS, "aswd_row_block")
 def _aswd_row_block(name, n):
-    from noncong import catalog, cli
-    catalog.ROW_BLOCK = n
+    from noncong import catalog, cli, congruence, series
+    for module in (catalog, congruence):    # what cuts the blocks: catalog in older trees
+        if hasattr(module, "ROW_BLOCK"):
+            module.ROW_BLOCK = n
+    newtons, blocks = [], -(-len([p for p in catalog.primes_upto(97) if p >= 5]) // n)
+    catalog.cube_roots_mod = lambda *args: newtons.append(n) or series.cube_roots_mod(*args)
 
     def run():
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(["aswd", GROUP, *ASWD]):
                 raise RuntimeError(f"aswd {GROUP} failed")
+        if len(newtons) != blocks:
+            raise RuntimeError(f"ROW_BLOCK = {n} took {len(newtons)} Newton "
+                               f"cube roots, not {blocks}")
     return run
+
+
+@measurement(ASWD_PMAX, "aswd_pmax")
+def _aswd_pmax(name, n):
+    from noncong import catalog, congruence
+    group = catalog.get_group("gamma_8^3.6.3.1^3")
+    primes = [p for p in catalog.primes_upto(n) if p >= 5]
+    return lambda: congruence.detect_bases(group, primes, 10000)
 
 
 @measurement(PRIMES, "table_p2", "table_p", "pair_p2", "family_sums_p2")

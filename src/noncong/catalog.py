@@ -474,13 +474,6 @@ def lattice_indices(group: GroupRecord, which: str, n):
     return np.where((j >= 0) & (r == 0), j, -1)
 
 
-# Rows of the residue batch transformed together.  On one aswd run at
-# pmax 97, pn-bound 1000 (BENCH_6.json), all 24 rows at once peak 4.1 MiB
-# above the per-modulus products, blocks of 8 at 1.9 MiB and blocks of 4 at
-# 1.1 MiB; the three take 0.106, 0.111 and 0.116 s.
-ROW_BLOCK = 8
-
-
 def coefficient_residues(group: GroupRecord, bound: int, moduli: tuple[int, ...]):
     """(a, b): a_n and b_n mod m for n = 1..bound and every m in moduli (each
     prime to 3), without the exact series: two read-only int64 matrices,
@@ -489,10 +482,10 @@ def coefficient_residues(group: GroupRecord, bound: int, moduli: tuple[int, ...]
     The exponents of h1 and h2 add up to multiples of 3 at every scale, so
     P1 P2 = G^3 for the integer eta product G = prod (1 - x^(k n))^((e1_k +
     e2_k)/3), all in x = q^g for the scale gcd g the two forms share.  The
-    eta factors are reduced mod every modulus and one Newton
-    (``cube_roots_mod``, ROW_BLOCK rows at a time) gives both forms:
-    h1 = P1 w^2 and h2 = G w with w = P1^(-1/3).  A group without these
-    properties is refused with ValueError."""
+    eta factors are reduced mod every modulus and one Newton over all of
+    them (``cube_roots_mod``) gives both forms: h1 = P1 w^2 and h2 = G w
+    with w = P1^(-1/3).  A group without these properties is refused with
+    ValueError."""
     import numpy as np
     (eq1, g, *_), (eq2, g2, *_) = _lattice(group, "a"), _lattice(group, "b")
     e1, e2 = dict(eq1.factors), dict(eq2.factors)
@@ -502,18 +495,15 @@ def coefficient_residues(group: GroupRecord, bound: int, moduli: tuple[int, ...]
                          "product on the scale gcd of both forms")
     p1 = [(k // g, e) for k, e in eq1.factors]
     cofactor = [(k // g, e // 3) for k, e in total.items() if e]
-    out = np.zeros((2, len(moduli), bound), dtype=np.int64)
     cols = np.stack([lattice_indices(group, w, np.arange(1, bound + 1)) for w in "ab"])
     length = 1 + int(cols.max(initial=0))
+    roots = cube_roots_mod(eta_product_mod(p1, length, moduli),
+                           eta_product_mod(cofactor, length, moduli), moduli) \
+        if moduli else np.zeros((2, 0, length), dtype=np.int64)
     # a_n zero by construction reads column -1, a zero padded onto each root
-    for r in range(0, len(moduli), ROW_BLOCK):
-        block = moduli[r:r + ROW_BLOCK]
-        roots = cube_roots_mod(eta_product_mod(p1, length, block),
-                               eta_product_mod(cofactor, length, block), block)
-        for rows, h, js in zip(out, roots, cols):
-            rows[r:r + len(block)] = np.pad(h, ((0, 0), (0, 1)))[:, js]
-    out.flags.writeable = False
-    return out[0], out[1]
+    a, b = (np.pad(h, ((0, 0), (0, 1)))[:, js] for h, js in zip(roots, cols))
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
 
 
 def construct_basis(group: GroupRecord, order: int = 50):

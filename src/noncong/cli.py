@@ -93,9 +93,9 @@ ORDER_LIMIT = 2000
 ROOT_LIMIT = 24
 
 # Largest --pmax and --pn-bound `aswd` accepts.  At both limits one cold aswd
-# process takes 2.3 to 11.4 s and peaks at 82 to 101 MiB, depending on the
-# group; gamma_8^3.6.3.1^3 is the slowest (one run per group at commit
-# 387875e, 2-vCPU x86_64).
+# process takes 2.0 to 7.9 s and peaks at 37 to 50 MiB, depending on the
+# group, as it holds the residues of one block of primes at a time (one csv
+# run per group, 2-vCPU x86_64).
 ASWD_PRIME_LIMIT = 2003
 PN_BOUND_LIMIT = 10000
 

@@ -9,9 +9,9 @@ a common factor of p must be cancelled first.
 
 ``detect_basis`` works on the basis coefficients mod p^2 only
 (``catalog.coefficient_residues``); no exact series is built.  A run over
-many primes (``detect_bases``, what ``noncong aswd`` calls) builds one
-batch holding both basis forms mod p^2 for every prime, from one Newton
-cube root, and hands each prime its two rows; ``detect_basis`` called
+many primes (``detect_bases``, what ``noncong aswd`` calls) takes them
+``ROW_BLOCK`` at a time: one Newton cube root gives both basis forms mod
+the p^2 of a block, tested before the next is built; ``detect_basis``
 alone builds the batch of its one prime.  The ratio tests read the rows
 directly, over each denominator's usable n found once for both numerators.
 Whether a verdict is vacuous (every tested numerator zero by construction)
@@ -296,7 +296,7 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
     ``rows`` is the pair (a, b) of residue rows mod p^2 of both forms,
     column n - 1 holding a_n, n = 1..bound; by default the batch of p
     alone is built.  ``detect_bases`` hands each prime of a run its rows
-    of one shared batch.
+    of its block's batch.
 
     A test is live when some tested index np lies on the lattice of
     exponents of the numerator form (``catalog.lattice_indices``); a test
@@ -338,15 +338,25 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
     return rep
 
 
+# Primes per residue batch; a run holds one batch at a time.  Blocks of 4, 8
+# and 23 take 0.036, 0.033 and 0.028 s in aswd gamma_24.6.1^6 --pmax 97
+# --pn-bound 1000 (23 primes), peaking at 32.6, 33.2 and 35.0 MiB (BENCH_33.json);
+# a block's FFT temporaries, 14 MB at 8 primes and pn-bound 10^4, grow with it.
+ROW_BLOCK = 8
+
+
 def detect_bases(group: GroupRecord, primes, bound: int = 500,
                  three_term_n_bound: int | None = None) -> list[CongruenceReport]:
-    """``detect_basis`` for every prime of a run, in order, each on its rows
-    of one batch of residues: one Newton cube root gives both basis forms
-    mod every p^2 together."""
-    primes = tuple(primes)
-    a, b = coefficient_residues(group, bound, tuple(p * p for p in primes))
-    return [detect_basis(group, p, bound, three_term_n_bound, rows)
-            for p, *rows in zip(primes, a, b)]
+    """``detect_basis`` for every prime of a run, in order, ROW_BLOCK primes
+    at a time, each on its rows of its block's batch."""
+    primes, reports = tuple(primes), []
+    for r in range(0, len(primes), ROW_BLOCK):
+        block = primes[r:r + ROW_BLOCK]
+        a, b = coefficient_residues(group, bound, tuple(p * p for p in block))
+        reports += [detect_basis(group, p, bound, three_term_n_bound, rows)
+                    for p, *rows in zip(block, a, b)]
+        del a, b                # the block goes before the next is built
+    return reports
 
 
 def _fill_case1(rep: CongruenceReport, group: GroupRecord,

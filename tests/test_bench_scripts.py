@@ -17,7 +17,7 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 # all but the two measurements of nine aswd processes, which take seconds
 CHILD_MODES = ["import", "import_compiled", "eta_powers", "residues", "aswd_row_block",
-               "traces_cold", "table_p2", "table_p", "pair_p2", "family_sums_p2",
+               "aswd_pmax", "traces_cold", "table_p2", "table_p", "pair_p2", "family_sums_p2",
                "scan_p", "newform_L48", "newform_L432", "basis"]
 
 
@@ -77,3 +77,16 @@ def test_checkouts_take_turns(monkeypatch):
     assert record["after"]["basis"] == {
         "time_s": {"501": 0.5, "1001": 0.5, "2001": 0.5}, "exponent": 0.0,
         "peak_rss_mib": {"501": 30.0, "1001": 30.0, "2001": 30.0}}
+
+
+def test_row_block_child_refuses_a_size_that_did_not_apply(monkeypatch):
+    """``aswd_row_block`` counts the Newton cube roots of its run, so a block
+    size set on a name that ``detect_bases`` does not read is refused."""
+    from noncong import catalog, congruence
+    # the set-up rebinds both names; monkeypatch puts them back afterwards
+    monkeypatch.setattr(congruence, "ROW_BLOCK", congruence.ROW_BLOCK)
+    monkeypatch.setattr(catalog, "cube_roots_mod", catalog.cube_roots_mod)
+    run = load_layers().MEASUREMENTS["aswd_row_block"][1]("aswd_row_block", 4)
+    congruence.ROW_BLOCK = 8
+    with pytest.raises(RuntimeError, match="took 3 Newton cube roots, not 6"):
+        run()

@@ -182,8 +182,11 @@ def test_coefficient_residues_match_exact_at_1000():
     assert g.mu == 1
     for which, rows in zip("ab", coefficient_residues(g, 1000, MODULI)):
         exact = coefficient_sequence(g, which, 1000)
+        assert not rows.flags.writeable
         for m, row in zip(MODULI, rows.tolist()):
             assert row == _exact_mod(exact, m), (which, m)
+    # no moduli, no Newton: two empty matrices of the bound's width
+    assert [rows.shape for rows in coefficient_residues(g, 1000, ())] == [(0, 1000)] * 2
 
 
 # h1 h2 = G^3 with G = prod eta(k z)^(g_k); see notes/decisions.md

@@ -3,17 +3,18 @@
 import collections
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from noncong import catalog, cli, congruence
-from noncong.catalog import (GROUPS, ROW_BLOCK, character_value,
+from noncong.catalog import (GROUPS, character_value,
                              coefficient_residues, coefficient_sequence,
                              get_group, lattice_indices, newform_an,
                              primes_upto)
-from noncong.congruence import (InsufficientDataError,
+from noncong.congruence import (ROW_BLOCK, InsufficientDataError,
                                 NotPIntegralError, aswd_three_term_check,
                                 detect_basis, detect_bases, match_constant,
                                 padic_valuation, reduce_mod_p2, solve_alpha_ap,
@@ -481,15 +482,28 @@ def test_aswd_builds_no_exact_series(monkeypatch):
 
 
 def test_one_newton_per_row_block(monkeypatch):
-    calls = []
-    newton = catalog.cube_roots_mod
+    calls, events, held = [], [], []
+    newton, basis = catalog.cube_roots_mod, detect_basis
+
+    def residues(*args):
+        assert all(row() is None for row in held)   # the last block is gone
+        events.append(args[2])
+        a, b = coefficient_residues(*args)
+        held[:] = [weakref.ref(a), weakref.ref(b)]
+        return a, b
     monkeypatch.setattr(catalog, "cube_roots_mod",
                         lambda *args: calls.append(len(args[2])) or newton(*args))
+    monkeypatch.setattr(congruence, "coefficient_residues", residues)
+    monkeypatch.setattr(congruence, "detect_basis",
+                        lambda *args: events.append(args[1]) or basis(*args))
     primes = [q for q in primes_upto(97) if q >= 5]
     detect_bases(get_group("24.6.1^6"), primes, 1000)
     # 23 moduli p^2 in blocks of ROW_BLOCK = 8: both forms come from 3
     # Newton iterations, not 6
     assert calls == [ROW_BLOCK, ROW_BLOCK, len(primes) - 2 * ROW_BLOCK]
+    # the run holds one block: its primes are tested before the next is built
+    blocks = [primes[r:r + ROW_BLOCK] for r in range(0, len(primes), ROW_BLOCK)]
+    assert events == [x for block in blocks for x in (tuple(p * p for p in block), *block)]
 
 
 @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
