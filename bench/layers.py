@@ -69,6 +69,7 @@ import compileall
 import contextlib
 import functools
 import importlib.util
+import inspect
 import io
 import itertools
 import json
@@ -153,13 +154,23 @@ def _eta_powers(name, n):
     return run
 
 
+def residue_module():
+    """The module of ``coefficient_residues``: ``catalog`` in older trees."""
+    try:
+        from noncong import residues
+    except ImportError:
+        from noncong import catalog as residues
+    return residues
+
+
 @measurement(ETA_BOUNDS, "residues")
 def _residues(name, n):
     from noncong import catalog
+    residues = residue_module()
     group = catalog.get_group(GROUP)
     moduli = tuple(p * p for p in catalog.primes_upto(97) if p >= 5)
-    catalog.coefficient_residues(group, n, moduli[:1])  # exact eta powers, first-call imports
-    return lambda: catalog.coefficient_residues(group, n, moduli)
+    residues.coefficient_residues(group, n, moduli[:1])     # exact eta powers
+    return lambda: residues.coefficient_residues(group, n, moduli)
 
 
 @measurement((1,), "aswd", "aswd_cold", "traces_cold")
@@ -179,12 +190,19 @@ def _processes(name, n):
 
 @measurement(ROW_BLOCKS, "aswd_row_block")
 def _aswd_row_block(name, n):
-    from noncong import catalog, cli, congruence, series
+    from noncong import catalog, cli, congruence
     for module in (catalog, congruence):    # what cuts the blocks: catalog in older trees
         if hasattr(module, "ROW_BLOCK"):
             module.ROW_BLOCK = n
     newtons, blocks = [], -(-len([p for p in catalog.primes_upto(97) if p >= 5]) // n)
-    catalog.cube_roots_mod = lambda *args: newtons.append(n) or series.cube_roots_mod(*args)
+    residues = residue_module()
+    newton = inspect.unwrap(residues.cube_roots_mod)    # not an earlier repetition's counter
+
+    @functools.wraps(newton)
+    def counted(*args):
+        newtons.append(n)
+        return newton(*args)
+    residues.cube_roots_mod = counted
 
     def run():
         with contextlib.redirect_stdout(io.StringIO()):

@@ -8,15 +8,14 @@ hauptmodul), and every group holds its parent's record.
 The groups' covering maps, involutions and surface twists are surface
 geometry and live in ``surfaces.COVERINGS``, keyed by group name.
 
-The basis coefficients come two ways: exactly (``basis_q_expansions``,
-``coefficient_sequence``), and mod a batch of moduli
-(``coefficient_residues``, a pair of int64 matrices the caller holds)
-from the eta factors' integer coefficients, for the mod-p^2 congruence
-tests.  As h1 h2 is an eta quotient for every catalog group, one Newton
-cube root gives both forms.  The exact path is the reference the residues
-are tested against.  Each newform's record says where its coefficients
-come from: integer coefficient lists of eta products (and E6) for L48 and
-L432, a stored A_p table and the Hecke recursion for L243 and L486.
+The basis coefficients come two ways: exactly here
+(``basis_q_expansions``, ``coefficient_sequence``), and mod a batch of
+moduli in ``residues`` (``coefficient_residues``).  Both place the printed
+a_n by one index map, ``lattice_map``, and the exact path is the reference
+the residues are tested against.  Each newform's record says where its
+coefficients come from: integer coefficient lists of eta products (and E6)
+for L48 and L432, a stored A_p table and the Hecke recursion for L243 and
+L486.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .series import (EtaQuotient, PuiseuxSeries, _convolve, cube_roots_mod,
-                     eisenstein_e6_ints, eta_product_ints, eta_product_mod)
+from .series import (EtaQuotient, PuiseuxSeries, _convolve, eisenstein_e6_ints,
+                     eta_product_ints)
 
 # ---------------------------------------------------------------------------
 # small number-theory utilities
@@ -431,7 +430,7 @@ def _form(group: GroupRecord, which: str) -> tuple[EtaQuotient, int]:
 # exact series and the residues both place a_n by this one map.
 
 
-def _lattice(group: GroupRecord, which: str):
+def lattice_map(group: GroupRecord, which: str):
     """(eta quotient, g, 72 unit, s mu, 72 mu g) for one basis form."""
     eq, unit = _form(group, which)
     g = gcd(*(k for k, _ in eq.factors))
@@ -442,7 +441,7 @@ def _lattice(group: GroupRecord, which: str):
 def basis_form(group: GroupRecord, which: str, bound: int) -> PuiseuxSeries:
     """h1 ('a') or h2 ('b') as an exact Puiseux series, valid through
     printed index `bound`; each form is built and cached on its own."""
-    eq, g, step, shift, den = _lattice(group, which)
+    eq, g, step, shift, den = lattice_map(group, which)
     # the eta product through q^(g j), j the x-exponent of a_bound
     return eq.expansion(max((step * bound - shift) * g // den + 2, 2)).nth_root(3)
 
@@ -459,51 +458,6 @@ def coefficient_sequence(group: GroupRecord, which: str, bound: int = 500) -> di
     series, unit = basis_form(group, which, bound + 1), _form(group, which)[1]
     return {n: series.coefficient_at(Fraction(n * unit, group.mu))
             for n in range(1, bound + 1)}
-
-
-# the same printed sequences mod m, from the eta product's integer coefficients
-
-
-def lattice_indices(group: GroupRecord, which: str, n):
-    """j_n with a_n = [x^(j_n)] P(x)^(1/3), as int64, for an int64 array n
-    of printed indices; -1 where a_n is zero by construction.  The one
-    test of whether an index is on the form's lattice."""
-    import numpy as np
-    _, _, step, shift, den = _lattice(group, which)
-    j, r = np.divmod(step * n - shift, den)
-    return np.where((j >= 0) & (r == 0), j, -1)
-
-
-def coefficient_residues(group: GroupRecord, bound: int, moduli: tuple[int, ...]):
-    """(a, b): a_n and b_n mod m for n = 1..bound and every m in moduli (each
-    prime to 3), without the exact series: two read-only int64 matrices,
-    one row per modulus, column n - 1 holding the n-th coefficient.
-
-    The exponents of h1 and h2 add up to multiples of 3 at every scale, so
-    P1 P2 = G^3 for the integer eta product G = prod (1 - x^(k n))^((e1_k +
-    e2_k)/3), all in x = q^g for the scale gcd g the two forms share.  The
-    eta factors are reduced mod every modulus and one Newton over all of
-    them (``cube_roots_mod``) gives both forms: h1 = P1 w^2 and h2 = G w
-    with w = P1^(-1/3).  A group without these properties is refused with
-    ValueError."""
-    import numpy as np
-    (eq1, g, *_), (eq2, g2, *_) = _lattice(group, "a"), _lattice(group, "b")
-    e1, e2 = dict(eq1.factors), dict(eq2.factors)
-    total = {k: e1.get(k, 0) + e2.get(k, 0) for k in sorted(e1.keys() | e2.keys())}
-    if g != g2 or any(e % 3 for e in total.values()):
-        raise ValueError(f"{group.name}: h1 h2 is not the cube of an eta "
-                         "product on the scale gcd of both forms")
-    p1 = [(k // g, e) for k, e in eq1.factors]
-    cofactor = [(k // g, e // 3) for k, e in total.items() if e]
-    cols = np.stack([lattice_indices(group, w, np.arange(1, bound + 1)) for w in "ab"])
-    length = 1 + int(cols.max(initial=0))
-    roots = cube_roots_mod(eta_product_mod(p1, length, moduli),
-                           eta_product_mod(cofactor, length, moduli), moduli) \
-        if moduli else np.zeros((2, 0, length), dtype=np.int64)
-    # a_n zero by construction reads column -1, a zero padded onto each root
-    a, b = (np.pad(h, ((0, 0), (0, 1)))[:, js] for h, js in zip(roots, cols))
-    a.flags.writeable = b.flags.writeable = False
-    return a, b
 
 
 def construct_basis(group: GroupRecord, order: int = 50):

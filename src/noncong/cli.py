@@ -218,8 +218,8 @@ def cmd_aswd(args) -> int:
         raise InputRefused(f"--pmax {pmax} is above the prime limit {ASWD_PRIME_LIMIT}")
     if bound > PN_BOUND_LIMIT:
         raise InputRefused(f"--pn-bound {bound} is above the limit {PN_BOUND_LIMIT}")
-    if args.three_term is not None and args.three_term < 0:
-        raise InputRefused(f"--three-term {args.three_term} is negative")
+    if args.three_term is not None and args.three_term < 1:
+        raise InputRefused(f"--three-term {args.three_term} is not a positive integer")
     golden = _read_golden(args.golden, *ASWD_GOLDEN)[1] if args.golden else None
     primes = [p for p in catalog.primes_upto(pmax) if p >= 5]
     try:

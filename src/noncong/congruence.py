@@ -8,7 +8,7 @@ newform coefficients up to a sixth root of unity, dropping to modulus p when
 a common factor of p must be cancelled first.
 
 ``detect_basis`` works on the basis coefficients mod p^2 only
-(``catalog.coefficient_residues``); no exact series is built.  A run over
+(``residues.coefficient_residues``); no exact series is built.  A run over
 many primes (``detect_bases``, what ``noncong aswd`` calls) takes them
 ``ROW_BLOCK`` at a time: one Newton cube root gives both basis forms mod
 the p^2 of a block, tested before the next is built; ``detect_basis``
@@ -16,7 +16,7 @@ alone builds the batch of its one prime.  The ratio tests read the rows
 directly, over each denominator's usable n found once for both numerators.
 Whether a verdict is vacuous (every tested numerator zero by construction)
 is read off the lattice of exponents the form can carry:
-``catalog.lattice_indices`` gives -1 for every tested index np off it.
+``residues.lattice_indices`` gives -1 for every tested index np off it.
 
 Every residue is reduced mod p^2, with p passed alongside it: int64 batch
 rows in the ratio tests, plain ints for the constants they yield.
@@ -31,10 +31,13 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .catalog import (BiquadraticNumber, GroupRecord, coefficient_residues,
-                      lattice_indices, newform_an)
+from .catalog import BiquadraticNumber, GroupRecord, newform_an
 # unused here; kept as the name perfbench's tracer wraps in this module
 from .catalog import coefficient_sequence  # noqa: F401
+from .residues import coefficient_residues, lattice_indices
+
+import numpy as np
+
 
 class InsufficientDataError(ValueError):
     pass
@@ -94,7 +97,6 @@ def _ratios(den, nums, p: int):
     n - 1 holding index n); c is read at the first such n.  All-zero
     numerators give the constant 0.  An empty test set is an error, never
     a vacuous success."""
-    import numpy as np
     n = np.arange(1, len(den) // p + 1)
     n = n[(n % p != 0) & (den[n - 1] % p != 0)]
     if not n.size:
@@ -299,7 +301,7 @@ def detect_basis(group: GroupRecord, p: int, bound: int = 500,
     of its block's batch.
 
     A test is live when some tested index np lies on the lattice of
-    exponents of the numerator form (``catalog.lattice_indices``); a test
+    exponents of the numerator form (``residues.lattice_indices``); a test
     whose every tested numerator is zero by construction is vacuous, and
     such a vacuous case-1 verdict yields to a live cross-ratio verdict.
     For every input ``noncong aswd`` accepts (p <= 2003, pn <= 10^4) this

@@ -17,6 +17,7 @@ memory.  A family sits at f(r^3) = f0(k r^3), k = gcd(a, c) / gcd(b, d) for
 f = (a, b, c, d), f0 shared by the twists of a cover.  r -> r^3 maps F_q^* mu
 to one onto the mu-th powers, mu = gcd(3, q - 1): a sum reads the table at
 f(0), f(infinity) and, mu times, at f0 on the class k (F_q^*)^mu, one per class.
+At mu = 1, r -> r^3 and f permute P^1(F_q), and the sum is the table's total.
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ from itertools import accumulate
 from math import comb, gcd, isqrt
 
 from .catalog import _factorize
-from .series import exact_integers, fft_length
+# `surfaces` before `residues`, which imports numpy: compiling `surfaces` with
+# numpy already loaded raised the peak RSS of perfbench's ap-scan process by
+# 0.4 MiB
 from .surfaces import COVERINGS, beauville_short
+from .residues import exact_integers
 
-# numpy after the package's modules: compiling `surfaces` with numpy already
-# loaded raised the peak RSS of perfbench's ap-scan process by 0.4 MiB
 import numpy as np
+from numpy import fft      # numpy.fft is not loaded by ``import numpy``
 
 
 class BadPrimeError(ValueError):
@@ -394,7 +397,6 @@ def _character_sums(field) -> np.ndarray:
     curve over F_q, or 0 or +-1 at a singular one: every row is rounded
     under the guard of ``exact_integers`` and checked against the Hasse
     bound |S| <= 2 sqrt(q), which also fits S in int16 for p < 2^14."""
-    from numpy import fft      # numpy.fft is not loaded by ``import numpy``
     q, shape = field.q, field.shape
 
     def checked(sums):
@@ -435,9 +437,8 @@ def _ratio(field, x: int, y: int) -> int:
 def _class_sum(level: str, p: int, squared: bool, mobius, j: int, /) -> tuple[int, int]:
     """(T_j, e) for f0 = ``mobius`` = (a, b, c, d): T_j sums tau(f0(s)) over
     the class s = g^(j + mu i) of F_q^*, mu = gcd(3, q - 1), and e = tau(f0(0))
-    + tau(f0(infinity)) is the same for every twist f(s) = f0(k s).  f0
-    permutes P^1(F_q), so the one class of mu = 1 is the table's total less
-    e.  Else f0(s) = a/c + beta / (c s + d), beta = (bc - ad) / c, or
+    + tau(f0(infinity)) is the same for every twist f(s) = f0(k s).
+    f0(s) = a/c + beta / (c s + d), beta = (bc - ad) / c, or
     (a/d) s + b/d when p | c, read at u = x s + y: the products x s over one
     class are the view exp[(log x + j) % mu::mu], a constant adds to an index
     mod q in both fields, and beta / u is a difference of logs."""
@@ -446,8 +447,6 @@ def _class_sum(level: str, p: int, squared: bool, mobius, j: int, /) -> tuple[in
     n, mu = q - 1, gcd(3, q - 1)
     a, b, c, d = mobius
     e = int(tau[_ratio(field, b, d)] + tau[_ratio(field, a, c)])
-    if mu == 1:
-        return int(tau.sum()) - e, e
     affine = c % p == 0
     x, y = ((_ratio(field, a, d), _ratio(field, b, d)) if affine
             else (field.constant(c), field.constant(d)))
@@ -460,16 +459,20 @@ def _class_sum(level: str, p: int, squared: bool, mobius, j: int, /) -> tuple[in
 
 
 def frobenius_trace(family: SurfaceFamily, p: int, squared: bool = False) -> int:
-    """Tr(Frob_q) = - sum of local traces over P^1(F_q) = -(mu T_j + e) for
-    q = p or p^2: f(s) = f0(k s) for f0 = (a/g, b/h, c/g, d/h) and k = g/h,
-    g = gcd(a, c), h = gcd(b, d), in the class j = log k mod mu.  Refuses p
-    dividing 6(ad - bc) in O(1); no other p divides g or h."""
+    """Tr(Frob_q) = - sum of local traces over P^1(F_q) for q = p or p^2.
+    At mu = gcd(3, q - 1) = 1, r -> r^3 and f permute P^1(F_q), so that is
+    minus the table's total.  Else it is -(mu T_j + e): f(s) = f0(k s) for
+    f0 = (a/g, b/h, c/g, d/h) and k = g/h, g = gcd(a, c), h = gcd(b, d), in
+    the class j = log k mod mu.  Refuses p dividing 6(ad - bc) in O(1); no
+    other p divides g or h."""
     a, b, c, d = family.mobius
     if p < 5 or (a * d - b * c) % p == 0:
         raise BadPrimeError(
             f"{family.label}: {p} is not a good prime (bad set {sorted(family.bad_primes())})")
+    mu = gcd(3, (p * p if squared else p) - 1)
+    if mu == 1:
+        return -int(fiber_trace_table(family.level, p, squared)[0].sum())
     field, g, h = field_for(p, squared), gcd(a, c), gcd(b, d)
-    mu = gcd(3, field.q - 1)
     j = int(field.log[_ratio(field, g, h)]) % mu
     T, e = _class_sum(family.level, p, squared, (a // g, b // h, c // g, d // h), j)
     return -(mu * T + e)

@@ -82,10 +82,10 @@ def test_checkouts_take_turns(monkeypatch):
 def test_row_block_child_refuses_a_size_that_did_not_apply(monkeypatch):
     """``aswd_row_block`` counts the Newton cube roots of its run, so a block
     size set on a name that ``detect_bases`` does not read is refused."""
-    from noncong import catalog, congruence
+    from noncong import congruence, residues
     # the set-up rebinds both names; monkeypatch puts them back afterwards
     monkeypatch.setattr(congruence, "ROW_BLOCK", congruence.ROW_BLOCK)
-    monkeypatch.setattr(catalog, "cube_roots_mod", catalog.cube_roots_mod)
+    monkeypatch.setattr(residues, "cube_roots_mod", residues.cube_roots_mod)
     run = load_layers().MEASUREMENTS["aswd_row_block"][1]("aswd_row_block", 4)
     congruence.ROW_BLOCK = 8
     with pytest.raises(RuntimeError, match="took 3 Newton cube roots, not 6"):

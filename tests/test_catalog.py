@@ -11,13 +11,13 @@ import pytest
 import published_tables
 from noncong.catalog import (ETA_B6, ETA_D6, GROUPS, MAIN_GROUPS, NEWFORMS,
                              PARENT6, PARENT8, basis_form, basis_q_expansions,
-                             character_value, coefficient_residues,
-                             coefficient_sequence, construct_basis,
-                             cusp_regularity, derived_cusp_counts,
-                             dim_cusp_forms, export_text, get_group,
-                             hecke_check, kronecker_symbol, lattice_indices,
+                             character_value, coefficient_sequence,
+                             construct_basis, cusp_regularity,
+                             derived_cusp_counts, dim_cusp_forms, export_text,
+                             get_group, hecke_check, kronecker_symbol,
                              newform_an, newform_coefficients,
                              noncongruence_test, primes_upto)
+from noncong.residues import coefficient_residues, lattice_indices
 from noncong.series import EtaQuotient
 
 ALL_NAMES = tuple(GROUPS)

@@ -397,7 +397,9 @@ README = str(GOLDEN.parent / "README.md")
                  f"golden file {README}: the first line is not "
                  "'group,parameterization,p,tr_p,tr_p2'", id="traces-golden-not-csv"),
     case(27, ["aswd", "gamma_24.6.1^6", "--pmax", "7", "--three-term", "-1"],
-         "--three-term -1 is negative"),
+         "--three-term -1 is not a positive integer"),
+    case(55, ["aswd", "gamma_24.6.1^6", "--pmax", "7", "--three-term", "0"],
+         "--three-term 0 is not a positive integer"),
     case(28, ["expand", "gamma_24.6.1^6", "h1", "--order", "2001"],
          "--order 2001 is above the limit 2000"),
     case(29, ["expand", "eta", "1:24", "--order", "100000"],

@@ -9,11 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from noncong import catalog, cli, congruence
-from noncong.catalog import (GROUPS, character_value,
-                             coefficient_residues, coefficient_sequence,
-                             get_group, lattice_indices, newform_an,
-                             primes_upto)
+from noncong import catalog, cli, congruence, residues
+from noncong.catalog import (GROUPS, character_value, coefficient_sequence,
+                             get_group, newform_an, primes_upto)
+from noncong.residues import coefficient_residues, lattice_indices
 from noncong.congruence import (ROW_BLOCK, InsufficientDataError,
                                 NotPIntegralError, aswd_three_term_check,
                                 detect_basis, detect_bases, match_constant,
@@ -413,7 +412,7 @@ def test_residue_three_term_rows_are_mod_p2():
 # --- the residue path against the exact sequences ---------------------------------------
 
 def _exact_residues(group, bound, moduli):
-    """Oracle for catalog.coefficient_residues, reduced from the exact
+    """Oracle for residues.coefficient_residues, reduced from the exact
     sequences."""
     return tuple(np.array([[x.numerator * pow(x.denominator, -1, m) % m
                             for x in coefficient_sequence(group, w, bound).values()]
@@ -483,17 +482,17 @@ def test_aswd_builds_no_exact_series(monkeypatch):
 
 def test_one_newton_per_row_block(monkeypatch):
     calls, events, held = [], [], []
-    newton, basis = catalog.cube_roots_mod, detect_basis
+    newton, basis = residues.cube_roots_mod, detect_basis
 
-    def residues(*args):
+    def block_residues(*args):
         assert all(row() is None for row in held)   # the last block is gone
         events.append(args[2])
         a, b = coefficient_residues(*args)
         held[:] = [weakref.ref(a), weakref.ref(b)]
         return a, b
-    monkeypatch.setattr(catalog, "cube_roots_mod",
+    monkeypatch.setattr(residues, "cube_roots_mod",
                         lambda *args: calls.append(len(args[2])) or newton(*args))
-    monkeypatch.setattr(congruence, "coefficient_residues", residues)
+    monkeypatch.setattr(congruence, "coefficient_residues", block_residues)
     monkeypatch.setattr(congruence, "detect_basis",
                         lambda *args: events.append(args[1]) or basis(*args))
     primes = [q for q in primes_upto(97) if q >= 5]

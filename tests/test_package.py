@@ -1,6 +1,7 @@
 """The package namespace: names resolve lazily to their defining modules, and
 each command loads only the modules it runs."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import noncong
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-SUBMODULES = ("series", "surfaces", "catalog", "traces", "congruence", "cli")
+SUBMODULES = ("series", "surfaces", "catalog", "residues", "traces", "congruence", "cli")
 
 
 def test_every_exported_name_is_the_object_of_its_defining_module():
@@ -52,9 +53,10 @@ def test_resolving_names_leaves_the_package_namespace_unchanged():
 
 
 # A command must not load what it does not run: `aswd` needs neither the
-# surface geometry nor the trace kernels, and the structural commands need
-# no numpy.  No command loads `dataclasses`, and a text-format command does
-# not load `json`.  Each case runs in a fresh interpreter.
+# surface geometry nor the trace kernels, and the structural commands and
+# `expand` need no numpy and no arithmetic mod m.  No command loads
+# `dataclasses`, and a text-format command does not load `json`.  Each case
+# runs in a fresh interpreter.
 LOADED = """
 import contextlib, io, sys
 from noncong.cli import main
@@ -67,13 +69,16 @@ print(rc, *sorted(name for name in sys.modules
 
 @pytest.mark.parametrize("argv,absent", [
     (["aswd", "gamma_24.6.1^6", "--pmax", "13"], {"noncong.surfaces", "noncong.traces"}),
-    (["dim", "--all"], {"numpy", "noncong.surfaces", "noncong.traces", "noncong.congruence"}),
-    (["noncongruence", "--all"],
-     {"numpy", "noncong.surfaces", "noncong.traces", "noncong.congruence"}),
-    (["catalog"], {"numpy", "noncong.traces", "noncong.congruence"}),
+    (["dim", "--all"], {"numpy", "noncong.residues", "noncong.surfaces", "noncong.traces",
+                         "noncong.congruence"}),
+    (["noncongruence", "--all"], {"numpy", "noncong.residues", "noncong.surfaces",
+                                  "noncong.traces", "noncong.congruence"}),
+    (["catalog"], {"numpy", "noncong.residues", "noncong.traces", "noncong.congruence"}),
     (["isogeny", "--pair", "4a", "--primes", "7", "--samples", "4"],
-     {"numpy", "noncong.traces", "noncong.congruence"}),
+     {"numpy", "noncong.residues", "noncong.traces", "noncong.congruence"}),
     (["traces", "gamma_24.6.1^6", "--primes", "7"], {"noncong.congruence"}),
+    (["expand", "gamma_24.6.1^6", "h1", "--order", "30"],
+     {"numpy", "noncong.residues", "noncong.surfaces", "noncong.traces", "noncong.congruence"}),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_command_loads_only_its_layers(argv, absent):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -96,6 +101,22 @@ def test_no_module_loads_dataclasses():
     assert done.stdout.split() == ["False"]
 
 
+def test_no_function_imports_numpy():
+    """numpy is imported at the top of the modules that compute mod m or
+    over F_q, never inside a function."""
+    found = []
+    for path in sorted((SRC / "noncong").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(fn):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                found += [f"{path.name}:{node.lineno}" for name in names
+                          if name.split(".")[0] == "numpy"]
+    assert not found
+
+
 def test_import_noncong_loads_no_submodule():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     code = ("import sys, noncong; print(*sorted(n for n in sys.modules "
@@ -116,8 +137,8 @@ if sys.argv[1] == "cli":
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main(["aswd", "gamma_24.6.1^6", "--pmax", "13"])
 else:
-    import noncong, noncong.catalog
-    noncong.catalog.coefficient_residues(noncong.get_group("gamma_24.6.1^6"), 20, (25,))
+    import noncong, noncong.residues
+    noncong.residues.coefficient_residues(noncong.get_group("gamma_24.6.1^6"), 20, (25,))
     rc = 0
 import numpy
 try:

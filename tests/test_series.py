@@ -9,12 +9,12 @@ import numpy as np
 
 from noncong import series
 from noncong.catalog import GROUPS
-from noncong.series import (EtaQuotient, MODULUS_LIMIT, PrecisionError,
-                            PuiseuxSeries, _convolve, _limbs, _miller_power,
-                            _mul_mod, _scale_exponents,
-                            cube_roots_mod, eisenstein_e6, eta_expansion,
-                            eta_power_coeffs, eta_product_ints, eta_product_mod,
-                            fft_length, parse_series)
+from noncong.residues import (MODULUS_LIMIT, _limbs, _mul_mod, cube_roots_mod,
+                              eta_product_mod, fft_length)
+from noncong.series import (EtaQuotient, PrecisionError, PuiseuxSeries,
+                            _convolve, _miller_power, _scale_exponents,
+                            eisenstein_e6, eta_expansion, eta_power_coeffs,
+                            eta_product_ints, parse_series)
 
 
 def _miller_frac_power(u: list[Fraction], alpha: Fraction, length: int) -> list[Fraction]:

@@ -13,7 +13,7 @@ import pytest
 from noncong.catalog import (GROUPS, MAIN_GROUPS, NEWFORMS, character_value,
                              get_group, kronecker_symbol, newform_an,
                              primes_upto)
-from noncong.series import exact_integers
+from noncong.residues import exact_integers
 from noncong.surfaces import beauville_short
 from noncong.traces import (BadPrimeError, FIBER_VALUE, PrimeField,
                             QuadExtField, TABLE8_PRIMES, _class_sum,
@@ -300,12 +300,13 @@ def test_local_traces_sum_to_frobenius_trace(name, p):
             assert sum(sums) + ends == table_total
 
 
-@pytest.mark.parametrize("p,squared,sums", [(11, True, 8), (7, False, 12)])
+@pytest.mark.parametrize("p,squared,sums", [(11, True, 8), (7, False, 12), (11, False, 0)])
 def test_twists_in_one_class_share_a_sum(p, squared, sums):
     """Every element of F_11^* is a cube in F_{11^2}, so the twelve families
     of the eight covers read 8 class sums there.  Over F_7 neither 2 nor 3 is
     a cube, so the twists 1/4, 1/2, 1 and 1/3, 1 and 1/9, 1 lie in distinct
-    classes and the families read 12."""
+    classes and the families read 12.  Over F_11 cubing permutes P^1, and
+    each trace is the table's total: the families read no class sum."""
     assert all(pow(x, (7 - 1) // 3, 7) != 1 for x in (2, 3))
     _class_sum.cache_clear()
     for fam in ALL_FAMILIES:
